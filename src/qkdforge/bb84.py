@@ -1,4 +1,4 @@
-"""Prepare-and-measure key distribution with per-qubit quantum transport.
+"""Prepare-and-measure key distribution with closed-form batched transport.
 
 Two protocol modes share the same transmission, sifting, and check-bit
 machinery:
@@ -15,10 +15,18 @@ Every random decision flows through one seeded generator in a documented
 order (raw bits, basis bits, per-qubit transport draws, codeword draw in
 shor_preskill mode, subset selections), so a (config, seed) pair pins the
 whole transcript.
+
+Every qubit on the wire is one of the four BB84 states, and the
+eavesdropper's measure-and-resend and the X/Z channel map that set onto
+itself up to a phase. Transport is therefore a lookup in a small table of
+measurement outcome distributions, built once from the dense simulator,
+plus a comparison of uniforms: no state vector is made per qubit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,15 +39,22 @@ from .codes import (
     LinearCode,
     SyndromeTable,
     build_syndrome_table,
+    check_nested,
     decode,
     key_from_coset,
     quotient,
 )
 from .gf2 import BitVector
-from .qsim import StateVector, apply_gate, basis_state, measure_all_z
+from .qsim import StateVector, apply_gate, basis_state
 
 BASIS_Z = 0
 BASIS_X = 1
+
+# Largest block size n a session accepts, and the largest raw block. The
+# transport draws raw_length x 6 uniforms in one array of 8-byte floats,
+# so a raw block of MAX_RAW_LENGTH qubits holds 24 MB of draws.
+MAX_N = 100_000
+MAX_RAW_LENGTH = 5 * MAX_N
 
 
 @dataclass(frozen=True)
@@ -87,10 +102,14 @@ class SessionConfig:
     shed_bits: int = 0  # extra bits sacrificed in the amplification report
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be between 1 and {MAX_N}, got {self.n}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
+        if self.raw_length > MAX_RAW_LENGTH:
+            raise ValueError(
+                f"raw block of {self.raw_length} qubits exceeds {MAX_RAW_LENGTH}; lower n or delta"
+            )
         if self.mode not in ("standard", "shor_preskill"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.t_abort is None:
@@ -104,6 +123,7 @@ class SessionConfig:
                 raise ValueError(
                     f"block size n={self.n} must equal the code length {self.codes[0].n}"
                 )
+            check_nested(*self.codes)
 
     @property
     def raw_length(self) -> int:
@@ -175,17 +195,71 @@ def _prepare(bit: int, basis: int) -> StateVector:
     return state
 
 
-def _measure_in(
-    state: StateVector, basis: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure one qubit in the chosen basis; the returned state is the
-    post-measurement eigenstate of that basis."""
-    if basis == BASIS_X:
-        state = apply_gate(state, "H", 1)
-    bits, state = measure_all_z(state, rng)
-    if basis == BASIS_X:
-        state = apply_gate(state, "H", 1)
-    return bits[0], state
+@functools.cache
+def _outcome_table() -> np.ndarray:
+    """Outcome distributions of measuring every wire state:
+    table[value, basis, x_flip, z_flip, measured_basis] = (p0, p1) for the
+    qubit _prepare(value, basis) after the channel's X then Z flips,
+    measured in measured_basis. Built with the dense simulator so the
+    probabilities carry its exact float round-off."""
+    table = np.zeros((2, 2, 2, 2, 2, 2))
+    for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
+        state = _prepare(value, basis)
+        if x_flip:
+            state = apply_gate(state, "X", 1)
+        if z_flip:
+            state = apply_gate(state, "Z", 1)
+        if measured == BASIS_X:
+            state = apply_gate(state, "H", 1)
+        table[value, basis, x_flip, z_flip, measured] = np.abs(state.amps) ** 2
+    table.setflags(write=False)
+    return table
+
+
+def _draw_outcomes(r: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """qsim._draw_outcome over rows of (p0, p1): r < p0 gives 0, r < p0 + p1
+    gives 1, and a draw beyond a total that round-off left below 1 falls
+    back to the last outcome with nonzero probability."""
+    p0, p1 = probabilities[:, 0], probabilities[:, 1]
+    fallback = np.where(p1 > 0.0, 1, 0)
+    return np.where(r < p0, 0, np.where(r < p0 + p1, 1, fallback))
+
+
+def _transport(
+    d: np.ndarray,
+    b: np.ndarray,
+    channel: ChannelModel,
+    eve: EveStrategy,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """transmit_qubit for every (d[i], b[i]) at once, returning arrays.
+
+    One rng.random((len(d), k)) call holds every draw, row i being qubit
+    i's draws in transmit_qubit's order: k is 6 with a uniform_random
+    eavesdropper, 5 with a fixed-basis one and 4 with none, and the
+    channel columns are drawn even when px or pz is 0.
+    """
+    table = _outcome_table()
+    intercept = eve.kind == "intercept_resend"
+    uniform = intercept and eve.basis_policy == "uniform_random"
+    draws = iter(rng.random((len(d), 4 + intercept + uniform)).T)
+    # The state on the wire after Eve: her resent eigenstate, which is
+    # _prepare(her outcome, her basis), or else Alice's own.
+    value, basis = d, b
+    eve_learned = np.zeros(len(d), dtype=bool)
+    if intercept:
+        if uniform:
+            eve_basis = np.where(next(draws) < 0.5, BASIS_Z, BASIS_X)
+        else:
+            eve_basis = BASIS_Z if eve.basis_policy == "always_Z" else BASIS_X
+        value = _draw_outcomes(next(draws), table[d, b, 0, 0, eve_basis])
+        basis = eve_basis
+        eve_learned = eve_basis == b
+    x_flip = (next(draws) < channel.px).astype(np.intp)
+    z_flip = (next(draws) < channel.pz).astype(np.intp)
+    bob_bases = np.where(next(draws) < 0.5, BASIS_Z, BASIS_X)
+    bob_bits = _draw_outcomes(next(draws), table[value, basis, x_flip, z_flip, bob_bases])
+    return bob_bases, bob_bits, eve_learned
 
 
 def transmit_qubit(
@@ -203,25 +277,12 @@ def transmit_qubit(
     (bob_basis, bob_bit, eve_learned) where eve_learned is True exactly
     when Eve measured in the preparation basis.
     """
-    state = _prepare(bit, basis)
-    eve_learned = False
-    if eve.kind == "intercept_resend":
-        if eve.basis_policy == "uniform_random":
-            eve_basis = BASIS_Z if rng.random() < 0.5 else BASIS_X
-        elif eve.basis_policy == "always_Z":
-            eve_basis = BASIS_Z
-        else:
-            eve_basis = BASIS_X
-        # She resends the eigenstate she measured; no cloning shortcut.
-        _, state = _measure_in(state, eve_basis, rng)
-        eve_learned = eve_basis == basis
-    if rng.random() < channel.px:
-        state = apply_gate(state, "X", 1)
-    if rng.random() < channel.pz:
-        state = apply_gate(state, "Z", 1)
-    bob_basis = BASIS_Z if rng.random() < 0.5 else BASIS_X
-    bob_bit, _ = _measure_in(state, bob_basis, rng)
-    return bob_basis, bob_bit, eve_learned
+    if bit not in (0, 1) or basis not in (BASIS_Z, BASIS_X):
+        raise ValueError(f"bit and basis must be 0 or 1, got {bit} and {basis}")
+    bob_bases, bob_bits, eve_learned = _transport(
+        np.array([bit]), np.array([basis]), channel, eve, rng
+    )
+    return int(bob_bases[0]), int(bob_bits[0]), bool(eve_learned[0])
 
 
 def bennett_bound(s: int) -> float:
@@ -275,19 +336,22 @@ def shor_preskill_keys(
     )
 
 
-def _transmission_phase(
-    config: SessionConfig, rng: np.random.Generator
-) -> tuple[BitVector, BitVector, BitVector, BitVector, tuple[bool, ...]]:
-    raw_len = config.raw_length
-    d = BitVector.from_ints(rng.integers(0, 2, size=raw_len))
-    b = BitVector.from_ints(rng.integers(0, 2, size=raw_len))
-    bob_bases, bob_bits, eve_flags = [], [], []
-    for i in range(raw_len):
-        basis, bit, learned = transmit_qubit(d[i], b[i], config.channel, config.eve, rng)
-        bob_bases.append(basis)
-        bob_bits.append(bit)
-        eve_flags.append(learned)
-    return d, b, BitVector(tuple(bob_bases)), BitVector(tuple(bob_bits)), tuple(eve_flags)
+def _transmission_phase(config: SessionConfig, rng: np.random.Generator) -> tuple[
+    BitVector, BitVector, BitVector, BitVector, tuple[bool, ...], tuple[int, ...]
+]:
+    """Alice's raw bits and bases, their transport to Bob, and sifting:
+    returns (d, b, bob_bases, bob_bits, eve_learned, sifted)."""
+    d = rng.integers(0, 2, size=config.raw_length)
+    b = rng.integers(0, 2, size=config.raw_length)
+    bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
+    return (
+        BitVector.from_ints(d),
+        BitVector.from_ints(b),
+        BitVector.from_ints(bob_bases),
+        BitVector.from_ints(bob_bits),
+        tuple(eve_learned.tolist()),
+        tuple(np.flatnonzero(b == bob_bases).tolist()),
+    )
 
 
 def _select_blocks(
@@ -314,8 +378,7 @@ def run_standard(config: SessionConfig) -> SessionTranscript:
         raise ValueError("config.mode must be 'standard'")
     rng = np.random.default_rng(config.seed)
     n = config.n
-    d, b, bob_bases, bob_bits, eve_flags = _transmission_phase(config, rng)
-    sifted = tuple(i for i in range(config.raw_length) if b[i] == bob_bases[i])
+    d, b, bob_bases, bob_bits, eve_flags, sifted = _transmission_phase(config, rng)
     transcript = SessionTranscript(
         mode=config.mode,
         seed=config.seed,
@@ -373,11 +436,10 @@ def run_shor_preskill(config: SessionConfig) -> SessionTranscript:
 
     rng = np.random.default_rng(config.seed)
     n = config.n
-    d, b, bob_bases, bob_bits, eve_flags = _transmission_phase(config, rng)
+    d, b, bob_bases, bob_bits, eve_flags, sifted = _transmission_phase(config, rng)
     # Alice's codeword draw happens before any announcement.
     u = c1.encode(BitVector.from_ints(rng.integers(0, 2, size=c1.k)))
 
-    sifted = tuple(i for i in range(config.raw_length) if b[i] == bob_bases[i])
     transcript = SessionTranscript(
         mode=config.mode,
         seed=config.seed,

@@ -55,8 +55,20 @@ from .verify import report_json, run_all_checks
 ENV_SEED = "QKDFORGE_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid seed {text!r}: --seed and ${ENV_SEED} take an integer"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -> LinearCode:
@@ -167,6 +179,15 @@ def _build_css(args: argparse.Namespace):
     return css_build(c1, c2, t)
 
 
+def _error_patterns(args: argparse.Namespace, n: int) -> tuple[BitVector, BitVector]:
+    """The bit-flip and phase-flip patterns --e1 and --e2 (zero if absent)."""
+    e1 = BitVector.from_string(args.e1) if args.e1 else BitVector.zeros(n)
+    e2 = BitVector.from_string(args.e2) if args.e2 else BitVector.zeros(n)
+    if len(e1) != n or len(e2) != n:
+        raise ValueError(f"error vectors must have length n={n}")
+    return e1, e2
+
+
 def _css_params(args: argparse.Namespace, n: int) -> CssParams:
     x = BitVector.from_string(args.x) if args.x else BitVector.zeros(n)
     z = BitVector.from_string(args.z) if args.z else BitVector.zeros(n)
@@ -206,8 +227,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
         v = BitVector.from_string(args.v) if args.v else BitVector.zeros(code.n)
         clean = css_codeword(code, v, params)
         state = clean
-        e1 = BitVector.from_string(args.e1) if args.e1 else BitVector.zeros(code.n)
-        e2 = BitVector.from_string(args.e2) if args.e2 else BitVector.zeros(code.n)
+        e1, e2 = _error_patterns(args, code.n)
         for i, bit in enumerate(e2):
             if bit:
                 state = apply_gate(state, "Z", i + 1)
@@ -265,10 +285,8 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     started = time.time()
     c1 = _resolve_code(args.code)
     code = css_build(c1, c1.dual(), c1.corrects)
-    n = code.n
-    e1 = BitVector.from_string(args.e1) if args.e1 else BitVector.zeros(n)
-    e2 = BitVector.from_string(args.e2) if args.e2 else BitVector.zeros(n)
-    session = inject_bob_errors(create_epr(n, code), e1, e2)
+    e1, e2 = _error_patterns(args, code.n)
+    session = inject_bob_errors(create_epr(code.n, code), e1, e2)
     rng = np.random.default_rng(args.seed)
     alice_key, bob_key, report = run_distillation(session, rng)
     output = {
@@ -372,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear codes, CSS quantum codes, and BB84 key distribution",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # argparse converts a string default only when a subcommand that takes
+    # --seed runs without it, so a bad variable fails just those, as usage.
+    seed = {"type": _seed, "default": os.environ.get(ENV_SEED, "0")}
 
     p_codes = sub.add_parser("codes", help="classical code tables")
     p_codes.add_argument("action", choices=["info", "table"])
@@ -384,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qec.add_argument("--code", choices=["bitflip", "phaseflip", "shor"], default="bitflip")
     p_qec.add_argument("--qubit", type=int, default=0, help="0 injects no error")
     p_qec.add_argument("--error", choices=["none", "X", "Z", "XZ", "random"], default="X")
-    p_qec.add_argument("--seed", type=int, default=_default_seed())
+    p_qec.add_argument("--seed", **seed)
     p_qec.set_defaults(func=_cmd_qec)
 
     p_css = sub.add_parser("css", help="CSS code operations")
@@ -399,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_css.add_argument("--e2", default=None, help="phase-flip pattern")
     p_css.add_argument("--x-set", default="0000,0001")
     p_css.add_argument("--z-set", default="0000,0001")
-    p_css.add_argument("--seed", type=int, default=_default_seed())
+    p_css.add_argument("--seed", **seed)
     p_css.set_defaults(func=_cmd_css)
 
     p_distill = sub.add_parser("distill", help="entanglement distillation")
     p_distill.add_argument("--code", default="hamming74", help="C1; C2 is its dual")
     p_distill.add_argument("--e1", default=None)
     p_distill.add_argument("--e2", default=None)
-    p_distill.add_argument("--seed", type=int, default=_default_seed())
+    p_distill.add_argument("--seed", **seed)
     p_distill.set_defaults(func=_cmd_distill)
 
     p_bb84 = sub.add_parser("bb84", help="protocol sessions")
@@ -425,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bb84.add_argument("--pz", type=float, default=0.0)
     p_bb84.add_argument("--c1", default="hamming74")
     p_bb84.add_argument("--c2", default="dual")
-    p_bb84.add_argument("--seed", type=int, default=_default_seed())
-    p_bb84.add_argument("--runs", type=int, default=10, help="sweep size")
+    p_bb84.add_argument("--seed", **seed)
+    p_bb84.add_argument("--runs", type=_positive_int, default=10, help="sweep size")
     p_bb84.add_argument("--format", choices=["json", "csv"], default="json")
     p_bb84.set_defaults(func=_cmd_bb84)
 

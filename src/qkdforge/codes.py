@@ -247,6 +247,18 @@ class CosetQuotient:
         return result
 
 
+def check_nested(c1: LinearCode, c2: LinearCode) -> None:
+    """Raise ValueError unless C2 is a proper subcode of C1, which every
+    CSS construction and every coset key needs."""
+    if c2.n != c1.n:
+        raise ValueError("C1 and C2 must have the same length")
+    if c2.k >= c1.k:
+        raise ValueError("C2 must be a proper subcode of C1 (k2 < k1)")
+    for row in c2.G.rows:
+        if not c1.contains(row):
+            raise ValueError("C2 is not contained in C1")
+
+
 def quotient(c1: LinearCode, c2: LinearCode) -> CosetQuotient:
     """Build the coset structure of C2 in C1.
 
@@ -293,10 +305,6 @@ def key_from_coset(q: CosetQuotient, u: BitVector) -> BitVector:
     if coefficients is None:
         raise AssertionError("codeword not expressible in the quotient basis")
     return coefficients[q.c2.k :]
-
-
-def char_sum(code: LinearCode, u: BitVector) -> int:
-    return code.char_sum(u)
 
 
 # Built-in named codes. Generator and check matrices are pinned rather

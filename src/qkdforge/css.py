@@ -19,6 +19,7 @@ from .codes import (
     CosetQuotient,
     LinearCode,
     SyndromeTable,
+    check_nested,
     quotient,
     syndrome_table_from_check,
 )
@@ -83,13 +84,7 @@ def css_build(c1: LinearCode, c2: LinearCode, t: int) -> CssCode:
     Requires C2 to be a proper subcode of C1 and both C1 and the dual of
     C2 to correct t errors.
     """
-    if c2.n != c1.n:
-        raise ValueError("C1 and C2 must have the same length")
-    if c2.k >= c1.k:
-        raise ValueError("C2 must be a proper subcode of C1 (k2 < k1)")
-    for row in c2.G.rows:
-        if not c1.contains(row):
-            raise ValueError("C2 is not contained in C1")
+    check_nested(c1, c2)
     if t > c1.corrects:
         raise ValueError(f"C1 corrects only {c1.corrects} errors, requested t={t}")
     c2_dual = c2.dual()

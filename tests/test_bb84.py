@@ -8,6 +8,8 @@ import pytest
 from qkdforge.bb84 import (
     BASIS_X,
     BASIS_Z,
+    MAX_N,
+    MAX_RAW_LENGTH,
     ChannelModel,
     EveStrategy,
     SessionConfig,
@@ -130,6 +132,35 @@ class TestConfig:
             ChannelModel(px=1.5)
         with pytest.raises(ValueError):
             EveStrategy(kind="beamsplit")
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan, -0.5])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            SessionConfig(n=7, delta=delta)
+
+    def test_size_limits(self):
+        assert SessionConfig(n=MAX_N).raw_length <= MAX_RAW_LENGTH
+        with pytest.raises(ValueError, match="n must be"):
+            SessionConfig(n=MAX_N + 1)
+        with pytest.raises(ValueError, match="raw block"):
+            SessionConfig(n=MAX_N, delta=2.0)
+        with pytest.raises(ValueError, match="raw block"):
+            SessionConfig(n=7, delta=MAX_RAW_LENGTH)
+
+    def test_shor_preskill_pair_checked_up_front(self):
+        c1, c2 = hamming_setup()
+        with pytest.raises(ValueError, match="proper subcode"):
+            SessionConfig(n=7, mode="shor_preskill", codes=(c1, c1))
+        with pytest.raises(ValueError, match="proper subcode"):
+            SessionConfig(n=7, mode="shor_preskill", codes=(c2, c1))
+        with pytest.raises(ValueError, match="same length"):
+            SessionConfig(n=7, mode="shor_preskill", codes=(c1, named_code("rep3")))
+
+    def test_transmit_qubit_rejects_non_bits(self):
+        rng = np.random.default_rng(0)
+        for bit, basis in ((2, BASIS_Z), (-1, BASIS_Z), (0, 2)):
+            with pytest.raises(ValueError):
+                transmit_qubit(bit, basis, QUIET, NO_EVE, rng)
 
 
 class TestRunStandard:

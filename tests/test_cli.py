@@ -166,6 +166,69 @@ class TestDispatch:
         assert args.seed == 123
 
 
+def assert_domain_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def assert_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("delta", ["inf", "nan", "-inf"])
+    def test_bb84_non_finite_delta(self, capsys, delta):
+        assert_domain_error(capsys, ["bb84", "run", f"--delta={delta}"], "delta must be finite")
+
+    def test_bb84_size_limit(self, capsys):
+        assert_domain_error(capsys, ["bb84", "run", "--n", "100000000"], "n must be between")
+
+    @pytest.mark.parametrize("c2, message", [
+        ("hamming74", "proper subcode"),
+        ("parity4", "same length"),
+    ])
+    def test_shor_preskill_pair_rejected_before_transport(self, capsys, monkeypatch, c2, message):
+        import qkdforge.bb84 as bb84_module
+
+        def no_transport(*args):
+            raise AssertionError("transport ran before the code pair was checked")
+
+        monkeypatch.setattr(bb84_module, "_transport", no_transport)
+        argv = ["bb84", "run", "--mode", "shor-preskill", "--c1", "hamming74", "--c2", c2]
+        assert_domain_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["css", "correct", "--e1", "0101"],
+        ["css", "correct", "--e2", "00000001"],
+        ["css", "inject", "--e2", "11"],
+        ["distill", "--e1", "01"],
+    ])
+    def test_error_pattern_length(self, capsys, argv):
+        assert_domain_error(capsys, argv, "error vectors must have length n=7")
+
+    @pytest.mark.parametrize("runs", ["-1", "0"])
+    def test_sweep_runs_must_be_positive(self, capsys, runs):
+        assert_usage_error(capsys, ["bb84", "sweep", "--runs", runs], "--runs")
+
+    def test_bad_seed_variable_spares_seedless_subcommands(self, capsys, monkeypatch):
+        monkeypatch.setenv("QKDFORGE_SEED", "abc")
+        code, out, _ = run_cli(capsys, ["codes", "info", "parity4"])
+        assert code == 0 and json.loads(out)["seed"] is None
+        code, out, _ = run_cli(capsys, ["bb84", "run", "--n", "3", "--seed", "4"])
+        assert code == 0 and json.loads(out)["seed"] == 4
+
+    def test_bad_seed_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QKDFORGE_SEED", "abc")
+        assert_usage_error(capsys, ["distill"], "QKDFORGE_SEED")
+        assert_usage_error(capsys, ["bb84", "run", "--n", "3"], "QKDFORGE_SEED")
+
+
 class TestVerifyBattery:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, ["verify"])
