@@ -160,11 +160,13 @@ class SessionTranscript:
     keys_match: Optional[bool] = None
     pa_report: Optional[dict] = None
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The transcript as plain JSON values, keyed as in to_json."""
+
         def bits(v: Optional[BitVector]) -> Optional[str]:
             return None if v is None else str(v)
 
-        payload = {
+        return {
             "d": bits(self.d),
             "b": bits(self.b),
             "bobBases": bits(self.bob_bases),
@@ -185,7 +187,9 @@ class SessionTranscript:
             "abortReason": self.abort_reason,
             "paReport": self.pa_report,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _prepare(bit: int, basis: int) -> StateVector:

@@ -53,6 +53,8 @@ from .qsim import apply_gate, fidelity
 from .verify import report_json, run_all_checks
 
 ENV_SEED = "QKDFORGE_SEED"
+# The css actions that draw randomness; only they read --seed or $QKDFORGE_SEED.
+CSS_SEEDED_ACTIONS = ("inject", "correct")
 
 
 def _seed(text: str) -> int:
@@ -348,7 +350,7 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
             print("error: csv output applies to 'bb84 sweep' only", file=sys.stderr)
             return 2
         transcript = run_session(_session_config(args, args.seed))
-        _emit("bb84 run", config_echo, args.seed, json.loads(transcript.to_json()), started)
+        _emit("bb84 run", config_echo, args.seed, transcript.to_dict(), started)
         return 0
     # sweep
     rows = ["seed,qber,sifted_len,aborted,key,keys_match"]
@@ -392,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # argparse converts a string default only when a subcommand that takes
     # --seed runs without it, so a bad variable fails just those, as usage.
+    # css defaults to None instead: main reads the variable only for the
+    # CSS_SEEDED_ACTIONS.
     seed = {"type": _seed, "default": os.environ.get(ENV_SEED, "0")}
 
     p_codes = sub.add_parser("codes", help="classical code tables")
@@ -420,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_css.add_argument("--e2", default=None, help="phase-flip pattern")
     p_css.add_argument("--x-set", default="0000,0001")
     p_css.add_argument("--z-set", default="0000,0001")
-    p_css.add_argument("--seed", **seed)
+    p_css.add_argument("--seed", type=_seed, default=None)
     p_css.set_defaults(func=_cmd_css)
 
     p_distill = sub.add_parser("distill", help="entanglement distillation")
@@ -461,6 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "css" and args.action in CSS_SEEDED_ACTIONS and args.seed is None:
+        try:
+            args.seed = _seed(os.environ.get(ENV_SEED, "0"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -12,11 +12,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .gf2 import BitMatrix, BitVector, mat_apply, nullspace_basis, rank, solve_particular
+import numpy as np
 
-# Codeword enumeration is brute force; anything bigger than this is a
-# usage error, not a job for this package.
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    mat_apply,
+    nullspace_basis,
+    pack_rows,
+    rank,
+    rref,
+    solve_particular,
+    unpack_rows,
+)
+
+# Codeword enumeration is brute force over a packed 2^k-row array;
+# anything bigger than this is a usage error, not a job for this package.
 ENUMERATION_LIMIT = 24
+# Codewords unpacked to BitVectors per step, so iterating a large code
+# never holds all 2^k unpacked words at once.
+_UNPACK_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -33,9 +48,8 @@ class LinearCode:
     def weights(self) -> tuple[int, int, int]:
         """(d, u, t): minimum nonzero codeword weight, detect capacity
         d - 1, and correct capacity floor((d - 1) / 2)."""
-        if self.k > ENUMERATION_LIMIT:
-            raise ValueError(f"k={self.k} too large to enumerate codewords")
-        d = min(c.weight() for c in self.codewords() if not c.is_zero())
+        nonzero = self._packed_codewords()[1:]
+        d = int(np.bitwise_count(nonzero).sum(axis=1, dtype=np.uint32).min())
         if d > self.n - self.k + 1:
             raise AssertionError("minimum weight exceeds the Singleton bound")
         return d, d - 1, (d - 1) // 2
@@ -67,19 +81,36 @@ class LinearCode:
     def contains(self, word: BitVector) -> bool:
         return self.syndrome(word).is_zero()
 
-    def codewords(self) -> Iterator[BitVector]:
-        """All 2^k codewords, in message-integer order."""
+    def _packed_codewords(self) -> np.ndarray:
+        """All 2^k codewords packed by pack_rows, message m at row m.
+
+        Doubling: after the last j rows of G, the first 2^j rows hold
+        every combination of them, and XOR with the next row up fills
+        the next 2^j. Row k-1 of G is the message's least significant
+        bit, so the order matches encode(format(m, "0kb"))."""
         if self.k > ENUMERATION_LIMIT:
             raise ValueError(f"k={self.k} too large to enumerate codewords")
-        for m in range(2**self.k):
-            message = BitVector.from_string(format(m, f"0{self.k}b"))
-            yield self.encode(message)
+        rows = pack_rows(self.G.to_numpy())
+        words = np.zeros((1 << self.k, rows.shape[1]), dtype=np.uint64)
+        for j, row in enumerate(rows[::-1]):
+            np.bitwise_xor(words[: 1 << j], row, out=words[1 << j : 2 << j])
+        return words
+
+    def _bit_vectors(self, words: np.ndarray) -> Iterator[BitVector]:
+        for start in range(0, len(words), _UNPACK_CHUNK):
+            for bits in unpack_rows(words[start : start + _UNPACK_CHUNK], self.n).tolist():
+                yield BitVector(tuple(bits))
+
+    def codewords(self) -> Iterator[BitVector]:
+        """All 2^k codewords, in message-integer order."""
+        return self._bit_vectors(self._packed_codewords())
 
     def coset(self, x: BitVector) -> frozenset[BitVector]:
         """The set {x + c : c in C}, of size 2^k."""
         if len(x) != self.n:
             raise ValueError(f"coset shift must have length n={self.n}")
-        return frozenset(x + c for c in self.codewords())
+        shift = pack_rows(x.to_numpy()[np.newaxis])
+        return frozenset(self._bit_vectors(self._packed_codewords() ^ shift))
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] code of all words orthogonal to every codeword;
@@ -91,7 +122,9 @@ class LinearCode:
         the dual and 0 otherwise."""
         if len(u) != self.n:
             raise ValueError(f"u must have length n={self.n}")
-        return sum(-1 if c.dot(u) else 1 for c in self.codewords())
+        masked = self._packed_codewords() & pack_rows(u.to_numpy()[np.newaxis])
+        odd = int((np.bitwise_count(masked).sum(axis=1) & 1).sum())
+        return 2**self.k - 2 * odd
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}]"
@@ -262,31 +295,21 @@ def check_nested(c1: LinearCode, c2: LinearCode) -> None:
 def quotient(c1: LinearCode, c2: LinearCode) -> CosetQuotient:
     """Build the coset structure of C2 in C1.
 
-    Extension rows are chosen by a greedy scan of C1's generator rows:
-    keep each row that increases the rank of (C2 basis + kept rows), and
-    stop once the rank reaches k1.
+    Extension rows are the C1 generator rows a greedy scan keeps: each
+    row that is independent of the C2 basis and the rows kept before
+    it. One elimination finds them all, since the pivot columns of the
+    transposed stack (C2 rows, then C1 rows) are exactly the stack rows
+    independent of those before them. The stack has rank k1 exactly
+    when C2 lies inside C1.
     """
     if c2.n != c1.n:
         raise ValueError("codes must have the same length")
-    for row in c2.G.rows:
-        if not c1.contains(row):
-            raise ValueError("C2 is not a subcode of C1")
-    if c2.k > c1.k:
-        raise ValueError("C2 has larger dimension than C1")
-    stack = list(c2.G.rows)
-    current_rank = rank(BitMatrix(tuple(stack)))
-    extension: list[BitVector] = []
-    for row in c1.G.rows:
-        if current_rank == c1.k:
-            break
-        candidate = BitMatrix(tuple(stack + [row]))
-        if rank(candidate) > current_rank:
-            stack.append(row)
-            extension.append(row)
-            current_rank += 1
-    if current_rank != c1.k:
-        raise AssertionError("failed to complete a basis of C1")
-    return CosetQuotient(c1=c1, c2=c2, extension_rows=tuple(extension))
+    stack = BitMatrix(c2.G.rows + c1.G.rows)
+    pivots = rref(stack.transpose()).pivot_cols
+    if len(pivots) != c1.k:
+        raise ValueError("C2 is not a subcode of C1")
+    extension = tuple(stack.rows[p] for p in pivots[c2.k :])
+    return CosetQuotient(c1=c1, c2=c2, extension_rows=extension)
 
 
 def key_from_coset(q: CosetQuotient, u: BitVector) -> BitVector:

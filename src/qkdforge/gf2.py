@@ -163,6 +163,22 @@ def mat_apply(matrix: BitMatrix, vector: BitVector, side: str = "left") -> BitVe
     return BitVector(tuple(int(x) for x in product))
 
 
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack an (m, n) 0/1 array into (m, ceil(n/64)) uint64 words.
+
+    Only XOR, AND and popcount are meaningful on the words; unpack_rows
+    inverts the packing."""
+    m, n = bits.shape
+    padded = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
+    padded[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+    return padded.view(np.uint64)
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n) 0/1 uint8 array that pack_rows packed into `words`."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     matrix: BitMatrix

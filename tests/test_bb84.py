@@ -321,6 +321,15 @@ class TestTranscript:
         assert isinstance(payload["sifted"], list)
         assert isinstance(payload["aborted"], bool)
 
+    def test_to_dict_is_the_parsed_json(self):
+        c1, c2 = hamming_setup()
+        for config in (
+            SessionConfig(n=8, seed=15),
+            SessionConfig(n=7, seed=13, mode="shor_preskill", codes=(c1, c2)),
+        ):
+            transcript = run_session(config)
+            assert transcript.to_dict() == json.loads(transcript.to_json())
+
     def test_replay_bob_reproduces_transcript(self):
         c1, c2 = hamming_setup()
         transcript = run_shor_preskill(

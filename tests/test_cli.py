@@ -228,6 +228,24 @@ class TestBoundaries:
         assert_usage_error(capsys, ["distill"], "QKDFORGE_SEED")
         assert_usage_error(capsys, ["bb84", "run", "--n", "3"], "QKDFORGE_SEED")
 
+    @pytest.mark.parametrize("argv", [
+        ["css", "build"],
+        ["css", "encode", "--c1", "parity4", "--v", "0011"],
+        ["css", "verify", "--c1", "parity4"],
+    ])
+    def test_bad_seed_variable_spares_seedless_css_actions(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QKDFORGE_SEED", "abc")
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out)["seed"] is None
+
+    @pytest.mark.parametrize("action", ["inject", "correct"])
+    def test_bad_seed_variable_fails_css_actions_that_draw(self, capsys, monkeypatch, action):
+        monkeypatch.setenv("QKDFORGE_SEED", "abc")
+        assert_usage_error(capsys, ["css", action], "QKDFORGE_SEED")
+        monkeypatch.setenv("QKDFORGE_SEED", "9")
+        code, out, _ = run_cli(capsys, ["css", action])
+        assert code == 0 and json.loads(out)["seed"] == 9
+
 
 class TestVerifyBattery:
     def test_all_checks_pass(self, capsys):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkdforge.codes import (
     ENUMERATION_LIMIT,
@@ -14,7 +16,7 @@ from qkdforge.codes import (
     quotient,
     syndrome_table_from_check,
 )
-from qkdforge.gf2 import BitMatrix, BitVector
+from qkdforge.gf2 import BitMatrix, BitVector, rank
 
 BV = BitVector.from_string
 
@@ -45,6 +47,14 @@ def words(code):
     return {str(c) for c in code.codewords()}
 
 
+def random_code_of(rng, n, k):
+    """A random [n, k] code."""
+    while True:
+        g = BitMatrix.from_numpy(rng.integers(0, 2, size=(k, n)))
+        if rank(g) == k:
+            return code_from_generator(g)
+
+
 def random_code(rng, n):
     """A random [n, k] code with independent generator rows."""
     while True:
@@ -54,6 +64,57 @@ def random_code(rng, n):
             return code_from_generator(g)
         except ValueError:
             continue
+
+
+def hamming15():
+    """The [15, 11] Hamming code in systematic form [I | P]: row i carries
+    the i-th 4-bit column of weight >= 2."""
+    columns = [c for c in range(1, 16) if c & (c - 1)]
+    rows = [format(1 << (10 - i), "011b") + format(c, "04b") for i, c in enumerate(columns)]
+    return code_from_generator(BitMatrix.from_strings(rows))
+
+
+def mixed_generator(rng, blocks):
+    """Direct sum of the given generator blocks, with random row additions
+    so that the rows no longer fall apart into blocks. Row additions keep
+    the row space, so the code (and its distance) is the direct sum's."""
+    k = sum(b.shape[0] for b in blocks)
+    n = sum(b.shape[1] for b in blocks)
+    g = np.zeros((k, n), dtype=np.uint8)
+    r = c = 0
+    for b in blocks:
+        g[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    for _ in range(4 * k):
+        i, j = rng.choice(k, size=2, replace=False)
+        g[i] ^= g[j]
+    return BitMatrix.from_numpy(g)
+
+
+def brute_min_weight(rows):
+    """Minimum weight over all nonzero sums of the given rows, pure Python."""
+    ints = [int("".join(map(str, row)), 2) for row in rows]
+    weights = []
+    for m in range(1, 2 ** len(ints)):
+        word = 0
+        for i, value in enumerate(ints):
+            if m >> i & 1:
+                word ^= value
+        weights.append(bin(word).count("1"))
+    return min(weights)
+
+
+def in_message_order(code):
+    return [code.encode(BV(format(m, f"0{code.k}b"))) for m in range(2**code.k)]
+
+
+@st.composite
+def generators(draw):
+    """A k x n generator with k <= 8, n <= 12; its rows may be dependent."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(8, n - 1)))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    return BitMatrix(tuple(map(BitVector, draw(st.lists(row, min_size=k, max_size=k)))))
 
 
 class TestConstruction:
@@ -122,11 +183,50 @@ class TestWeights:
             code = random_code(rng, 8)
             assert code.distance <= code.n - code.k + 1
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(generators())
+    def test_distance_matches_brute_force(self, g):
+        assume(rank(g) == g.num_rows)
+        code = code_from_generator(g)
+        d = brute_min_weight([r.bits for r in g.rows])
+        assert code.weights == (d, d - 1, (d - 1) // 2)
+
+    def test_beyond_one_word(self):
+        """n > 64 packs each codeword into several words."""
+        rng = np.random.default_rng(20)
+        for n in (65, 130):
+            code = random_code_of(rng, n, 6)
+            assert code.distance == brute_min_weight([r.bits for r in code.G.rows])
+            encoded = in_message_order(code)
+            assert list(code.codewords()) == encoded
+            x = BitVector.from_ints(rng.integers(0, 2, size=n))
+            assert code.coset(x) == frozenset(x + c for c in encoded)
+            for u in (x,) + code.dual().G.rows:
+                assert code.char_sum(u) == sum(-1 if c.dot(u) else 1 for c in encoded)
+
+    def test_k20(self):
+        """Five mixed copies of the extended [8, 4, 4] Hamming code make a
+        [40, 20, 4] code; with a [7, 4, 3] Hamming block as the fifth, d is 3."""
+        extended = np.array(
+            [[int(b) for b in row + str(row.count("1") % 2)]
+             for row in ("1000110", "0100111", "0010101", "0001011")], dtype=np.uint8)
+        rng = np.random.default_rng(21)
+        code = code_from_generator(mixed_generator(rng, [extended] * 5))
+        assert (code.n, code.k, code.weights) == (40, 20, (4, 3, 1))
+        code = code_from_generator(mixed_generator(rng, [extended] * 4 + [extended[:, :7]]))
+        assert (code.n, code.k, code.weights) == (39, 20, (3, 2, 1))
+
     def test_enumeration_guard(self):
         k = ENUMERATION_LIMIT + 1
         wide = code_from_generator(BitMatrix.from_numpy(np.eye(k, k + 1, dtype=np.uint8)))
         with pytest.raises(ValueError):
             _ = wide.weights
+
+
+class TestCodewordOrder:
+    def test_message_integer_order(self, hamming):
+        for code in (hamming, hamming15()):
+            assert list(code.codewords()) == in_message_order(code)
 
 
 class TestDual:
@@ -306,6 +406,48 @@ class TestQuotient:
         odd = code_from_generator(BitMatrix.from_strings(["1110"]))
         with pytest.raises(ValueError):
             quotient(parity, odd)
+
+
+def greedy_extension_rows(c1, c2):
+    """The original scan: keep each C1 generator row that raises the rank
+    of (C2 basis + kept rows), until the rank reaches k1."""
+    stack = list(c2.G.rows)
+    current_rank = rank(BitMatrix(tuple(stack)))
+    extension = []
+    for row in c1.G.rows:
+        if current_rank == c1.k:
+            break
+        if rank(BitMatrix(tuple(stack + [row]))) > current_rank:
+            stack.append(row)
+            extension.append(row)
+            current_rank += 1
+    assert current_rank == c1.k
+    return tuple(extension)
+
+
+class TestQuotientOracle:
+    def test_named_and_h15_pairs(self, parity, hamming, rep3):
+        h15 = hamming15()
+        pairs = [(parity, parity.dual()), (hamming, hamming.dual()), (h15, h15.dual())]
+        pairs += [(c, c) for c in (parity, hamming, rep3)]
+        for c1, c2 in pairs:
+            assert quotient(c1, c2).extension_rows == greedy_extension_rows(c1, c2)
+
+    def test_random_nested_pairs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            c1 = random_code(rng, int(rng.integers(3, 16)))
+            k2 = int(rng.integers(1, c1.k + 1))
+            while True:
+                mix = rng.integers(0, 2, size=(k2, c1.k)) @ c1.G.to_numpy() % 2
+                if rank(BitMatrix.from_numpy(mix)) == k2:
+                    break
+            c2 = code_from_generator(BitMatrix.from_numpy(mix))
+            assert quotient(c1, c2).extension_rows == greedy_extension_rows(c1, c2)
+
+    def test_larger_dimension_rejected(self, parity):
+        with pytest.raises(ValueError, match="not a subcode"):
+            quotient(parity.dual(), parity)
 
 
 class TestKeyFromCoset:
