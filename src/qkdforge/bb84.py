@@ -1,7 +1,8 @@
 """Prepare-and-measure key distribution with closed-form batched transport.
 
-Two protocol modes share the same transmission, sifting, and check-bit
-machinery:
+One runner, run_session, serves both protocol modes. They share
+transmission, sifting and the check-bit estimate, and differ only in the
+classical tail:
 
 - standard: reconciliation is a pluggable hook (null by default) and
   privacy amplification is reported as a target key length with the
@@ -318,6 +319,23 @@ class KeyDerivation:
     bob_key: Optional[BitVector]
 
 
+def _bob_keys(
+    c1: LinearCode,
+    quot: CosetQuotient,
+    table: SyndromeTable,
+    bob_block: BitVector,
+    x_minus_u: BitVector,
+) -> tuple[str, Optional[BitVector], Optional[BitVector]]:
+    """Bob's half of the shor_preskill tail: shift his block by the
+    announcement to u + e1, decode it with C1, and key off the coset of
+    the decoded word only when decoding succeeded. Returns
+    (decode status, u_hat, bob_key)."""
+    result = decode(c1, table, bob_block + x_minus_u)
+    if result.status != "ok":
+        return result.status, None, None
+    return result.status, result.word, key_from_coset(quot, result.word)
+
+
 def shor_preskill_keys(
     c1: LinearCode,
     quot: CosetQuotient,
@@ -330,14 +348,13 @@ def shor_preskill_keys(
     forms (x + e1) + (x - u) = u + e1 and decodes it with C1; both sides
     key off the coset of their codeword."""
     x_minus_u = x + u
-    shifted = bob_block + x_minus_u
-    result = decode(c1, table, shifted)
-    alice_key = key_from_coset(quot, u)
-    if result.status != "ok":
-        return KeyDerivation(x_minus_u, None, result.status, alice_key, None)
-    return KeyDerivation(
-        x_minus_u, result.word, result.status, alice_key, key_from_coset(quot, result.word)
-    )
+    status, u_hat, bob_key = _bob_keys(c1, quot, table, bob_block, x_minus_u)
+    return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(quot, u), bob_key)
+
+
+def _sift(b: np.ndarray, bob_bases: np.ndarray) -> tuple[int, ...]:
+    """The positions where Bob measured in Alice's basis."""
+    return tuple(np.flatnonzero(b == bob_bases).tolist())
 
 
 def _transmission_phase(config: SessionConfig, rng: np.random.Generator) -> tuple[
@@ -354,96 +371,57 @@ def _transmission_phase(config: SessionConfig, rng: np.random.Generator) -> tupl
         BitVector.from_ints(bob_bases),
         BitVector.from_ints(bob_bits),
         tuple(eve_learned.tolist()),
-        tuple(np.flatnonzero(b == bob_bases).tolist()),
+        _sift(b, bob_bases),
     )
+
+
+def _key_indices(selected: tuple[int, ...], check_idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The selected positions that are not check bits, in sifted order."""
+    check_set = set(check_idx)
+    return tuple(i for i in selected if i not in check_set)
 
 
 def _select_blocks(
     config: SessionConfig,
     rng: np.random.Generator,
     sifted: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pick 2n of the sifted positions, then n of those as check bits;
-    the remaining n (in sifted order) form the key block."""
+    the remaining n form the key block. Returns (selected, check_idx)."""
     n = config.n
     picks = rng.choice(len(sifted), size=2 * n, replace=False)
     selected = tuple(sorted(sifted[p] for p in picks))
     check_picks = rng.choice(2 * n, size=n, replace=False)
-    check_idx = tuple(sorted(selected[p] for p in check_picks))
-    check_set = set(check_idx)
-    key_idx = tuple(i for i in selected if i not in check_set)
-    return selected, check_idx, key_idx
+    return selected, tuple(sorted(selected[p] for p in check_picks))
 
 
-def run_standard(config: SessionConfig) -> SessionTranscript:
-    """Raw generation, transmission, sifting, check-bit estimation, and
-    the reporting-only reconciliation/amplification tail."""
-    if config.mode != "standard":
-        raise ValueError("config.mode must be 'standard'")
-    rng = np.random.default_rng(config.seed)
-    n = config.n
-    d, b, bob_bases, bob_bits, eve_flags, sifted = _transmission_phase(config, rng)
-    transcript = SessionTranscript(
-        mode=config.mode,
-        seed=config.seed,
-        n=n,
-        d=d,
-        b=b,
-        bob_bases=bob_bases,
-        bob_bits=bob_bits,
-        eve_learned=eve_flags,
-        sifted=sifted,
-    )
-    if len(sifted) < 2 * n:
-        transcript.aborted = True
-        transcript.abort_reason = "insufficient_sifted_bits"
-        return transcript
+def _mismatches(d: BitVector, bob_bits: BitVector, check_idx: tuple[int, ...]) -> int:
+    """Check positions where Alice's announced bit differs from Bob's."""
+    return sum(1 for i in check_idx if d[i] != bob_bits[i])
 
-    selected, check_idx, key_idx = _select_blocks(config, rng, sifted)
-    transcript.selected = selected
-    transcript.check_idx = check_idx
-    transcript.key_idx = key_idx
-    transcript.mismatches = sum(1 for i in check_idx if d[i] != bob_bits[i])
-    if transcript.mismatches > config.t_abort:
-        transcript.aborted = True
-        transcript.abort_reason = "check_bit_errors"
-        return transcript
 
-    transcript.alice_block = BitVector(tuple(d[i] for i in key_idx))
-    transcript.bob_block = BitVector(tuple(bob_bits[i] for i in key_idx))
-    if config.reconciler is not None:
-        transcript.reconciled_block = config.reconciler(
-            transcript.alice_block, transcript.bob_block
-        )
-    block_mismatches = sum(
-        1 for a, bb in zip(transcript.alice_block, transcript.bob_block) if a != bb
-    )
-    learned = sum(1 for i in key_idx if eve_flags[i])
-    transcript.pa_report = {
-        "blockMismatches": block_mismatches,
-        "r": learned,
-        "s": config.shed_bits,
-        "targetK": n - learned - config.shed_bits,
-        "eveBound": bennett_bound(config.shed_bits),
-    }
+def _block(bits: BitVector, idx: tuple[int, ...]) -> BitVector:
+    return BitVector(tuple(bits[i] for i in idx))
+
+
+def _abort(transcript: SessionTranscript, reason: str) -> SessionTranscript:
+    transcript.aborted = True
+    transcript.abort_reason = reason
     return transcript
 
 
-def run_shor_preskill(config: SessionConfig) -> SessionTranscript:
-    """The code-based mode: standard steps through check-bit estimation,
-    then codeword announcement, classical decoding, and coset keys."""
-    if config.mode != "shor_preskill":
-        raise ValueError("config.mode must be 'shor_preskill'")
-    c1, c2 = config.codes
-    quot = quotient(c1, c2)
-    table = build_syndrome_table(c1, c1.corrects)
+def run_session(config: SessionConfig) -> SessionTranscript:
+    """One protocol run. Both modes share the front half: raw bits and
+    bases, transport, Alice's codeword draw (shor_preskill only), sifting,
+    block selection, the check-bit estimate and key-block extraction.
 
+    The standard tail runs the reconciler hook and reports privacy
+    amplification; the shor_preskill tail announces x - u, decodes Bob's
+    block with C1 and keys both sides off coset labels.
+    """
     rng = np.random.default_rng(config.seed)
     n = config.n
     d, b, bob_bases, bob_bits, eve_flags, sifted = _transmission_phase(config, rng)
-    # Alice's codeword draw happens before any announcement.
-    u = c1.encode(BitVector.from_ints(rng.integers(0, 2, size=c1.k)))
-
     transcript = SessionTranscript(
         mode=config.mode,
         seed=config.seed,
@@ -454,45 +432,50 @@ def run_shor_preskill(config: SessionConfig) -> SessionTranscript:
         bob_bits=bob_bits,
         eve_learned=eve_flags,
         sifted=sifted,
-        u=u,
     )
+    if config.mode == "shor_preskill":
+        # Alice's codeword draw happens before any announcement.
+        c1 = config.codes[0]
+        transcript.u = c1.encode(BitVector.from_ints(rng.integers(0, 2, size=c1.k)))
     if len(sifted) < 2 * n:
-        transcript.aborted = True
-        transcript.abort_reason = "insufficient_sifted_bits"
-        return transcript
+        return _abort(transcript, "insufficient_sifted_bits")
 
-    selected, check_idx, key_idx = _select_blocks(config, rng, sifted)
+    selected, check_idx = _select_blocks(config, rng, sifted)
     transcript.selected = selected
     transcript.check_idx = check_idx
-    transcript.key_idx = key_idx
-    transcript.mismatches = sum(1 for i in check_idx if d[i] != bob_bits[i])
+    transcript.key_idx = key_idx = _key_indices(selected, check_idx)
+    transcript.mismatches = _mismatches(d, bob_bits, check_idx)
     if transcript.mismatches > config.t_abort:
-        transcript.aborted = True
-        transcript.abort_reason = "check_bit_errors"
+        return _abort(transcript, "check_bit_errors")
+    transcript.alice_block = alice_block = _block(d, key_idx)
+    transcript.bob_block = bob_block = _block(bob_bits, key_idx)
+
+    if config.mode == "standard":
+        if config.reconciler is not None:
+            transcript.reconciled_block = config.reconciler(alice_block, bob_block)
+        learned = sum(1 for i in key_idx if eve_flags[i])
+        transcript.pa_report = {
+            "blockMismatches": (alice_block + bob_block).weight(),
+            "r": learned,
+            "s": config.shed_bits,
+            "targetK": n - learned - config.shed_bits,
+            "eveBound": bennett_bound(config.shed_bits),
+        }
         return transcript
 
-    x = BitVector(tuple(d[i] for i in key_idx))
-    bob_block = BitVector(tuple(bob_bits[i] for i in key_idx))
-    transcript.alice_block = x
-    transcript.bob_block = bob_block
-
-    derivation = shor_preskill_keys(c1, quot, table, x, u, bob_block)
+    c1, c2 = config.codes
+    table = build_syndrome_table(c1, c1.corrects)
+    derivation = shor_preskill_keys(
+        c1, quotient(c1, c2), table, alice_block, transcript.u, bob_block
+    )
     transcript.x_minus_u = derivation.x_minus_u
     if derivation.decode_status != "ok":
-        transcript.aborted = True
-        transcript.abort_reason = "decode_failure"
-        return transcript
+        return _abort(transcript, "decode_failure")
     transcript.u_hat = derivation.u_hat
     transcript.alice_key = derivation.alice_key
     transcript.bob_key = derivation.bob_key
     transcript.keys_match = derivation.alice_key == derivation.bob_key
     return transcript
-
-
-def run_session(config: SessionConfig) -> SessionTranscript:
-    if config.mode == "standard":
-        return run_standard(config)
-    return run_shor_preskill(config)
 
 
 def replay_bob(
@@ -501,31 +484,20 @@ def replay_bob(
     c2: Optional[LinearCode] = None,
 ) -> dict:
     """Recompute Bob's side of a finished session from his measurements
-    plus Alice's announcements only; used to check that the transcript
-    carries no hidden coupling."""
-    sifted = tuple(
-        i for i in range(len(transcript.b)) if transcript.b[i] == transcript.bob_bases[i]
-    )
-    out: dict = {"sifted": sifted}
+    plus Alice's announcements only, through the runner's own sifting,
+    key-index and decoding helpers; used to check that the transcript
+    carries no hidden coupling. As in the transcript, u_hat and bob_key
+    are None when decoding fails."""
+    out: dict = {"sifted": _sift(transcript.b.to_numpy(), transcript.bob_bases.to_numpy())}
     if transcript.check_idx is None:
         return out
-    alice_check_values = [transcript.d[i] for i in transcript.check_idx]  # announced
-    mismatches = sum(
-        1
-        for value, i in zip(alice_check_values, transcript.check_idx)
-        if value != transcript.bob_bits[i]
-    )
-    out["mismatches"] = mismatches
-    check_set = set(transcript.check_idx)
-    key_idx = tuple(i for i in transcript.selected if i not in check_set)
-    out["key_idx"] = key_idx
-    bob_block = BitVector(tuple(transcript.bob_bits[i] for i in key_idx))
-    out["bob_block"] = bob_block
+    # Alice announces her bits at the check positions.
+    out["mismatches"] = _mismatches(transcript.d, transcript.bob_bits, transcript.check_idx)
+    out["key_idx"] = _key_indices(transcript.selected, transcript.check_idx)
+    out["bob_block"] = _block(transcript.bob_bits, out["key_idx"])
     if transcript.mode == "shor_preskill" and transcript.x_minus_u is not None:
-        quot = quotient(c1, c2)
         table = build_syndrome_table(c1, c1.corrects)
-        shifted = bob_block + transcript.x_minus_u
-        result = decode(c1, table, shifted)
-        out["u_hat"] = result.word
-        out["bob_key"] = key_from_coset(quot, result.word)
+        _, out["u_hat"], out["bob_key"] = _bob_keys(
+            c1, quotient(c1, c2), table, out["bob_block"], transcript.x_minus_u
+        )
     return out

@@ -49,7 +49,7 @@ from .qec3 import (
     shor_encode,
     shor_correct,
 )
-from .qsim import apply_gate, fidelity
+from .qsim import apply_gate, apply_pauli_string, fidelity, pauli_row
 from .verify import report_json, run_all_checks
 
 ENV_SEED = "QKDFORGE_SEED"
@@ -181,28 +181,24 @@ def _build_css(args: argparse.Namespace):
     return css_build(c1, c2, t)
 
 
-def _error_patterns(args: argparse.Namespace, n: int) -> tuple[BitVector, BitVector]:
-    """The bit-flip and phase-flip patterns --e1 and --e2 (zero if absent)."""
-    e1 = BitVector.from_string(args.e1) if args.e1 else BitVector.zeros(n)
-    e2 = BitVector.from_string(args.e2) if args.e2 else BitVector.zeros(n)
-    if len(e1) != n or len(e2) != n:
-        raise ValueError(f"error vectors must have length n={n}")
-    return e1, e2
-
-
-def _css_params(args: argparse.Namespace, n: int) -> CssParams:
-    x = BitVector.from_string(args.x) if args.x else BitVector.zeros(n)
-    z = BitVector.from_string(args.z) if args.z else BitVector.zeros(n)
-    return CssParams(x=x, z=z)
+def _bits(text: Optional[str], n: int, name: str) -> BitVector:
+    """A bit-string option, all zeros if absent; it must hold n bits."""
+    if not text:
+        return BitVector.zeros(n)
+    bits = BitVector.from_string(text)
+    if len(bits) != n:
+        raise ValueError(f"{name} must have length n={n}")
+    return bits
 
 
 def _cmd_css(args: argparse.Namespace) -> int:
     started = time.time()
     code = _build_css(args)
+    n = code.n
     config = {"c1": args.c1, "c2": args.c2, "t": code.t}
     if args.action == "build":
         output = {
-            "n": code.n,
+            "n": n,
             "k": code.k,
             "t": code.t,
             "h1": [str(r) for r in code.h1.rows],
@@ -212,74 +208,56 @@ def _cmd_css(args: argparse.Namespace) -> int:
         }
         _emit("css build", config, None, output, started)
         return 0
+    if args.action == "verify":
+        x_set = [BitVector.from_string(s) for s in args.x_set.split(",")]
+        z_set = [BitVector.from_string(s) for s in args.z_set.split(",")]
+        report = verify_basis_identities(code, x_set, z_set)
+        output = {
+            "states": report.states,
+            "orthonormalityDeviation": report.orthonormality_deviation,
+            "phaseBranchDeviation": report.phase_branch_deviation,
+            "completenessDeviation": report.completeness_deviation,
+        }
+        _emit("css verify", config, None, output, started)
+        return 0
+    params = CssParams(x=_bits(args.x, n, "shift x"), z=_bits(args.z, n, "phase pattern z"))
+    v = _bits(args.v, n, "coset representative v")
     if args.action == "encode":
-        params = _css_params(args, code.n)
-        v = BitVector.from_string(args.v) if args.v else BitVector.zeros(code.n)
         state = css_codeword(code, v, params)
         support = {
-            format(i, f"0{code.n}b"): [float(a.real), float(a.imag)]
+            format(i, f"0{n}b"): [float(a.real), float(a.imag)]
             for i, a in enumerate(state.amps)
             if abs(a) > 1e-12
         }
         _emit("css encode", {**config, "v": str(v)}, None, {"amplitudes": support}, started)
         return 0
-    if args.action in ("inject", "correct"):
-        rng = np.random.default_rng(args.seed)
-        params = _css_params(args, code.n)
-        v = BitVector.from_string(args.v) if args.v else BitVector.zeros(code.n)
-        clean = css_codeword(code, v, params)
-        state = clean
-        e1, e2 = _error_patterns(args, code.n)
-        for i, bit in enumerate(e2):
-            if bit:
-                state = apply_gate(state, "Z", i + 1)
-        for i, bit in enumerate(e1):
-            if bit:
-                state = apply_gate(state, "X", i + 1)
-        if args.action == "inject":
-            bit_syndrome, state = css_bit_syndrome(code, state, rng)
-            phase_syndrome, state = css_phase_syndrome(code, state, rng)
-            output = {
-                "bitSyndrome": str(bit_syndrome),
-                "phaseSyndrome": str(phase_syndrome),
-                "fidelityWithClean": fidelity(state, clean),
-            }
-            _emit(
-                "css inject",
-                {**config, "v": str(v), "e1": str(e1), "e2": str(e2)},
-                args.seed,
-                output,
-                started,
-            )
-            return 0
-        result = css_correct(code, state, params, rng)
+    # inject or correct
+    rng = np.random.default_rng(args.seed)
+    clean = css_codeword(code, v, params)
+    e1, e2 = _bits(args.e1, n, "error vectors"), _bits(args.e2, n, "error vectors")
+    state = apply_pauli_string(clean, pauli_row(e2, "Z"))
+    state = apply_pauli_string(state, pauli_row(e1, "X"))
+    config = {**config, "v": str(v), "e1": str(e1), "e2": str(e2)}
+    if args.action == "inject":
+        bit_syndrome, state = css_bit_syndrome(code, state, rng)
+        phase_syndrome, state = css_phase_syndrome(code, state, rng)
         output = {
-            "status": result.status,
-            "bitSyndrome": str(result.bit_syndrome),
-            "phaseSyndrome": str(result.phase_syndrome) if result.phase_syndrome else None,
-            "xCorrection": str(result.x_correction) if result.x_correction else None,
-            "zCorrection": str(result.z_correction) if result.z_correction else None,
-            "fidelity": fidelity(result.state, clean),
+            "bitSyndrome": str(bit_syndrome),
+            "phaseSyndrome": str(phase_syndrome),
+            "fidelityWithClean": fidelity(state, clean),
         }
-        _emit(
-            "css correct",
-            {**config, "v": str(v), "e1": str(e1), "e2": str(e2)},
-            args.seed,
-            output,
-            started,
-        )
+        _emit("css inject", config, args.seed, output, started)
         return 0
-    # verify
-    x_set = [BitVector.from_string(s) for s in args.x_set.split(",")]
-    z_set = [BitVector.from_string(s) for s in args.z_set.split(",")]
-    report = verify_basis_identities(code, x_set, z_set)
+    result = css_correct(code, state, params, rng)
     output = {
-        "states": report.states,
-        "orthonormalityDeviation": report.orthonormality_deviation,
-        "phaseBranchDeviation": report.phase_branch_deviation,
-        "completenessDeviation": report.completeness_deviation,
+        "status": result.status,
+        "bitSyndrome": str(result.bit_syndrome),
+        "phaseSyndrome": str(result.phase_syndrome) if result.phase_syndrome else None,
+        "xCorrection": str(result.x_correction) if result.x_correction else None,
+        "zCorrection": str(result.z_correction) if result.z_correction else None,
+        "fidelity": fidelity(result.state, clean),
     }
-    _emit("css verify", config, None, output, started)
+    _emit("css correct", config, args.seed, output, started)
     return 0
 
 
@@ -287,7 +265,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     started = time.time()
     c1 = _resolve_code(args.code)
     code = css_build(c1, c1.dual(), c1.corrects)
-    e1, e2 = _error_patterns(args, code.n)
+    e1, e2 = _bits(args.e1, code.n, "error vectors"), _bits(args.e2, code.n, "error vectors")
     session = inject_bob_errors(create_epr(code.n, code), e1, e2)
     rng = np.random.default_rng(args.seed)
     alice_key, bob_key, report = run_distillation(session, rng)

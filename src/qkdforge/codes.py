@@ -184,9 +184,12 @@ class SyndromeTable:
 def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
     """Tabulate H.e^T for every error e of weight <= t_max.
 
-    Raises ValueError if two distinct errors collide on a syndrome, which
-    means the requested t_max exceeds what this check matrix can resolve.
+    Raises ValueError for a negative t_max, and if two distinct errors
+    collide on a syndrome, which means the requested t_max exceeds what
+    this check matrix can resolve.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
     n = H.num_cols
     entries: dict[BitVector, BitVector] = {}
     for w in range(t_max + 1):

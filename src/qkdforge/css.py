@@ -25,13 +25,13 @@ from .codes import (
 )
 from .gf2 import BitMatrix, BitVector, mat_apply
 from .qsim import (
-    PauliString,
     StateVector,
-    apply_gate,
+    apply_pauli_string,
     fidelity,
     hadamard_all,
     measure_pauli_observable,
     overlap,
+    pauli_row,
 )
 
 ATOL = 1e-9
@@ -127,20 +127,20 @@ def css_codeword(
     return StateVector(n=code.n, amps=amps)
 
 
-def pauli_row(row: BitVector, kind: str) -> PauliString:
-    """Turn a check-matrix row into an observable: the chosen Pauli where
-    the row bit is 1, identity where it is 0."""
-    if kind not in ("Z", "X"):
-        raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    return PauliString("".join(kind if b else "I" for b in row))
-
-
-def _measure_rows(
-    matrix: BitMatrix, kind: str, state: StateVector, rng: np.random.Generator
+def measure_check_rows(
+    matrix: BitMatrix,
+    kind: str,
+    state: StateVector,
+    rng: np.random.Generator,
+    offset: int = 0,
 ) -> tuple[BitVector, StateVector]:
+    """Measure pauli_row(row, kind) on qubits offset + 1.. for each row of
+    the check matrix in order, one draw per row, and map eigenvalues
+    +1 -> 0, -1 -> 1. Returns the syndrome and the collapsed state."""
     bits = []
     for row in matrix.rows:
-        eigenvalue, state = measure_pauli_observable(state, pauli_row(row, kind), rng)
+        observable = pauli_row(row, kind, state.n, offset)
+        eigenvalue, state = measure_pauli_observable(state, observable, rng)
         bits.append(0 if eigenvalue == 1 else 1)
     return BitVector(tuple(bits)), state
 
@@ -154,7 +154,7 @@ def css_bit_syndrome(
     On a codeword with bit errors e1 and shift x this equals
     H1.(e1 + x)^T. Returns the syndrome and the post-measurement state.
     """
-    return _measure_rows(code.h1, "Z", state, rng)
+    return measure_check_rows(code.h1, "Z", state, rng)
 
 
 def css_phase_syndrome(
@@ -162,7 +162,7 @@ def css_phase_syndrome(
 ) -> tuple[BitVector, StateVector]:
     """Measure the X-string for each row of H2; on a codeword with phase
     errors e2 and phase pattern z this equals H2.(e2 + z)^T."""
-    return _measure_rows(code.h2, "X", state, rng)
+    return measure_check_rows(code.h2, "X", state, rng)
 
 
 def css_phase_syndrome_hadamard(
@@ -172,7 +172,7 @@ def css_phase_syndrome_hadamard(
     read the phase syndrome as Z-strings of H2, transform back. Produces
     the same outcomes as css_phase_syndrome."""
     transformed = hadamard_all(state)
-    syndrome, transformed = _measure_rows(code.h2, "Z", transformed, rng)
+    syndrome, transformed = measure_check_rows(code.h2, "Z", transformed, rng)
     return syndrome, hadamard_all(transformed)
 
 
@@ -219,9 +219,7 @@ def css_correct(
             status="detected_uncorrectable",
         )
     e1 = code.bit_table[shifted]
-    for i, bit in enumerate(e1):
-        if bit:
-            state = apply_gate(state, "X", i + 1)
+    state = apply_pauli_string(state, pauli_row(e1, "X"))
 
     phase_syndrome, state = css_phase_syndrome(code, state, rng)
     shifted = phase_syndrome + mat_apply(code.h2, params.z, side="right")
@@ -235,9 +233,7 @@ def css_correct(
             status="detected_uncorrectable",
         )
     e2 = code.phase_table[shifted]
-    for i, bit in enumerate(e2):
-        if bit:
-            state = apply_gate(state, "Z", i + 1)
+    state = apply_pauli_string(state, pauli_row(e2, "Z"))
 
     return CssCorrection(
         state=state,

@@ -17,15 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .codes import key_from_coset
-from .css import CssCode, pauli_row
-from .gf2 import BitMatrix, BitVector, mat_apply, solve_particular
-from .qsim import (
-    PauliString,
-    StateVector,
-    apply_gate,
-    measure_all_z,
-    measure_pauli_observable,
-)
+from .css import CssCode, measure_check_rows
+from .gf2 import BitVector, mat_apply, solve_particular
+from .qsim import StateVector, apply_pauli_string, measure_all_z, pauli_row
 
 MAX_JOINT_QUBITS = 16
 
@@ -57,39 +51,12 @@ def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
 
 def inject_bob_errors(session: EprSession, e1: BitVector, e2: BitVector) -> EprSession:
     """Apply X to Bob's qubit i wherever e1_i = 1 and Z wherever e2_i = 1."""
-    if len(e1) != session.n or len(e2) != session.n:
-        raise ValueError(f"error vectors must have length n={session.n}")
-    joint = session.joint
-    for i, bit in enumerate(e1):
-        if bit:
-            joint = apply_gate(joint, "X", session.n + i + 1)
-    for i, bit in enumerate(e2):
-        if bit:
-            joint = apply_gate(joint, "Z", session.n + i + 1)
-    return EprSession(n=session.n, joint=joint, code=session.code, x=session.x, z=session.z)
-
-
-def _embedded(row_string: PauliString, n: int, side: str) -> PauliString:
-    pad = "I" * n
-    if side == "alice":
-        return PauliString(row_string.factors + pad)
-    return PauliString(pad + row_string.factors)
-
-
-def _measure_half(
-    matrix: BitMatrix,
-    kind: str,
-    side: str,
-    n: int,
-    joint: StateVector,
-    rng: np.random.Generator,
-) -> tuple[BitVector, StateVector]:
-    bits = []
-    for row in matrix.rows:
-        observable = _embedded(pauli_row(row, kind), n, side)
-        eigenvalue, joint = measure_pauli_observable(joint, observable, rng)
-        bits.append(0 if eigenvalue == 1 else 1)
-    return BitVector(tuple(bits)), joint
+    n = session.n
+    if len(e1) != n or len(e2) != n:
+        raise ValueError(f"error vectors must have length n={n}")
+    joint = apply_pauli_string(session.joint, pauli_row(e1, "X", 2 * n, n))
+    joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
+    return EprSession(n=n, joint=joint, code=session.code, x=session.x, z=session.z)
 
 
 @dataclass(eq=False)
@@ -120,8 +87,8 @@ def measure_alice_parameters(
     if code is None:
         raise ValueError("session has no CSS code attached")
     joint = session.joint
-    alice_sx, joint = _measure_half(code.h1, "Z", "alice", session.n, joint, rng)
-    alice_sz, joint = _measure_half(code.h2, "X", "alice", session.n, joint, rng)
+    alice_sx, joint = measure_check_rows(code.h1, "Z", joint, rng)
+    alice_sz, joint = measure_check_rows(code.h2, "X", joint, rng)
     x = solve_particular(code.h1, alice_sx)
     z = solve_particular(code.h2, alice_sz)
     if x is None or z is None:
@@ -151,8 +118,8 @@ def run_distillation(
     x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
     joint = session.joint
 
-    bob_sx, joint = _measure_half(code.h1, "Z", "bob", n, joint, rng)
-    bob_sz, joint = _measure_half(code.h2, "X", "bob", n, joint, rng)
+    bob_sx, joint = measure_check_rows(code.h1, "Z", joint, rng, offset=n)
+    bob_sz, joint = measure_check_rows(code.h2, "X", joint, rng, offset=n)
 
     bit_key = bob_sx + mat_apply(code.h1, x, side="right")
     phase_key = bob_sz + mat_apply(code.h2, z, side="right")
@@ -160,12 +127,8 @@ def run_distillation(
         raise ValueError("uncorrectable syndrome: errors exceed the code capacity")
     e1 = code.bit_table[bit_key]
     e2 = code.phase_table[phase_key]
-    for i, bit in enumerate(e1):
-        if bit:
-            joint = apply_gate(joint, "X", n + i + 1)
-    for i, bit in enumerate(e2):
-        if bit:
-            joint = apply_gate(joint, "Z", n + i + 1)
+    joint = apply_pauli_string(joint, pauli_row(e1, "X", 2 * n, n))
+    joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
 
     bits, joint = measure_all_z(joint, rng)
     session.joint = joint

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import (
+    GATES,
     PauliString,
     StateVector,
     apply_cnot,
@@ -20,16 +21,10 @@ from .qsim import (
     apply_matrix,
     hadamard_all,
     measure_pauli_observable,
+    pauli_row,
 )
 
 ATOL = 1e-9
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -49,10 +44,10 @@ class ArbitraryError:
 
     def matrix(self) -> np.ndarray:
         return (
-            self.t * _PAULI["I"]
-            + self.u * _PAULI["X"]
-            + self.v * _PAULI["Y"]
-            + self.w * _PAULI["Z"]
+            self.t * np.eye(2, dtype=complex)
+            + self.u * GATES["X"]
+            + self.v * GATES["Y"]
+            + self.w * GATES["Z"]
         )
 
 
@@ -68,9 +63,9 @@ def random_error(rng: np.random.Generator, qubit: int) -> ArbitraryError:
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
     return ArbitraryError(
         t=complex(np.trace(q) / 2),
-        u=complex(np.trace(_PAULI["X"] @ q) / 2),
-        v=complex(np.trace(_PAULI["Y"] @ q) / 2),
-        w=complex(np.trace(_PAULI["Z"] @ q) / 2),
+        u=complex(np.trace(GATES["X"] @ q) / 2),
+        v=complex(np.trace(GATES["Y"] @ q) / 2),
+        w=complex(np.trace(GATES["Z"] @ q) / 2),
         qubit=qubit,
     )
 
@@ -156,13 +151,6 @@ def shor_encode(a: complex, b: complex) -> StateVector:
 _BLOCKS = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
 
-def _pauli_on(n: int, kind: str, positions: tuple[int, ...]) -> PauliString:
-    factors = ["I"] * n
-    for q in positions:
-        factors[q - 1] = kind
-    return PauliString("".join(factors))
-
-
 @dataclass(frozen=True)
 class ShorSyndrome:
     """Corrections applied by shor_correct: 1-based qubit indices that
@@ -184,16 +172,16 @@ def shor_correct(
     """
     flipped = []
     for q1, q2, q3 in _BLOCKS:
-        g1, state = measure_pauli_observable(state, _pauli_on(9, "Z", (q1, q2)), rng)
-        g2, state = measure_pauli_observable(state, _pauli_on(9, "Z", (q2, q3)), rng)
+        g1, state = measure_pauli_observable(state, pauli_row((1, 1), "Z", 9, q1 - 1), rng)
+        g2, state = measure_pauli_observable(state, pauli_row((1, 1), "Z", 9, q2 - 1), rng)
         within = _PAIR_OUTCOME[(g1, g2)]
         if within:
             qubit = (q1, q2, q3)[within - 1]
             state = apply_gate(state, "X", qubit)
             flipped.append(qubit)
 
-    s12, state = measure_pauli_observable(state, _pauli_on(9, "X", (1, 2, 3, 4, 5, 6)), rng)
-    s23, state = measure_pauli_observable(state, _pauli_on(9, "X", (4, 5, 6, 7, 8, 9)), rng)
+    s12, state = measure_pauli_observable(state, pauli_row((1,) * 6, "X", 9, 0), rng)
+    s23, state = measure_pauli_observable(state, pauli_row((1,) * 6, "X", 9, 3), rng)
     phase_block = _PAIR_OUTCOME[(s12, s23)]
     if phase_block:
         state = apply_gate(state, "Z", _BLOCKS[phase_block - 1][0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -128,6 +128,22 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.factors
+
+
+def pauli_row(
+    row: Iterable[int], kind: str, n: Optional[int] = None, offset: int = 0
+) -> PauliString:
+    """Turn a bit row (a check-matrix row or an error pattern) into a
+    Pauli string on n qubits, n = offset + len(row) by default: the chosen
+    Pauli on qubit offset + i + 1 where bit i is 1, identity elsewhere."""
+    if kind not in ("Z", "X"):
+        raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
+    factors = "".join(kind if b else "I" for b in row)
+    if n is None:
+        n = offset + len(factors)
+    if offset < 0 or offset + len(factors) > n:
+        raise ValueError(f"a row of {len(factors)} at offset {offset} does not fit {n} qubits")
+    return PauliString("I" * offset + factors + "I" * (n - offset - len(factors)))
 
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:

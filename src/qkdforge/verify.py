@@ -15,8 +15,7 @@ from .bb84 import (
     EveStrategy,
     SessionConfig,
     bennett_bound,
-    run_shor_preskill,
-    run_standard,
+    run_session,
     shor_preskill_keys,
     transmit_qubit,
 )
@@ -296,15 +295,15 @@ def _check_bennett_bound(codes: dict) -> tuple[bool, str]:
 def _check_bb84_smoke(codes: dict) -> tuple[bool, str]:
     ham = codes["hamming74"]
     quiet = SessionConfig(n=7, seed=9, mode="shor_preskill", codes=(ham, ham.dual()))
-    t = run_shor_preskill(quiet)
+    t = run_session(quiet)
     if t.aborted or not t.keys_match or t.mismatches != 0:
         return False, "noiseless run should agree with zero mismatches"
-    rerun = run_shor_preskill(
+    rerun = run_session(
         SessionConfig(n=7, seed=9, mode="shor_preskill", codes=(ham, ham.dual()))
     )
     if t.to_json() != rerun.to_json():
         return False, "transcripts are not reproducible"
-    noisy = run_standard(
+    noisy = run_session(
         SessionConfig(
             n=50,
             seed=9,

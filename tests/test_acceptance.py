@@ -20,8 +20,7 @@ from qkdforge.bb84 import (
     EveStrategy,
     SessionConfig,
     bennett_bound,
-    run_shor_preskill,
-    run_standard,
+    run_session,
     shor_preskill_keys,
     transmit_qubit,
 )
@@ -370,7 +369,7 @@ def test_criterion_11_shor_preskill():
     # End-to-end protocol run with a quiet channel.
     transcript = None
     for seed in range(50):
-        candidate = run_shor_preskill(
+        candidate = run_session(
             SessionConfig(n=7, seed=seed, mode="shor_preskill", codes=(c1, c2))
         )
         if not candidate.aborted:
@@ -401,12 +400,12 @@ def test_criterion_12_determinism():
     c2 = c1.dual()
 
     def shor_run():
-        return run_shor_preskill(
+        return run_session(
             SessionConfig(n=7, seed=29, mode="shor_preskill", codes=(c1, c2))
         ).to_json()
 
     def standard_run():
-        return run_standard(
+        return run_session(
             SessionConfig(
                 n=25,
                 seed=31,

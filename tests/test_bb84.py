@@ -17,8 +17,6 @@ from qkdforge.bb84 import (
     eve_info_estimate,
     replay_bob,
     run_session,
-    run_shor_preskill,
-    run_standard,
     shor_preskill_keys,
     transmit_qubit,
 )
@@ -165,20 +163,20 @@ class TestConfig:
 
 class TestRunStandard:
     def test_quiet_run_blocks_agree(self):
-        transcript = run_standard(SessionConfig(n=20, seed=6))
+        transcript = run_session(SessionConfig(n=20, seed=6))
         assert not transcript.aborted
         assert transcript.mismatches == 0
         assert transcript.alice_block == transcript.bob_block
         assert len(transcript.key_idx) == 20
 
     def test_sifted_fraction_near_half(self):
-        transcript = run_standard(SessionConfig(n=200, seed=7))
+        transcript = run_session(SessionConfig(n=200, seed=7))
         raw = len(transcript.d)
         sigma = math.sqrt(raw * 0.25)
         assert abs(len(transcript.sifted) - raw / 2) <= 3 * sigma
 
     def test_abort_on_check_errors(self):
-        transcript = run_standard(
+        transcript = run_session(
             SessionConfig(n=30, seed=8, eve=INTERCEPT, t_abort=0)
         )
         assert transcript.aborted
@@ -189,7 +187,7 @@ class TestRunStandard:
         # With delta = 0 the raw block is exactly 4n, so some seed sifts
         # to fewer than 2n positions.
         for seed in range(200):
-            transcript = run_standard(SessionConfig(n=6, delta=0.0, seed=seed))
+            transcript = run_session(SessionConfig(n=6, delta=0.0, seed=seed))
             if transcript.aborted:
                 assert transcript.abort_reason == "insufficient_sifted_bits"
                 assert len(transcript.sifted) < 12
@@ -204,7 +202,7 @@ class TestRunStandard:
             calls.append((alice_block, bob_block))
             return alice_block
 
-        transcript = run_standard(
+        transcript = run_session(
             SessionConfig(
                 n=10, seed=9, channel=ChannelModel(px=0.2), reconciler=fix_everything
             )
@@ -214,7 +212,7 @@ class TestRunStandard:
             assert transcript.reconciled_block == transcript.alice_block
 
     def test_pa_report_fields(self):
-        transcript = run_standard(SessionConfig(n=15, seed=10, shed_bits=5))
+        transcript = run_session(SessionConfig(n=15, seed=10, shed_bits=5))
         report = transcript.pa_report
         assert report["s"] == 5
         assert report["targetK"] == 15 - report["r"] - 5
@@ -224,7 +222,7 @@ class TestRunStandard:
 class TestRunShorPreskill:
     def test_quiet_run_exact_recovery(self):
         c1, c2 = hamming_setup()
-        transcript = run_shor_preskill(
+        transcript = run_session(
             SessionConfig(n=7, seed=11, mode="shor_preskill", codes=(c1, c2))
         )
         assert not transcript.aborted
@@ -235,7 +233,7 @@ class TestRunShorPreskill:
     def test_announced_string_masks_the_codeword(self):
         c1, c2 = hamming_setup()
         for seed in range(12, 30):
-            transcript = run_shor_preskill(
+            transcript = run_session(
                 SessionConfig(n=7, seed=seed, mode="shor_preskill", codes=(c1, c2))
             )
             if not transcript.aborted:
@@ -282,7 +280,7 @@ class TestRunShorPreskill:
         c1, c2 = hamming_setup()
         agreements = []
         for seed in range(40):
-            transcript = run_shor_preskill(
+            transcript = run_session(
                 SessionConfig(
                     n=7,
                     seed=seed,
@@ -300,17 +298,17 @@ class TestTranscript:
     def test_determinism_byte_identical(self):
         c1, c2 = hamming_setup()
         config = dict(n=7, seed=13, mode="shor_preskill", codes=(c1, c2))
-        first = run_shor_preskill(SessionConfig(**config))
-        second = run_shor_preskill(SessionConfig(**config))
+        first = run_session(SessionConfig(**config))
+        second = run_session(SessionConfig(**config))
         assert first.to_json() == second.to_json()
         noisy = dict(n=12, seed=14, eve=INTERCEPT)
         assert (
-            run_standard(SessionConfig(**noisy)).to_json()
-            == run_standard(SessionConfig(**noisy)).to_json()
+            run_session(SessionConfig(**noisy)).to_json()
+            == run_session(SessionConfig(**noisy)).to_json()
         )
 
     def test_fixed_field_names(self):
-        transcript = run_standard(SessionConfig(n=8, seed=15))
+        transcript = run_session(SessionConfig(n=8, seed=15))
         payload = json.loads(transcript.to_json())
         for name in (
             "d", "b", "bobBases", "sifted", "checkIdx", "mismatches",
@@ -332,7 +330,7 @@ class TestTranscript:
 
     def test_replay_bob_reproduces_transcript(self):
         c1, c2 = hamming_setup()
-        transcript = run_shor_preskill(
+        transcript = run_session(
             SessionConfig(
                 n=7,
                 seed=16,
@@ -351,6 +349,22 @@ class TestTranscript:
         assert replayed["u_hat"] == transcript.u_hat
         assert replayed["bob_key"] == transcript.bob_key
 
+    def test_replay_bob_on_decode_failure(self):
+        # parity4 corrects nothing, so an odd number of flips in the key
+        # block leaves a syndrome outside C1's table.
+        c1 = named_code("parity4")
+        c2 = c1.dual()
+        transcript = run_session(
+            SessionConfig(
+                n=4, seed=5, mode="shor_preskill", codes=(c1, c2), channel=ChannelModel(px=0.2)
+            )
+        )
+        assert transcript.abort_reason == "decode_failure"
+        replayed = replay_bob(transcript, c1, c2)
+        assert replayed["bob_block"] == transcript.bob_block
+        assert replayed["u_hat"] is None and transcript.u_hat is None
+        assert replayed["bob_key"] is None and transcript.bob_key is None
+
     def test_run_session_dispatch(self):
         c1, c2 = hamming_setup()
         assert run_session(SessionConfig(n=5, seed=17)).mode == "standard"
@@ -364,11 +378,11 @@ class TestTranscript:
 
 class TestEveEstimate:
     def test_no_eavesdropper(self):
-        transcript = run_standard(SessionConfig(n=10, seed=18))
+        transcript = run_session(SessionConfig(n=10, seed=18))
         assert eve_info_estimate(transcript) == 0.0
 
     def test_intercept_resend_half(self):
-        transcript = run_standard(SessionConfig(n=150, seed=19, eve=INTERCEPT))
+        transcript = run_session(SessionConfig(n=150, seed=19, eve=INTERCEPT))
         fraction = eve_info_estimate(transcript)
         n = len(transcript.sifted)
         sigma = math.sqrt(0.25 / n)

@@ -212,6 +212,26 @@ class TestBoundaries:
     def test_error_pattern_length(self, capsys, argv):
         assert_domain_error(capsys, argv, "error vectors must have length n=7")
 
+    @pytest.mark.parametrize("argv", [
+        ["codes", "table", "hamming74", "--t", "-1"],
+        ["css", "correct", "--t", "-1"],
+        ["css", "build", "--t", "-2"],
+    ])
+    def test_negative_t_rejected(self, capsys, argv):
+        assert_domain_error(capsys, argv, "t_max must be nonnegative")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["css", "correct", "--x", "01"], "shift x must have length n=7"),
+        (["css", "encode", "--x", "00000001"], "shift x must have length n=7"),
+        (["css", "correct", "--z", "0101"], "phase pattern z must have length n=7"),
+        (["css", "inject", "--z", "0"], "phase pattern z must have length n=7"),
+        (["css", "correct", "--v", "111"], "coset representative v must have length n=7"),
+        (["css", "encode", "--c1", "parity4", "--v", "001"],
+         "coset representative v must have length n=4"),
+    ])
+    def test_bit_string_length(self, capsys, argv, message):
+        assert_domain_error(capsys, argv, message)
+
     @pytest.mark.parametrize("runs", ["-1", "0"])
     def test_sweep_runs_must_be_positive(self, capsys, runs):
         assert_usage_error(capsys, ["bb84", "sweep", "--runs", runs], "--runs")

@@ -117,6 +117,22 @@ def generators(draw):
     return BitMatrix(tuple(map(BitVector, draw(st.lists(row, min_size=k, max_size=k)))))
 
 
+@st.composite
+def nested_pairs(draw):
+    """Generators (G1, G2) with k2 < k1 <= 5 and n <= 9, G2's rows random
+    sums of G1's; either may have dependent rows."""
+    n = draw(st.integers(3, 9))
+    k1 = draw(st.integers(2, min(5, n - 1)))
+    k2 = draw(st.integers(1, k1 - 1))
+
+    def bits(rows, cols):
+        row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.uint8)
+
+    g1 = bits(k1, n)
+    return BitMatrix.from_numpy(g1), BitMatrix.from_numpy(bits(k2, k1) @ g1 % 2)
+
+
 class TestConstruction:
     def test_parity_codewords(self, parity):
         assert words(parity) == PARITY_WORDS
@@ -292,6 +308,12 @@ class TestSyndromeTable:
             build_syndrome_table(parity, 1)
         with pytest.raises(ValueError):
             syndrome_table_from_check(parity.H, 1)
+
+    def test_negative_t_max_rejected(self, hamming):
+        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+            syndrome_table_from_check(hamming.H, -1)
+        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+            build_syndrome_table(hamming, -1)
 
     def test_zero_entry_always_present(self, hamming):
         table = build_syndrome_table(hamming, 0)
@@ -474,6 +496,25 @@ class TestKeyFromCoset:
                     assert key not in seen.values()
                     seen[coset] = key
             assert len(seen) == 2**q.key_length
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(nested_pairs())
+    def test_bijection_on_random_nested_pairs(self, pair):
+        """Every C1 word gets a key, two words share one exactly when they
+        differ by a C2 word, and each key's representative maps back."""
+        g1, g2 = pair
+        assume(rank(g1) == g1.num_rows and rank(g2) == g2.num_rows)
+        c1, c2 = code_from_generator(g1), code_from_generator(g2)
+        q = quotient(c1, c2)
+        c2_words = set(c2.codewords())
+        keyed = [(u, key_from_coset(q, u)) for u in c1.codewords()]
+        for u, key in keyed:
+            for v, other in keyed:
+                assert (key == other) == (u + v in c2_words)
+        keys = {key for _, key in keyed}
+        assert len(keys) == 2 ** (c1.k - c2.k)
+        for key in keys:
+            assert key_from_coset(q, q.representative(key)) == key
 
     def test_non_codeword_rejected(self, parity):
         q = quotient(parity, parity.dual())

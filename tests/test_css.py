@@ -79,6 +79,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             css_build(parity, odd, 0)
 
+    def test_negative_t_rejected(self):
+        ham = named_code("hamming74")
+        with pytest.raises(ValueError, match="t_max must be nonnegative"):
+            css_build(ham, ham.dual(), -1)
+
     def test_capacity_violation_rejected(self):
         parity = named_code("parity4")
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdforge.gf2 import (
     BitMatrix,
@@ -17,6 +19,28 @@ BV = BitVector.from_string
 PARITY_G = BitMatrix.from_strings(["1001", "0101", "0011"])
 HAMMING_G = BitMatrix.from_strings(["1000110", "0100111", "0010101", "0001011"])
 HAMMING_H = BitMatrix.from_strings(["1110100", "1101010", "0111001"])
+
+
+# Property tests draw matrices of at most 6 rows and 8 columns, so every
+# oracle below can enumerate all 2^rows row sums or all 2^cols vectors.
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=8):
+    """A random rows x cols BitMatrix; rows may be dependent or zero."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols).map(tuple)
+    return BitMatrix(tuple(map(BitVector, draw(st.lists(row, min_size=rows, max_size=rows)))))
+
+
+def span(rows):
+    """Oracle: the set of all sums of the given rows, as strings."""
+    words = {"0" * len(rows[0])}
+    for row in rows:
+        words |= {str(BV(w) + row) for w in words}
+    return words
 
 
 def all_vectors(n):
@@ -128,6 +152,18 @@ class TestRref:
         reduced = rref(HAMMING_G).matrix
         assert span_size(reduced.rows) == span_size(HAMMING_G.rows)
 
+    @PROPERTY
+    @given(matrices())
+    def test_row_space_preserved_property(self, m):
+        result = rref(m)
+        assert span(result.matrix.rows) == span(m.rows)
+        assert 2**result.rank == len(span(m.rows))
+        # Nonzero rows first, each with a 1 at its pivot and 0 above and below.
+        rows = result.matrix.rows
+        assert all(r.is_zero() for r in rows[result.rank:])
+        for i, col in enumerate(result.pivot_cols):
+            assert [r[col] for r in rows] == [int(j == i) for j in range(len(rows))]
+
 
 class TestNullspace:
     def test_parity_generator(self):
@@ -193,6 +229,23 @@ class TestSolveParticular:
         with pytest.raises(ValueError):
             solve_particular(HAMMING_H, BV("1101"))
 
+    @PROPERTY
+    @given(matrices(), st.data())
+    def test_solves_every_consistent_system(self, m, data):
+        """Against all 2^cols candidates: a reachable target gets a true
+        solution and an unreachable one gets None."""
+        reachable = {mat_apply(m, x, side="right") for x in all_vectors(m.num_cols)}
+        x0 = BitVector(tuple(data.draw(st.lists(
+            st.integers(0, 1), min_size=m.num_cols, max_size=m.num_cols))))
+        other = BitVector(tuple(data.draw(st.lists(
+            st.integers(0, 1), min_size=m.num_rows, max_size=m.num_rows))))
+        for target in (mat_apply(m, x0, side="right"), other):
+            x = solve_particular(m, target)
+            if target in reachable:
+                assert x is not None and mat_apply(m, x, side="right") == target
+            else:
+                assert x is None
+
 
 class TestCharacterSumIdentity:
     def test_exhaustive_small_lengths(self):
@@ -212,6 +265,15 @@ class TestMatrixText:
     def test_round_trip(self):
         text = str(HAMMING_G) + "\n"
         assert parse_matrix_text(text) == HAMMING_G
+
+    @PROPERTY
+    @given(matrices(max_rows=8, max_cols=12), matrices())
+    def test_print_parse_round_trip(self, m, trailing):
+        text = str(m)
+        assert parse_matrix_text(text) == m
+        assert str(parse_matrix_text(f"  {text}\n")) == text
+        # A blank line ends the matrix; what follows it is ignored.
+        assert parse_matrix_text(f"{text}\n\n{trailing}\n") == m
 
     def test_blank_line_terminates(self):
         assert parse_matrix_text("11\n01\n\n10\n") == BitMatrix.from_strings(["11", "01"])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdforge.bb84 import ChannelModel, EveStrategy, SessionConfig, run_session
+from qkdforge.bb84 import ChannelModel, EveStrategy, SessionConfig, replay_bob, run_session
 from qkdforge.cli import ENV_SEED, main
 from qkdforge.codes import named_code
 
@@ -108,6 +108,31 @@ def test_session_transcripts(golden, cell):
     mode, eve, channel = cell.split("/")
     for seed, text in zip(SEEDS, golden["sessions"][cell]):
         assert run_session(session_config(mode, eve, channel, seed)).to_json() == text, seed
+
+
+@pytest.mark.parametrize("cell", ["/".join(c) for c in itertools.product(MODES, EVES, CHANNELS)])
+def test_replay_bob_matches_transcript(cell):
+    """Bob's side recomputed from his measurements and Alice's
+    announcements agrees with the transcript, aborted runs included."""
+    mode, eve, channel = cell.split("/")
+    hamming = named_code("hamming74")
+    checked = 0
+    for seed in SEEDS:
+        transcript = run_session(session_config(mode, eve, channel, seed))
+        replayed = replay_bob(transcript, hamming, hamming.dual())
+        assert replayed["sifted"] == transcript.sifted, seed
+        if transcript.check_idx is None:
+            assert set(replayed) == {"sifted"}, seed
+            continue
+        checked += 1
+        assert replayed["mismatches"] == transcript.mismatches, seed
+        assert replayed["key_idx"] == transcript.key_idx, seed
+        if transcript.bob_block is not None:
+            assert replayed["bob_block"] == transcript.bob_block, seed
+        if transcript.x_minus_u is not None:
+            assert replayed["u_hat"] == transcript.u_hat, seed
+            assert replayed["bob_key"] == transcript.bob_key, seed
+    assert checked
 
 
 @pytest.mark.parametrize("argv", README_EXAMPLES)

@@ -20,6 +20,7 @@ from qkdforge.qsim import (
     measure_pauli_observable,
     measure_projective,
     overlap,
+    pauli_row,
 )
 
 BV = BitVector.from_string
@@ -156,6 +157,29 @@ class TestPauliStrings:
         up = basis_state(BV("0"))
         out = apply_pauli_string(up, PauliString("Y"))
         assert np.allclose(out.amps, [0, 1j])
+
+    def test_pauli_row_placement(self):
+        assert pauli_row(BV("101"), "X", 7, 2).factors == "IIXIXII"
+        assert pauli_row(BV("11"), "Z", offset=1).factors == "IZZ"
+        assert pauli_row((1, 1), "Z", 4).factors == "ZZII"
+        for n, offset in ((4, 3), (9, -1)):
+            with pytest.raises(ValueError):
+                pauli_row(BV("11"), "Z", n, offset)
+
+    def test_pattern_string_matches_gate_loop(self):
+        """One Pauli string per pattern gives exactly the amplitudes of
+        one apply_gate per flagged qubit, in the same order."""
+        rng = np.random.default_rng(4)
+        psi = random_state(rng, 6)
+        for _ in range(10):
+            pattern = BitVector.from_ints(rng.integers(0, 2, size=4))
+            for kind in ("X", "Z"):
+                looped = psi
+                for i, bit in enumerate(pattern):
+                    if bit:
+                        looped = apply_gate(looped, kind, 2 + i + 1)
+                one = apply_pauli_string(psi, pauli_row(pattern, kind, 6, 2))
+                assert np.array_equal(one.amps, looped.amps)
 
     def test_length_check(self):
         with pytest.raises(ValueError):
