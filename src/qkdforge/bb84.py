@@ -194,7 +194,7 @@ class SessionTranscript:
 
 
 def _prepare(bit: int, basis: int) -> StateVector:
-    state = basis_state(BitVector((bit,)))
+    state = basis_state(BitVector(bit, 1))
     if basis == BASIS_X:
         state = apply_gate(state, "H", 1)
     return state
@@ -366,10 +366,7 @@ def _transmission_phase(config: SessionConfig, rng: np.random.Generator) -> tupl
     b = rng.integers(0, 2, size=config.raw_length)
     bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
     return (
-        BitVector.from_ints(d),
-        BitVector.from_ints(b),
-        BitVector.from_ints(bob_bases),
-        BitVector.from_ints(bob_bits),
+        *(BitVector.from_ints(bits) for bits in (d, b, bob_bases, bob_bits)),
         tuple(eve_learned.tolist()),
         _sift(b, bob_bases),
     )
@@ -397,11 +394,12 @@ def _select_blocks(
 
 def _mismatches(d: BitVector, bob_bits: BitVector, check_idx: tuple[int, ...]) -> int:
     """Check positions where Alice's announced bit differs from Bob's."""
-    return sum(1 for i in check_idx if d[i] != bob_bits[i])
+    return _block(d + bob_bits, check_idx).weight()
 
 
 def _block(bits: BitVector, idx: tuple[int, ...]) -> BitVector:
-    return BitVector(tuple(bits[i] for i in idx))
+    text = str(bits)
+    return BitVector.from_string("".join([text[i] for i in idx]))
 
 
 def _abort(transcript: SessionTranscript, reason: str) -> SessionTranscript:
@@ -496,6 +494,8 @@ def replay_bob(
     out["key_idx"] = _key_indices(transcript.selected, transcript.check_idx)
     out["bob_block"] = _block(transcript.bob_bits, out["key_idx"])
     if transcript.mode == "shor_preskill" and transcript.x_minus_u is not None:
+        if c1 is None or c2 is None:
+            raise ValueError("replaying a shor_preskill decode needs the code pair c1, c2")
         table = build_syndrome_table(c1, c1.corrects)
         _, out["u_hat"], out["bob_key"] = _bob_keys(
             c1, quotient(c1, c2), table, out["bob_block"], transcript.x_minus_u

@@ -38,7 +38,7 @@ from .css import (
     verify_basis_identities,
 )
 from .distill import create_epr, inject_bob_errors, run_distillation
-from .gf2 import BitVector, parse_matrix_text
+from .gf2 import BitMatrix, BitVector, parse_matrix_text, solve_particular
 from .qec3 import (
     bitflip_encode,
     bitflip_syndrome_and_correct,
@@ -191,6 +191,14 @@ def _bits(text: Optional[str], n: int, name: str) -> BitVector:
     return bits
 
 
+def _coset_set(text: Optional[str], check: BitMatrix) -> list[BitVector]:
+    """A comma-separated --x-set/--z-set, or by default one solution of
+    check.v^T = s per syndrome s: a word from every coset of check's code."""
+    if text is not None:
+        return [BitVector.from_string(s) for s in text.split(",")]
+    return [solve_particular(check, BitVector(s, check.num_rows)) for s in range(2**check.num_rows)]
+
+
 def _cmd_css(args: argparse.Namespace) -> int:
     started = time.time()
     code = _build_css(args)
@@ -209,8 +217,8 @@ def _cmd_css(args: argparse.Namespace) -> int:
         _emit("css build", config, None, output, started)
         return 0
     if args.action == "verify":
-        x_set = [BitVector.from_string(s) for s in args.x_set.split(",")]
-        z_set = [BitVector.from_string(s) for s in args.z_set.split(",")]
+        x_set = _coset_set(args.x_set, code.h1)
+        z_set = _coset_set(args.z_set, code.h2)
         report = verify_basis_identities(code, x_set, z_set)
         output = {
             "states": report.states,
@@ -225,7 +233,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
     if args.action == "encode":
         state = css_codeword(code, v, params)
         support = {
-            format(i, f"0{n}b"): [float(a.real), float(a.imag)]
+            state.ket_label(i): [float(a.real), float(a.imag)]
             for i, a in enumerate(state.amps)
             if abs(a) > 1e-12
         }
@@ -400,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_css.add_argument("--z", default=None)
     p_css.add_argument("--e1", default=None, help="bit-flip pattern")
     p_css.add_argument("--e2", default=None, help="phase-flip pattern")
-    p_css.add_argument("--x-set", default="0000,0001")
-    p_css.add_argument("--z-set", default="0000,0001")
+    p_css.add_argument("--x-set", default=None, help="default: one shift per coset of C1")
+    p_css.add_argument("--z-set", default=None, help="default: one pattern per coset of C2-dual")
     p_css.add_argument("--seed", type=_seed, default=None)
     p_css.set_defaults(func=_cmd_css)
 

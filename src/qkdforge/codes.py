@@ -23,15 +23,12 @@ from .gf2 import (
     rank,
     rref,
     solve_particular,
-    unpack_rows,
+    unpack_vectors,
 )
 
 # Codeword enumeration is brute force over a packed 2^k-row array;
 # anything bigger than this is a usage error, not a job for this package.
 ENUMERATION_LIMIT = 24
-# Codewords unpacked to BitVectors per step, so iterating a large code
-# never holds all 2^k unpacked words at once.
-_UNPACK_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -87,7 +84,7 @@ class LinearCode:
         Doubling: after the last j rows of G, the first 2^j rows hold
         every combination of them, and XOR with the next row up fills
         the next 2^j. Row k-1 of G is the message's least significant
-        bit, so the order matches encode(format(m, "0kb"))."""
+        bit, so the order matches encode(BitVector(m, k))."""
         if self.k > ENUMERATION_LIMIT:
             raise ValueError(f"k={self.k} too large to enumerate codewords")
         rows = pack_rows(self.G.to_numpy())
@@ -96,21 +93,16 @@ class LinearCode:
             np.bitwise_xor(words[: 1 << j], row, out=words[1 << j : 2 << j])
         return words
 
-    def _bit_vectors(self, words: np.ndarray) -> Iterator[BitVector]:
-        for start in range(0, len(words), _UNPACK_CHUNK):
-            for bits in unpack_rows(words[start : start + _UNPACK_CHUNK], self.n).tolist():
-                yield BitVector(tuple(bits))
-
     def codewords(self) -> Iterator[BitVector]:
         """All 2^k codewords, in message-integer order."""
-        return self._bit_vectors(self._packed_codewords())
+        return unpack_vectors(self._packed_codewords(), self.n)
 
     def coset(self, x: BitVector) -> frozenset[BitVector]:
         """The set {x + c : c in C}, of size 2^k."""
         if len(x) != self.n:
             raise ValueError(f"coset shift must have length n={self.n}")
         shift = pack_rows(x.to_numpy()[np.newaxis])
-        return frozenset(self._bit_vectors(self._packed_codewords() ^ shift))
+        return frozenset(unpack_vectors(self._packed_codewords() ^ shift, self.n))
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] code of all words orthogonal to every codeword;
@@ -157,8 +149,7 @@ def code_from_parts(G: BitMatrix, H: BitMatrix) -> LinearCode:
         raise ValueError("generator rows are linearly dependent")
     if rank(H) != n - k:
         raise ValueError("check matrix rows are linearly dependent")
-    product = (H.to_numpy() @ G.to_numpy().T) % 2
-    if product.any():
+    if any(h.dot(g) for h in H.rows for g in G.rows):
         raise ValueError("H.G^T is not the zero matrix")
     return LinearCode(n=n, k=k, G=G, H=H)
 
@@ -194,10 +185,7 @@ def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
     entries: dict[BitVector, BitVector] = {}
     for w in range(t_max + 1):
         for positions in itertools.combinations(range(n), w):
-            bits = [0] * n
-            for p in positions:
-                bits[p] = 1
-            error = BitVector(tuple(bits))
+            error = BitVector(sum(1 << (n - 1 - p) for p in positions), n)
             syndrome = mat_apply(H, error, side="right")
             if syndrome in entries:
                 raise ValueError(
@@ -263,24 +251,16 @@ class CosetQuotient:
         extension rows selected by the key bits."""
         if len(key) != self.key_length:
             raise ValueError(f"key must have length {self.key_length}")
-        rep = BitVector.zeros(self.c1.n)
-        for bit, row in zip(key, self.extension_rows):
-            if bit:
-                rep = rep + row
-        return rep
+        return mat_apply(BitMatrix(self.extension_rows), key, side="left")
 
     def cosets(self) -> list[frozenset[BitVector]]:
         """All 2^(k1-k2) pairwise-disjoint cosets, in key order."""
-        result = []
-        width = max(self.key_length, 1)
-        for m in range(2**self.key_length):
-            key_bits = format(m, f"0{width}b")[-self.key_length :] if self.key_length else ""
-            if self.key_length == 0:
-                rep = BitVector.zeros(self.c1.n)
-            else:
-                rep = self.representative(BitVector.from_string(key_bits))
-            result.append(self.c2.coset(rep))
-        return result
+        if self.key_length == 0:
+            return [self.c2.coset(BitVector.zeros(self.c1.n))]
+        return [
+            self.c2.coset(self.representative(BitVector(m, self.key_length)))
+            for m in range(2**self.key_length)
+        ]
 
 
 def check_nested(c1: LinearCode, c2: LinearCode) -> None:

@@ -119,10 +119,9 @@ def css_codeword(
     if not code.c1.contains(v):
         raise ValueError(f"{v} is not a codeword of C1")
     amps = np.zeros(2**code.n, dtype=complex)
+    shift = (v + params.x).value
     for w in code.c2.codewords():
-        sign = -1.0 if w.dot(params.z) else 1.0
-        ket = v + w + params.x
-        amps[int(str(ket), 2)] += sign
+        amps[w.value ^ shift] += -1.0 if w.dot(params.z) else 1.0
     amps /= np.sqrt(2**code.c2.k)
     return StateVector(n=code.n, amps=amps)
 
@@ -137,12 +136,12 @@ def measure_check_rows(
     """Measure pauli_row(row, kind) on qubits offset + 1.. for each row of
     the check matrix in order, one draw per row, and map eigenvalues
     +1 -> 0, -1 -> 1. Returns the syndrome and the collapsed state."""
-    bits = []
+    syndrome = 0
     for row in matrix.rows:
         observable = pauli_row(row, kind, state.n, offset)
         eigenvalue, state = measure_pauli_observable(state, observable, rng)
-        bits.append(0 if eigenvalue == 1 else 1)
-    return BitVector(tuple(bits)), state
+        syndrome = (syndrome << 1) | (eigenvalue == -1)
+    return BitVector(syndrome, matrix.num_rows), state
 
 
 def css_bit_syndrome(
@@ -251,7 +250,7 @@ def css_identify(
     """Classify a clean codeword state: returns the key string of the
     coset whose codeword overlaps the state with modulus 1."""
     for m in range(2**code.k):
-        key = BitVector.from_string(format(m, f"0{code.k}b"))
+        key = BitVector(m, code.k)
         reference = css_codeword(code, code.quotient.representative(key), params)
         if fidelity(reference, state) >= 1.0 - IDENTIFY_TOLERANCE:
             return key
@@ -298,8 +297,7 @@ def verify_basis_identities(
                 )
 
     reps = [
-        code.quotient.representative(BitVector.from_string(format(m, f"0{code.k}b")))
-        for m in range(2**code.k)
+        code.quotient.representative(BitVector(m, code.k)) for m in range(2**code.k)
     ]
     states = [
         css_codeword(code, v, CssParams(x=x, z=z))
@@ -319,7 +317,7 @@ def verify_basis_identities(
     # Overlap with the z = 0 partner: 1 iff z is in the dual of C2.
     branch_dev = 0.0
     if n <= 10:
-        z_values = [BitVector.from_string(format(m, f"0{n}b")) for m in range(2**n)]
+        z_values = [BitVector(m, n) for m in range(2**n)]
     else:
         z_values = list(z_set) + [c for c in c2_dual.codewords()]
     v0, x0 = reps[0], x_set[0]

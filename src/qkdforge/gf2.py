@@ -1,79 +1,96 @@
 """Exact linear algebra over the binary field GF(2).
 
-Vectors and matrices are immutable values: every operation returns a new
-object, so they are safe to share across threads and to use as dict keys.
-Bit position 1 is the leftmost bit of the printed form, and that ordering
-carries through to qubit and basis-state indexing elsewhere in the package.
+A bit string is one Python int plus a length: BitVector(value, n) is the
+n-bit string that value spells in binary. Bit position 1, the leftmost
+printed bit, is the most significant bit, so value is also the string's
+basis-state index in qsim. Sums are XOR, inner products the parity of AND,
+and row reduction works on the row ints of a matrix. Vectors and matrices
+are immutable values, safe to share across threads and to use as dict keys.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+_UNPACK_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class BitVector:
-    """Fixed-length vector over {0, 1}."""
+    """Fixed-length vector over {0, 1}: the n-bit string spelled by value,
+    with position 1 as its most significant bit."""
 
-    bits: tuple[int, ...]
+    value: int
+    n: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) == 0:
+        if self.n < 1:
             raise ValueError("BitVector must contain at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("BitVector entries must be 0 or 1")
+        if not 0 <= self.value < 1 << self.n:
+            raise ValueError(f"BitVector value {self.value} does not fit in {self.n} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
-        return cls(tuple(int(c) for c in text))
+        if text.strip("01"):
+            raise ValueError(f"BitVector entries must be 0 or 1, got {text!r}")
+        return cls(int("0" + text, 2), len(text))
 
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> "BitVector":
-        return cls(tuple(int(v) % 2 for v in values))
+        """Each value mod 2, in order; a numpy array packs in one step."""
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        bits = np.asarray(values, dtype=np.int64) % 2
+        value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+        return cls(value, len(bits))
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
-        return cls((0,) * n)
+        return cls(0, n)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
+        return map(int, str(self))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return BitVector(self.bits[index])
-        return self.bits[index]
+            return BitVector.from_string(str(self)[index])
+        index = operator.index(index)
+        if not -self.n <= index < self.n:
+            raise IndexError(f"bit index {index} out of range for length {self.n}")
+        return (self.value >> (self.n - 1 - index % self.n)) & 1
 
     def __add__(self, other: "BitVector") -> "BitVector":
         """Componentwise XOR; each vector is its own additive inverse."""
         if not isinstance(other, BitVector):
             return NotImplemented
-        if len(other) != len(self):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return BitVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        if other.n != self.n:
+            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
+        return BitVector(self.value ^ other.value, self.n)
 
     def dot(self, other: "BitVector") -> int:
         """Mod-2 inner product."""
-        if len(other) != len(self):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return sum(a & b for a, b in zip(self.bits, other.bits)) % 2
+        if other.n != self.n:
+            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
+        return (self.value & other.value).bit_count() & 1
 
     def weight(self) -> int:
-        return sum(self.bits)
+        return self.value.bit_count()
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return self.value == 0
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
+        return BitMatrix((self,)).to_numpy()[0]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.n}b")
 
     def __repr__(self) -> str:
         return f"BitVector('{self}')"
@@ -98,14 +115,14 @@ class BitMatrix:
 
     @classmethod
     def from_numpy(cls, array: np.ndarray) -> "BitMatrix":
-        arr = np.asarray(array, dtype=np.uint8) % 2
+        arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(tuple(BitVector(tuple(int(v) for v in row)) for row in arr))
+        return cls(tuple(BitVector.from_ints(row) for row in arr))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_numpy(np.eye(n, dtype=np.uint8))
+        return cls(tuple(BitVector(1 << (n - 1 - i), n) for i in range(n)))
 
     @property
     def num_rows(self) -> int:
@@ -115,14 +132,14 @@ class BitMatrix:
     def num_cols(self) -> int:
         return len(self.rows[0])
 
-    def row(self, i: int) -> BitVector:
-        return self.rows[i]
-
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_numpy(self.to_numpy().T)
+        return BitMatrix.from_strings("".join(col) for col in zip(*map(str, self.rows)))
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([r.bits for r in self.rows], dtype=np.uint8)
+        n, width = self.num_cols, -(-self.num_cols // 8)
+        padded = b"".join((r.value << (-n % 8)).to_bytes(width, "big") for r in self.rows)
+        rows = np.frombuffer(padded, dtype=np.uint8).reshape(self.num_rows, width)
+        return np.unpackbits(rows, axis=1, count=n)
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rows)
@@ -144,29 +161,32 @@ def mat_apply(matrix: BitMatrix, vector: BitVector, side: str = "left") -> BitVe
     Returns:
         The product as a BitVector.
     """
-    mat = matrix.to_numpy()
-    vec = vector.to_numpy()
     if side == "left":
         if len(vector) != matrix.num_rows:
             raise ValueError(
                 f"left apply needs |v| = rows: {len(vector)} vs {matrix.num_rows}"
             )
-        product = (vec @ mat) % 2
-    elif side == "right":
+        value = 0
+        for bit, row in zip(vector, matrix.rows):
+            if bit:
+                value ^= row.value
+        return BitVector(value, matrix.num_cols)
+    if side == "right":
         if len(vector) != matrix.num_cols:
             raise ValueError(
                 f"right apply needs |v| = cols: {len(vector)} vs {matrix.num_cols}"
             )
-        product = (mat @ vec) % 2
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return BitVector(tuple(int(x) for x in product))
+        value = 0
+        for row in matrix.rows:
+            value = (value << 1) | ((row.value & vector.value).bit_count() & 1)
+        return BitVector(value, matrix.num_rows)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack an (m, n) 0/1 array into (m, ceil(n/64)) uint64 words.
 
-    Only XOR, AND and popcount are meaningful on the words; unpack_rows
+    Only XOR, AND and popcount are meaningful on the words; unpack_vectors
     inverts the packing."""
     m, n = bits.shape
     padded = np.zeros((m, 8 * -(-n // 64)), dtype=np.uint8)
@@ -174,9 +194,17 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return padded.view(np.uint64)
 
 
-def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
-    """The (m, n) 0/1 uint8 array that pack_rows packed into `words`."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n)
+def unpack_vectors(words: np.ndarray, n: int) -> Iterator[BitVector]:
+    """The BitVector of each row that pack_rows packed into `words`: a
+    row's bytes, read as one big-endian int, are its value followed by
+    the zero padding. Rows are copied _UNPACK_CHUNK at a time, so a large
+    array is never copied whole."""
+    width = 8 * words.shape[1]
+    padding = 8 * width - n
+    for start in range(0, len(words), _UNPACK_CHUNK):
+        data = words[start : start + _UNPACK_CHUNK].tobytes()
+        for i in range(0, len(data), width):
+            yield BitVector(int.from_bytes(data[i : i + width], "big") >> padding, n)
 
 
 @dataclass(frozen=True)
@@ -189,32 +217,28 @@ class RrefResult:
 def rref(matrix: BitMatrix) -> RrefResult:
     """Reduced row-echelon form over GF(2).
 
-    Gaussian elimination with XOR row operations; the row space is
-    preserved and the rank is the number of nonzero rows.
+    Gaussian elimination with XOR on the row ints: each column's pivot
+    is the first row at or below the pivot row with a 1 there, swapped
+    up. The row space is preserved and the rank is the number of
+    nonzero rows.
     """
-    mat = matrix.to_numpy().copy()
-    m, n = mat.shape
+    n = matrix.num_cols
+    rows = [r.value for r in matrix.rows]
     pivot_cols: list[int] = []
-    pivot_row = 0
     for col in range(n):
-        found = -1
-        for row in range(pivot_row, m):
-            if mat[row, col] == 1:
-                found = row
-                break
-        if found == -1:
+        top = len(pivot_cols)
+        bit = 1 << (n - 1 - col)
+        found = next((i for i in range(top, len(rows)) if rows[i] & bit), None)
+        if found is None:
             continue
-        if found != pivot_row:
-            mat[[pivot_row, found]] = mat[[found, pivot_row]]
-        for row in range(m):
-            if row != pivot_row and mat[row, col] == 1:
-                mat[row, :] ^= mat[pivot_row, :]
+        rows[top], rows[found] = rows[found], rows[top]
+        pivot = rows[top]
+        for i, row in enumerate(rows):
+            if i != top and row & bit:
+                rows[i] = row ^ pivot
         pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == m:
-            break
     return RrefResult(
-        matrix=BitMatrix.from_numpy(mat),
+        matrix=BitMatrix(tuple(BitVector(row, n) for row in rows)),
         rank=len(pivot_cols),
         pivot_cols=tuple(pivot_cols),
     )
@@ -231,18 +255,16 @@ def nullspace_basis(matrix: BitMatrix) -> list[BitVector]:
     empty for a full-column-rank matrix.
     """
     reduced = rref(matrix)
-    mat = reduced.matrix.to_numpy()
     n = matrix.num_cols
     pivots = reduced.pivot_cols
-    free_cols = [c for c in range(n) if c not in set(pivots)]
     basis = []
-    for free in free_cols:
-        vec = np.zeros(n, dtype=np.uint8)
-        vec[free] = 1
-        for row, col in enumerate(pivots):
-            if mat[row, free] == 1:
-                vec[col] = 1
-        basis.append(BitVector(tuple(int(v) for v in vec)))
+    for free in sorted(set(range(n)) - set(pivots)):
+        free_bit = 1 << (n - 1 - free)
+        value = free_bit
+        for row, col in zip(reduced.matrix.rows, pivots):
+            if row.value & free_bit:
+                value |= 1 << (n - 1 - col)
+        basis.append(BitVector(value, n))
     return basis
 
 
@@ -257,17 +279,17 @@ def solve_particular(matrix: BitMatrix, target: BitVector) -> Optional[BitVector
             f"target length must equal rows: {len(target)} vs {matrix.num_rows}"
         )
     n = matrix.num_cols
-    augmented = np.concatenate(
-        [matrix.to_numpy(), target.to_numpy().reshape(-1, 1)], axis=1
+    augmented = BitMatrix(
+        tuple(BitVector(row.value << 1 | bit, n + 1) for row, bit in zip(matrix.rows, target))
     )
-    reduced = rref(BitMatrix.from_numpy(augmented))
+    reduced = rref(augmented)
     if n in reduced.pivot_cols:
         return None
-    mat = reduced.matrix.to_numpy()
-    solution = np.zeros(n, dtype=np.uint8)
-    for row, col in enumerate(reduced.pivot_cols):
-        solution[col] = mat[row, n]
-    return BitVector(tuple(int(v) for v in solution))
+    value = 0
+    for row, col in zip(reduced.matrix.rows, reduced.pivot_cols):
+        if row.value & 1:
+            value |= 1 << (n - 1 - col)
+    return BitVector(value, n)
 
 
 def parse_matrix_text(text: str) -> BitMatrix:

@@ -60,7 +60,7 @@ def basis_state(bits: BitVector) -> StateVector:
     """The computational basis ket |bits>."""
     n = len(bits)
     amps = np.zeros(2**n, dtype=complex)
-    amps[int(str(bits), 2)] = 1.0
+    amps[bits.value] = 1.0
     return StateVector(n=n, amps=amps)
 
 
@@ -148,9 +148,11 @@ def pauli_row(
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply each non-identity factor; phases (including the i's from Y)
-    are tracked exactly."""
+    are tracked exactly. An all-identity string returns the state itself."""
     if len(pauli) != state.n:
         raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
+    if not pauli.factors.strip("I"):
+        return state
     amps = state.amps
     for position, factor in enumerate(pauli.factors, start=1):
         if factor != "I":
@@ -295,7 +297,7 @@ def measure_all_z(
     """
     weights = np.abs(state.amps) ** 2
     outcome = _draw_outcome(rng, weights)
-    bits = BitVector.from_string(state.ket_label(outcome))
+    bits = BitVector(outcome, state.n)
     return bits, basis_state(bits)
 
 

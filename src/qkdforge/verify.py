@@ -142,7 +142,7 @@ def _check_char_sums(codes: dict) -> tuple[bool, str]:
         code = codes[name]
         dual_words = set(code.dual().codewords())
         for m in range(2**code.n):
-            u = BV(format(m, f"0{code.n}b"))
+            u = BitVector(m, code.n)
             expected = 2**code.k if u in dual_words else 0
             if code.char_sum(u) != expected:
                 bad += 1
@@ -177,7 +177,7 @@ def _check_css_parity_codewords(codes: dict) -> tuple[bool, str]:
     for v_str, kets in PARITY4_QUANTUM_WORDS.items():
         state = css_codeword(code, BV(v_str))
         support = {
-            format(i, "04b"): a for i, a in enumerate(state.amps) if abs(a) > 1e-12
+            state.ket_label(i): a for i, a in enumerate(state.amps) if abs(a) > 1e-12
         }
         if set(support) != kets:
             return False, f"v={v_str}: support {sorted(support)}"
@@ -197,8 +197,8 @@ def _check_css_hamming_codewords(codes: dict) -> tuple[bool, str]:
     amp = 1 / np.sqrt(8)
     q1 = css_codeword(code, BV("0000000"))
     q2 = css_codeword(code, BV("0001011"))
-    s1 = {format(i, "07b") for i, a in enumerate(q1.amps) if abs(a) > 1e-12}
-    s2 = {format(i, "07b") for i, a in enumerate(q2.amps) if abs(a) > 1e-12}
+    s1 = {q1.ket_label(i) for i, a in enumerate(q1.amps) if abs(a) > 1e-12}
+    s2 = {q2.ket_label(i) for i, a in enumerate(q2.amps) if abs(a) > 1e-12}
     ok = s1 == HAMMING74_DUAL_WORDS and s2 == HAMMING_QUANTUM_WORD_V2
     ok = ok and all(abs(a - amp) < 1e-9 for a in q1.amps if abs(a) > 1e-12)
     ok = ok and abs(state_overlap(q1, q2)) < 1e-9
@@ -252,15 +252,8 @@ def _check_distillation(codes: dict) -> tuple[bool, str]:
     cases = 0
     for e1_pos in (None, 0, 3, 6):
         for e2_pos in (None, 1, 4, 6):
-            e1 = [0] * 7
-            e2 = [0] * 7
-            if e1_pos is not None:
-                e1[e1_pos] = 1
-            if e2_pos is not None:
-                e2[e2_pos] = 1
-            session = inject_bob_errors(
-                create_epr(7, code), BitVector(tuple(e1)), BitVector(tuple(e2))
-            )
+            e1, e2 = (BitVector(0 if p is None else 1 << (6 - p), 7) for p in (e1_pos, e2_pos))
+            session = inject_bob_errors(create_epr(7, code), e1, e2)
             ak, bk, _ = run_distillation(session, rng)
             if ak != bk:
                 return False, f"key mismatch at e1={e1_pos}, e2={e2_pos}"
@@ -275,11 +268,7 @@ def _check_shor_preskill_sweep(codes: dict) -> tuple[bool, str]:
     x = BV("1010101")
     u = BV("0111001")
     for pattern in range(8):
-        e1 = BitVector.zeros(7)
-        if pattern:
-            bits = [0] * 7
-            bits[pattern - 1] = 1
-            e1 = BitVector(tuple(bits))
+        e1 = BitVector(1 << (7 - pattern) if pattern else 0, 7)
         derivation = shor_preskill_keys(ham, quot, table, x, u, x + e1)
         if derivation.decode_status != "ok" or derivation.alice_key != derivation.bob_key:
             return False, f"pattern {pattern}: keys differ"

@@ -303,7 +303,7 @@ def test_criterion_9_distillation():
         bits = [0] * 7
         if position is not None:
             bits[position] = 1
-        return BitVector(tuple(bits))
+        return BitVector.from_ints(bits)
 
     positions = [None] + list(range(7))
     for e1_pos in positions:
@@ -384,7 +384,7 @@ def test_criterion_11_shor_preskill():
         bits = [0] * 7
         if position is not None:
             bits[position] = 1
-        e1 = BitVector(tuple(bits))
+        e1 = BitVector.from_ints(bits)
         derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
         assert derivation.decode_status == "ok"
         assert derivation.alice_key == derivation.bob_key

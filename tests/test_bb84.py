@@ -252,7 +252,7 @@ class TestRunShorPreskill:
             if position is not None:
                 bits = [0] * 7
                 bits[position] = 1
-                e1 = BitVector(tuple(bits))
+                e1 = BitVector.from_ints(bits)
             derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
             assert derivation.decode_status == "ok"
             assert derivation.u_hat == u
@@ -270,7 +270,7 @@ class TestRunShorPreskill:
         for i, j in itertools.combinations(range(7), 2):
             bits = [0] * 7
             bits[i] = bits[j] = 1
-            e1 = BitVector(tuple(bits))
+            e1 = BitVector.from_ints(bits)
             derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
             assert derivation.decode_status == "ok"
             assert derivation.u_hat != u
@@ -364,6 +364,18 @@ class TestTranscript:
         assert replayed["bob_block"] == transcript.bob_block
         assert replayed["u_hat"] is None and transcript.u_hat is None
         assert replayed["bob_key"] is None and transcript.bob_key is None
+
+    def test_replay_bob_without_codes_names_the_pair(self):
+        c1, c2 = hamming_setup()
+        transcript = run_session(SessionConfig(n=7, seed=11, mode="shor_preskill", codes=(c1, c2)))
+        assert transcript.x_minus_u is not None
+        with pytest.raises(ValueError, match="code pair c1, c2"):
+            replay_bob(transcript)
+        with pytest.raises(ValueError, match="code pair c1, c2"):
+            replay_bob(transcript, c1)
+        # Sifting and block extraction need no codes.
+        standard = run_session(SessionConfig(n=7, seed=11))
+        assert replay_bob(standard)["bob_block"] == standard.bob_block
 
     def test_run_session_dispatch(self):
         c1, c2 = hamming_setup()

@@ -148,6 +148,21 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["output"]["states"] == 16
 
+    @pytest.mark.parametrize("argv, states", [
+        (["css", "verify"], 128),
+        (["css", "verify", "--c1", "parity4"], 16),
+        (["css", "verify", "--z-set", "0000000,1000000,0100000,0010000,"
+                                      "0001000,0000100,0000010,0000001"], 128),
+    ])
+    def test_css_verify_sets_default_to_the_code_pair(self, capsys, argv, states):
+        """Omitted --x-set/--z-set hold one word per coset of C1 and of
+        C2-dual, so every code pair spans its full 2^n space."""
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        report = json.loads(out)["output"]
+        assert report["states"] == states
+        assert max(report["orthonormalityDeviation"], report["completenessDeviation"]) <= 1e-9
+
     def test_distill(self, capsys):
         argv = ["distill", "--code", "hamming74", "--e1", "0010000",
                 "--e2", "0000010", "--seed", "5"]

@@ -226,7 +226,7 @@ class TestCssOperatorOracle:
 
 
 def dense_prepare(bit, basis):
-    state = basis_state(BitVector((bit,)))
+    state = basis_state(BitVector.from_ints((bit,)))
     return apply_gate(state, "H", 1) if basis == BASIS_X else state
 
 

@@ -32,7 +32,7 @@ def unit_error(n, position):
     bits = [0] * n
     if position is not None:
         bits[position] = 1
-    return BitVector(tuple(bits))
+    return BitVector.from_ints(bits)
 
 
 class TestCreateEpr:

@@ -138,6 +138,13 @@ class TestPauliStrings:
         psi = random_state(rng, 3)
         assert np.allclose(apply_pauli_string(psi, PauliString("III")).amps, psi.amps)
 
+    def test_identity_string_returns_the_same_state(self):
+        psi = random_state(np.random.default_rng(5), 4)
+        assert apply_pauli_string(psi, PauliString("IIII")) is psi
+        assert apply_pauli_string(psi, pauli_row(BV("000"), "X", 4, 1)) is psi
+        with pytest.raises(ValueError):
+            apply_pauli_string(psi, PauliString("III"))
+
     def test_zz_parity_phase(self):
         same = state_from({"001": 1.0})
         assert np.allclose(
