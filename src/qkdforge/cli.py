@@ -85,7 +85,11 @@ def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -
         return named_code(name_or_path)
     path = Path(name_or_path)
     if path.exists():
-        return code_from_generator(parse_matrix_text(path.read_text()))
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read code file {name_or_path!r}: {exc.strerror}") from None
+        return code_from_generator(parse_matrix_text(text))
     raise ValueError(
         f"unknown code {name_or_path!r}: expected one of {list(NAMED_CODE_NAMES)}, "
         "'dual', or a path to a matrix file"

@@ -182,10 +182,10 @@ class CssCorrection:
 
     state: StateVector
     bit_syndrome: BitVector
-    phase_syndrome: Optional[BitVector]
-    x_correction: Optional[BitVector]
-    z_correction: Optional[BitVector]
-    status: str  # "ok" | "detected_uncorrectable"
+    phase_syndrome: Optional[BitVector] = None
+    x_correction: Optional[BitVector] = None
+    z_correction: Optional[BitVector] = None
+    status: str = "ok"  # "ok" | "detected_uncorrectable"
 
 
 def css_correct(
@@ -209,14 +209,7 @@ def css_correct(
     bit_syndrome, state = css_bit_syndrome(code, state, rng)
     shifted = bit_syndrome + mat_apply(code.h1, params.x, side="right")
     if shifted not in code.bit_table:
-        return CssCorrection(
-            state=state,
-            bit_syndrome=bit_syndrome,
-            phase_syndrome=None,
-            x_correction=None,
-            z_correction=None,
-            status="detected_uncorrectable",
-        )
+        return CssCorrection(state, bit_syndrome, status="detected_uncorrectable")
     e1 = code.bit_table[shifted]
     state = apply_pauli_string(state, pauli_row(e1, "X"))
 
@@ -224,24 +217,12 @@ def css_correct(
     shifted = phase_syndrome + mat_apply(code.h2, params.z, side="right")
     if shifted not in code.phase_table:
         return CssCorrection(
-            state=state,
-            bit_syndrome=bit_syndrome,
-            phase_syndrome=phase_syndrome,
-            x_correction=e1,
-            z_correction=None,
-            status="detected_uncorrectable",
+            state, bit_syndrome, phase_syndrome, e1, status="detected_uncorrectable"
         )
     e2 = code.phase_table[shifted]
     state = apply_pauli_string(state, pauli_row(e2, "Z"))
 
-    return CssCorrection(
-        state=state,
-        bit_syndrome=bit_syndrome,
-        phase_syndrome=phase_syndrome,
-        x_correction=e1,
-        z_correction=e2,
-        status="ok",
-    )
+    return CssCorrection(state, bit_syndrome, phase_syndrome, e1, e2)
 
 
 def css_identify(

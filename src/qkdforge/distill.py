@@ -43,8 +43,7 @@ def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
         raise ValueError(f"code length {code.n} does not match n={n}")
     size = 2**n
     amps = np.zeros(size * size, dtype=complex)
-    for j in range(size):
-        amps[j * size + j] = 1.0
+    amps[:: size + 1] = 1.0
     amps /= np.sqrt(size)
     return EprSession(n=n, joint=StateVector(n=2 * n, amps=amps), code=code)
 

@@ -10,7 +10,7 @@ measurement so seeded runs are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -66,11 +66,10 @@ def basis_state(bits: BitVector) -> StateVector:
 
 def _apply_single(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to one tensor factor (qubit is 1-based)."""
-    tensor = amps.reshape((2,) * n)
-    moved = np.moveaxis(tensor, qubit - 1, 0).reshape(2, -1)
-    out = matrix @ moved
-    out = np.moveaxis(out.reshape((2,) + (2,) * (n - 1)), 0, qubit - 1)
-    return out.reshape(-1)
+    high, low = 2 ** (qubit - 1), 2 ** (n - qubit)
+    pairs = amps.reshape(high, 2, low).transpose(1, 0, 2).reshape(2, -1)
+    out = matrix @ pairs
+    return out.reshape(2, high, low).transpose(1, 0, 2).reshape(-1)
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -103,25 +102,29 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     _check_qubit(state, target)
     if control == target:
         raise ValueError("control and target must differ")
-    tensor = state.amps.reshape((2,) * state.n).copy()
-    selector: list = [slice(None)] * state.n
-    selector[control - 1] = 1
-    sub_axis = target - 1 if target < control else target - 2
-    tensor[tuple(selector)] = np.flip(tensor[tuple(selector)], axis=sub_axis)
-    return StateVector(n=state.n, amps=tensor.reshape(-1))
+    source = np.arange(state.amps.size)
+    source ^= (source >> (state.n - control) & 1) << (state.n - target)
+    return StateVector(n=state.n, amps=state.amps[source])
+
+
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of I/X/Y/Z factors, e.g. PauliString("ZZII")."""
+    """Tensor product of I/X/Y/Z factors, e.g. PauliString("ZZII"), and
+    its (x, z) masks over basis indices: X, Y set x bits, Z, Y set z bits."""
 
     factors: str
+    x: int = field(init=False, repr=False, compare=False)
+    z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.factors) == 0:
-            raise ValueError("PauliString must have at least one factor")
-        if any(c not in "IXYZ" for c in self.factors):
-            raise ValueError(f"factors must be drawn from IXYZ: {self.factors!r}")
+        if not self.factors or self.factors.strip("IXYZ"):
+            raise ValueError(f"factors must be one or more of IXYZ: {self.factors!r}")
+        object.__setattr__(self, "x", int(self.factors.translate(_X_BITS), 2))
+        object.__setattr__(self, "z", int(self.factors.translate(_Z_BITS), 2))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -138,26 +141,38 @@ def pauli_row(
     Pauli on qubit offset + i + 1 where bit i is 1, identity elsewhere."""
     if kind not in ("Z", "X"):
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    factors = "".join(kind if b else "I" for b in row)
+    if not isinstance(row, BitVector):
+        row = BitVector.from_ints(row)
     if n is None:
-        n = offset + len(factors)
-    if offset < 0 or offset + len(factors) > n:
-        raise ValueError(f"a row of {len(factors)} at offset {offset} does not fit {n} qubits")
-    return PauliString("I" * offset + factors + "I" * (n - offset - len(factors)))
+        n = offset + row.n
+    if offset < 0 or offset + row.n > n:
+        raise ValueError(f"a row of {row.n} at offset {offset} does not fit {n} qubits")
+    mask = row.value << (n - offset - row.n)
+    return PauliString(format(mask, f"0{n}b").replace("0", "I").replace("1", kind))
+
+
+def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
+    """The amplitudes of pauli applied to state, as a raw array:
+    out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x], one gather and one sign.
+    Every nonzero amplitude is exact; the identity gives state.amps."""
+    if len(pauli) != state.n:
+        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
+    x, z = pauli.x, pauli.z
+    if not x | z:
+        return state.amps
+    source = np.arange(state.amps.size) ^ x
+    out = state.amps[source]
+    if z:
+        phase = (1, 1j, -1, -1j)[(x & z).bit_count() & 3]
+        out *= np.where(np.bitwise_count(source & z) & 1, -phase, phase)
+    return out
 
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
-    """Apply each non-identity factor; phases (including the i's from Y)
-    are tracked exactly. An all-identity string returns the state itself."""
-    if len(pauli) != state.n:
-        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
-    if not pauli.factors.strip("I"):
-        return state
-    amps = state.amps
-    for position, factor in enumerate(pauli.factors, start=1):
-        if factor != "I":
-            amps = _apply_single(amps, state.n, position, GATES[factor])
-    return StateVector(n=state.n, amps=amps)
+    """Apply a Pauli string with its phases (including the i's from Y)
+    tracked exactly. An all-identity string returns the state itself."""
+    amps = _pauli_amps(state, pauli)
+    return state if amps is state.amps else StateVector(n=state.n, amps=amps)
 
 
 def hadamard_all(state: StateVector) -> StateVector:
@@ -210,19 +225,19 @@ class MeasurementRecord:
 
 
 def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> int:
-    """One uniform draw, mapped through the cumulative distribution."""
+    """One uniform draw r, mapped through the cumulative distribution: the
+    first outcome whose running total, summed in order, exceeds r."""
     r = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probabilities):
-        acc += p
-        if r < acc:
-            return i
+    probabilities = np.asarray(probabilities, dtype=float)
+    outcome = int(np.searchsorted(np.add.accumulate(probabilities), r, side="right"))
+    if outcome < probabilities.size:
+        return outcome
     # Float round-off left the total slightly below 1: fall back to the
     # last outcome that has any probability mass.
-    for i in range(len(probabilities) - 1, -1, -1):
-        if probabilities[i] > 0.0:
-            return i
-    raise ValueError("all outcome probabilities are zero")
+    nonzero = np.flatnonzero(probabilities > 0.0)
+    if nonzero.size == 0:
+        raise ValueError("all outcome probabilities are zero")
+    return int(nonzero[-1])
 
 
 def measure_projective(
@@ -273,16 +288,16 @@ def measure_pauli_observable(
 
     Returns the sampled eigenvalue and the collapsed state.
     """
-    applied = apply_pauli_string(state, pauli)
-    expectation = float(np.real(np.vdot(state.amps, applied.amps)))
+    applied = _pauli_amps(state, pauli)
+    expectation = float(np.real(np.vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     r = rng.random()
     if r < p_plus:
         eigenvalue = +1
-        collapsed = state.amps + applied.amps
+        collapsed = state.amps + applied
     else:
         eigenvalue = -1
-        collapsed = state.amps - applied.amps
+        collapsed = state.amps - applied
     collapsed = collapsed / np.linalg.norm(collapsed)
     return eigenvalue, StateVector(n=state.n, amps=collapsed)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,22 @@ class TestBoundaries:
     ])
     def test_bit_string_length(self, capsys, argv, message):
         assert_domain_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("action", ["info", "table"])
+    def test_directory_as_code_file(self, capsys, tmp_path, action):
+        assert_domain_error(capsys, ["codes", action, str(tmp_path)], "cannot read code file")
+
+    def test_unreadable_code_file(self, capsys, tmp_path, monkeypatch):
+        # Permission bits do not stop a superuser, so the read itself fails.
+        matrix = tmp_path / "gen.txt"
+        matrix.write_text("111\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        argv = ["bb84", "run", "--mode", "shor-preskill", "--c1", str(matrix)]
+        assert_domain_error(capsys, argv, "Permission denied")
 
     @pytest.mark.parametrize("runs", ["-1", "0"])
     def test_sweep_runs_must_be_positive(self, capsys, runs):

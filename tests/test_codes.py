@@ -359,6 +359,19 @@ class TestDecode:
                     result = decode(code, table, c + e)
                     assert result.word == c and result.status == "ok"
 
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(generators(), st.data())
+    def test_every_error_within_capacity_decodes(self, g, data):
+        assume(rank(g) == g.num_rows)
+        code = code_from_generator(g)
+        table = build_syndrome_table(code, code.corrects)
+        sent = code.encode(BitVector(data.draw(st.integers(0, 2**code.k - 1)), code.k))
+        for weight in range(code.corrects + 1):
+            for positions in itertools.combinations(range(code.n), weight):
+                error = BitVector(sum(1 << (code.n - 1 - i) for i in positions), code.n)
+                result = decode(code, table, sent + error)
+                assert result.word == sent and result.status == "ok"
+
     def test_round_trip_random_codes(self):
         rng = np.random.default_rng(13)
         tried = 0

@@ -1,11 +1,14 @@
 """Dense-matrix oracles for the simulator and the BB84 transport.
 
-Every structured operation (axis-based gate application, the flip-based
-CNOT, Pauli strings, the fast Hadamard transform, observable measurement)
-is checked here against explicit operator matrices built with kron
-products, on random states. The closed-form batched BB84 transport is
-checked against the per-qubit state-vector transport it replaced, draw
-for draw. Slow and memory-hungry by design; sizes stay small.
+Every structured operation (reshaped gate application, the index-gather
+CNOT, mask-based Pauli strings, the fast Hadamard transform, observable
+measurement) is checked here against explicit operator matrices built
+with kron products, on random states. The simulator's kernels are also
+checked exactly against the slower forms they replaced (the axis-moving
+gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
+running-sum outcome draw), and the closed-form batched BB84 transport
+against the per-qubit state-vector transport, draw for draw. Slow and
+memory-hungry by design; sizes stay small.
 """
 
 import itertools
@@ -26,13 +29,14 @@ from qkdforge.bb84 import (
 from qkdforge.codes import named_code
 from qkdforge.css import css_build, css_codeword, pauli_row
 from qkdforge.gf2 import BitVector
-from qkdforge.qec3 import shor_correct, shor_encode
+from qkdforge.qec3 import random_error, rotation_error, shor_correct, shor_encode
 from qkdforge.qsim import (
     GATES,
     PauliString,
     StateVector,
     apply_cnot,
     apply_gate,
+    apply_matrix,
     apply_pauli_string,
     basis_state,
     fidelity,
@@ -408,3 +412,141 @@ class TestTransportOracle:
             single = CountingRng(3)
             transmit_qubit(1, BASIS_X, channel, EVES[eve], single)
             assert single.uniforms == k
+
+
+# --- Exact oracles for the simulator kernels ---------------------------------
+
+
+def moveaxis_apply_single(amps, n, qubit, matrix):
+    """The axis-moving single-qubit kernel that the reshaped one replaced."""
+    tensor = amps.reshape((2,) * n)
+    moved = np.moveaxis(tensor, qubit - 1, 0).reshape(2, -1)
+    out = matrix @ moved
+    out = np.moveaxis(out.reshape((2,) + (2,) * (n - 1)), 0, qubit - 1)
+    return out.reshape(-1)
+
+
+def flip_cnot(amps, n, control, target):
+    """The axis-flipping CNOT that the index gather replaced."""
+    tensor = amps.reshape((2,) * n).copy()
+    selector = [slice(None)] * n
+    selector[control - 1] = 1
+    sub_axis = target - 1 if target < control else target - 2
+    tensor[tuple(selector)] = np.flip(tensor[tuple(selector)], axis=sub_axis)
+    return tensor.reshape(-1)
+
+
+def gate_loop_pauli(amps, n, factors):
+    """The per-factor Pauli string that the (x, z) mask form replaced."""
+    for position, factor in enumerate(factors, start=1):
+        if factor != "I":
+            amps = moveaxis_apply_single(amps, n, position, GATES[factor])
+    return amps
+
+
+def loop_draw_outcome(rng, probabilities):
+    """The running-sum loop that the cumulative search replaced."""
+    r = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probabilities):
+        acc += p
+        if r < acc:
+            return i
+    for i in range(len(probabilities) - 1, -1, -1):
+        if probabilities[i] > 0.0:
+            return i
+    raise ValueError("all outcome probabilities are zero")
+
+
+KERNEL_SIZES = (1, 2, 3, 7, 9, 14)
+
+
+def kernel_states(rng, n):
+    """A dense random state and a sparse one, whose exact zeros and
+    one-hot amplitudes reach the kernels' zero and unit products."""
+    sparse = basis_state(BitVector(int(rng.integers(0, 2**n)), n))
+    return random_state(rng, n), apply_gate(sparse, "H", 1)
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_gates_match_moveaxis_kernel_byte_for_byte(self, n):
+        rng = np.random.default_rng(100 + n)
+        unitaries = [rotation_error(0.3, 1).matrix(), random_error(rng, 1).matrix()]
+        for psi in kernel_states(rng, n):
+            for qubit in range(1, n + 1):
+                for gate in ("X", "Y", "Z", "H"):
+                    want = moveaxis_apply_single(psi.amps, n, qubit, GATES[gate])
+                    assert apply_gate(psi, gate, qubit).amps.tobytes() == want.tobytes()
+                for matrix in unitaries:
+                    want = moveaxis_apply_single(psi.amps, n, qubit, matrix)
+                    assert apply_matrix(psi, matrix, qubit).amps.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES[1:])
+    def test_cnot_matches_axis_flip_byte_for_byte(self, n):
+        rng = np.random.default_rng(150 + n)
+        for psi in kernel_states(rng, n):
+            for control, target in itertools.permutations(range(1, n + 1), 2):
+                want = flip_cnot(psi.amps, n, control, target)
+                assert apply_cnot(psi, control, target).amps.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_pauli_strings_match_gate_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        strings = ["Y" * n, "X" * n, "Z" * n, ("XYZI" * n)[:n], ("IZYX" * n)[:n]]
+        strings += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(10)]
+        for psi in kernel_states(rng, n):
+            for factors in strings:
+                want = gate_loop_pauli(psi.amps, n, factors)
+                got = apply_pauli_string(psi, PauliString(factors)).amps
+                assert np.array_equal(got, want), factors
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_observable_measurement_matches_gate_loop(self, n):
+        # The old measurement: expectation and collapse from the gate-loop
+        # product, one uniform, the same branch rule.
+        rng = np.random.default_rng(300 + n)
+        psi = random_state(rng, n)
+        for _ in range(8):
+            factors = "".join(rng.choice(list("IXYZ"), size=n))
+            applied = gate_loop_pauli(psi.amps, n, factors)
+            r = float(rng.random())
+            p_plus = min(max((1.0 + float(np.real(np.vdot(psi.amps, applied)))) / 2.0, 0.0), 1.0)
+            sign = 1 if r < p_plus else -1
+            want = psi.amps + sign * applied
+            want = want / np.linalg.norm(want)
+            value, collapsed = measure_pauli_observable(psi, PauliString(factors), ScriptedRng([r]))
+            assert value == sign
+            assert np.array_equal(collapsed.amps, want)
+
+    def test_draw_outcome_matches_loop_on_scripted_draws(self):
+        rng = np.random.default_rng(400)
+        rows = [np.abs(random_state(rng, n).amps) ** 2 for n in (1, 2, 3, 7, 9)]
+        rows += [np.abs(kernel_states(rng, 5)[1].amps) ** 2]
+        rows += [
+            np.array(p) for p in (
+                [1.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.0, 0.75, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0], [0.3, 0.3, 0.3999999999, 0.0], [0.1] * 9 + [0.0] * 3,
+            )
+        ]
+        rows += list(_ROWS)
+        fallbacks = 0
+        for row in rows:
+            acc = np.add.accumulate(row)
+            total = float(acc[-1])
+            draws = {0.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(total, 0.0))}
+            draws |= {float(a) for a in acc} | {float(np.nextafter(a, 0.0)) for a in acc}
+            draws |= {float(u) for u in rng.random(20)}
+            for r in sorted(d for d in draws if 0.0 <= d < 1.0):
+                want = loop_draw_outcome(ScriptedRng([r]), list(row))
+                assert _draw_outcome(ScriptedRng([r]), row) == want, (row, r)
+                assert _draw_outcome(ScriptedRng([r]), list(row)) == want, (row, r)
+                fallbacks += r >= total
+        assert fallbacks > 0  # some draws land past a round-off-short total
+
+    def test_draw_outcome_without_mass_raises(self):
+        for row in ([0.0], [0.0, 0.0, 0.0], []):
+            with pytest.raises(ValueError):
+                loop_draw_outcome(ScriptedRng([0.5]), row)
+            with pytest.raises(ValueError):
+                _draw_outcome(ScriptedRng([0.5]), row)

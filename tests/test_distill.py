@@ -60,6 +60,15 @@ class TestCreateEpr:
             [a for a in session.joint.amps if abs(a) > 1e-12], 0.5
         )
 
+    def test_amplitudes_match_the_diagonal_loop_byte_for_byte(self):
+        for n in range(1, 9):
+            size = 2**n
+            amps = np.zeros(size * size, dtype=complex)
+            for j in range(size):
+                amps[j * size + j] = 1.0
+            amps /= np.sqrt(size)
+            assert create_epr(n).joint.amps.tobytes() == amps.tobytes()
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             create_epr(9)
