@@ -11,6 +11,7 @@ stderr. Exit codes: 0 success, 1 domain error or failed verification,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,7 +54,8 @@ from .qsim import apply_gate, apply_pauli_string, fidelity, pauli_row
 from .verify import report_json, run_all_checks
 
 ENV_SEED = "QKDFORGE_SEED"
-# The css actions that draw randomness; only they read --seed or $QKDFORGE_SEED.
+# Every command with a --seed draws randomness, except the css actions
+# outside this tuple; only commands that draw read $QKDFORGE_SEED.
 CSS_SEEDED_ACTIONS = ("inject", "correct")
 
 
@@ -180,9 +182,7 @@ def _cmd_qec(args: argparse.Namespace) -> int:
 
 def _build_css(args: argparse.Namespace):
     c1 = _resolve_code(args.c1)
-    c2 = _resolve_code(args.c2, relative_to=c1)
-    t = args.t if args.t is not None else min(c1.corrects, c2.dual().corrects)
-    return css_build(c1, c2, t)
+    return css_build(c1, _resolve_code(args.c2, relative_to=c1), args.t)
 
 
 def _bits(text: Optional[str], n: int, name: str) -> BitVector:
@@ -276,7 +276,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
 def _cmd_distill(args: argparse.Namespace) -> int:
     started = time.time()
     c1 = _resolve_code(args.code)
-    code = css_build(c1, c1.dual(), c1.corrects)
+    code = css_build(c1, c1.dual())
     e1, e2 = _bits(args.e1, code.n, "error vectors"), _bits(args.e2, code.n, "error vectors")
     session = inject_bob_errors(create_epr(code.n, code), e1, e2)
     rng = np.random.default_rng(args.seed)
@@ -301,7 +301,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _session_config(args: argparse.Namespace, seed: int) -> SessionConfig:
+def _session_config(args: argparse.Namespace) -> SessionConfig:
     mode = "shor_preskill" if args.mode == "shor-preskill" else "standard"
     eve_kind = "intercept_resend" if args.eve == "intercept" else "none"
     codes = None
@@ -313,7 +313,7 @@ def _session_config(args: argparse.Namespace, seed: int) -> SessionConfig:
         n=args.n,
         delta=args.delta,
         t_abort=args.t_abort,
-        seed=seed,
+        seed=args.seed,
         mode=mode,
         channel=ChannelModel(px=args.px, pz=args.pz),
         eve=EveStrategy(kind=eve_kind, basis_policy=args.eve_basis),
@@ -335,17 +335,18 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
         "c1": args.c1,
         "c2": args.c2,
     }
+    if args.action == "run" and args.format == "csv":
+        print("error: csv output applies to 'bb84 sweep' only", file=sys.stderr)
+        return 2
+    config = _session_config(args)
     if args.action == "run":
-        if args.format == "csv":
-            print("error: csv output applies to 'bb84 sweep' only", file=sys.stderr)
-            return 2
-        transcript = run_session(_session_config(args, args.seed))
+        transcript = run_session(config)
         _emit("bb84 run", config_echo, args.seed, transcript.to_dict(), started)
         return 0
     # sweep
     rows = ["seed,qber,sifted_len,aborted,key,keys_match"]
     for seed in range(args.seed, args.seed + args.runs):
-        transcript = run_session(_session_config(args, seed))
+        transcript = run_session(dataclasses.replace(config, seed=seed))
         qber = (
             f"{transcript.mismatches / len(transcript.check_idx):.6f}"
             if transcript.check_idx
@@ -382,11 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear codes, CSS quantum codes, and BB84 key distribution",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # argparse converts a string default only when a subcommand that takes
-    # --seed runs without it, so a bad variable fails just those, as usage.
-    # css defaults to None instead: main reads the variable only for the
-    # CSS_SEEDED_ACTIONS.
-    seed = {"type": _seed, "default": os.environ.get(ENV_SEED, "0")}
 
     p_codes = sub.add_parser("codes", help="classical code tables")
     p_codes.add_argument("action", choices=["info", "table"])
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qec.add_argument("--code", choices=["bitflip", "phaseflip", "shor"], default="bitflip")
     p_qec.add_argument("--qubit", type=int, default=0, help="0 injects no error")
     p_qec.add_argument("--error", choices=["none", "X", "Z", "XZ", "random"], default="X")
-    p_qec.add_argument("--seed", **seed)
+    p_qec.add_argument("--seed", type=_seed)
     p_qec.set_defaults(func=_cmd_qec)
 
     p_css = sub.add_parser("css", help="CSS code operations")
@@ -414,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_css.add_argument("--e2", default=None, help="phase-flip pattern")
     p_css.add_argument("--x-set", default=None, help="default: one shift per coset of C1")
     p_css.add_argument("--z-set", default=None, help="default: one pattern per coset of C2-dual")
-    p_css.add_argument("--seed", type=_seed, default=None)
+    p_css.add_argument("--seed", type=_seed)
     p_css.set_defaults(func=_cmd_css)
 
     p_distill = sub.add_parser("distill", help="entanglement distillation")
     p_distill.add_argument("--code", default="hamming74", help="C1; C2 is its dual")
     p_distill.add_argument("--e1", default=None)
     p_distill.add_argument("--e2", default=None)
-    p_distill.add_argument("--seed", **seed)
+    p_distill.add_argument("--seed", type=_seed)
     p_distill.set_defaults(func=_cmd_distill)
 
     p_bb84 = sub.add_parser("bb84", help="protocol sessions")
@@ -440,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bb84.add_argument("--pz", type=float, default=0.0)
     p_bb84.add_argument("--c1", default="hamming74")
     p_bb84.add_argument("--c2", default="dual")
-    p_bb84.add_argument("--seed", **seed)
+    p_bb84.add_argument("--seed", type=_seed)
     p_bb84.add_argument("--runs", type=_positive_int, default=10, help="sweep size")
     p_bb84.add_argument("--format", choices=["json", "csv"], default="json")
     p_bb84.set_defaults(func=_cmd_bb84)
@@ -455,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "css" and args.action in CSS_SEEDED_ACTIONS and args.seed is None:
+    draws = args.action in CSS_SEEDED_ACTIONS if args.subcommand == "css" else "seed" in args
+    if draws and args.seed is None:
         try:
             args.seed = _seed(os.environ.get(ENV_SEED, "0"))
         except argparse.ArgumentTypeError as exc:

@@ -31,7 +31,7 @@ from .gf2 import (
 ENUMERATION_LIMIT = 24
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LinearCode:
     """An [n, k] linear code with generator G (k x n) and check matrix H
     ((n-k) x n) satisfying H.G^T = 0."""
@@ -125,16 +125,17 @@ class LinearCode:
 def code_from_generator(G: BitMatrix) -> LinearCode:
     """Build a code from a generator matrix with independent rows.
 
-    The check matrix is derived deterministically as the nullspace basis
-    of G, and H.G^T = 0 is verified.
+    One elimination gives both the rank and the check matrix, the
+    nullspace basis of G. That basis has one vector per free column, so
+    its rows are independent and H.G^T = 0 holds by construction.
     """
     k, n = G.num_rows, G.num_cols
-    if rank(G) != k:
+    basis = nullspace_basis(G)
+    if n - len(basis) != k:
         raise ValueError("generator rows are linearly dependent")
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
-    H = BitMatrix(tuple(nullspace_basis(G)))
-    return code_from_parts(G, H)
+    return LinearCode(n=n, k=k, G=G, H=BitMatrix(tuple(basis)))
 
 
 def code_from_parts(G: BitMatrix, H: BitMatrix) -> LinearCode:

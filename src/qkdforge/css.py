@@ -78,16 +78,18 @@ class CssCode:
         return f"CssCode[n={self.n}, k={self.k}, t={self.t}]"
 
 
-def css_build(c1: LinearCode, c2: LinearCode, t: int) -> CssCode:
+def css_build(c1: LinearCode, c2: LinearCode, t: Optional[int] = None) -> CssCode:
     """Validate the nesting and capacities, then assemble the code.
 
     Requires C2 to be a proper subcode of C1 and both C1 and the dual of
-    C2 to correct t errors.
+    C2 to correct t errors. t defaults to the largest such value.
     """
     check_nested(c1, c2)
+    c2_dual = c2.dual()
+    if t is None:
+        t = min(c1.corrects, c2_dual.corrects)
     if t > c1.corrects:
         raise ValueError(f"C1 corrects only {c1.corrects} errors, requested t={t}")
-    c2_dual = c2.dual()
     if t > c2_dual.corrects:
         raise ValueError(
             f"the dual of C2 corrects only {c2_dual.corrects} errors, requested t={t}"

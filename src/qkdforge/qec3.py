@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import BitVector
 from .qsim import (
     GATES,
-    PauliString,
     StateVector,
     apply_cnot,
     apply_gate,
@@ -100,6 +100,22 @@ def bitflip_decode(state: StateVector) -> StateVector:
 _PAIR_OUTCOME = {(+1, +1): 0, (-1, +1): 1, (-1, -1): 2, (+1, -1): 3}
 
 
+def _repetition_round(
+    state: StateVector, rng: np.random.Generator, kind: str, n: int, width: int = 1, offset: int = 0
+) -> tuple[int, StateVector]:
+    """One round of the 3-block repetition code on qubits offset + 1..:
+    measure the kind-string over blocks 1-2, then over blocks 2-3, each
+    block width qubits wide, and apply the other Pauli to the first qubit
+    of the flagged block. Returns the block (0 = none) and the state."""
+    row = BitVector((1 << 2 * width) - 1, 2 * width)
+    g1, state = measure_pauli_observable(state, pauli_row(row, kind, n, offset), rng)
+    g2, state = measure_pauli_observable(state, pauli_row(row, kind, n, offset + width), rng)
+    block = _PAIR_OUTCOME[(g1, g2)]
+    if block:
+        state = apply_gate(state, "X" if kind == "Z" else "Z", offset + (block - 1) * width + 1)
+    return block, state
+
+
 def bitflip_syndrome_and_correct(
     state: StateVector, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
@@ -108,12 +124,7 @@ def bitflip_syndrome_and_correct(
     Outcome 0 means no error; 1..3 name the corrected qubit. The encoded
     amplitudes are untouched.
     """
-    g1, state = measure_pauli_observable(state, PauliString("ZZI"), rng)
-    g2, state = measure_pauli_observable(state, PauliString("IZZ"), rng)
-    outcome = _PAIR_OUTCOME[(g1, g2)]
-    if outcome:
-        state = apply_gate(state, "X", outcome)
-    return outcome, state
+    return _repetition_round(state, rng, "Z", 3)
 
 
 def phaseflip_encode(a: complex, b: complex) -> StateVector:
@@ -126,12 +137,7 @@ def phaseflip_syndrome_and_correct(
 ) -> tuple[int, StateVector]:
     """Measure X1X2 then X2X3 (the Hadamard conjugates of the bit-flip
     observables), identify the flipped qubit, apply Z."""
-    g1, state = measure_pauli_observable(state, PauliString("XXI"), rng)
-    g2, state = measure_pauli_observable(state, PauliString("IXX"), rng)
-    outcome = _PAIR_OUTCOME[(g1, g2)]
-    if outcome:
-        state = apply_gate(state, "Z", outcome)
-    return outcome, state
+    return _repetition_round(state, rng, "X", 3)
 
 
 def shor_encode(a: complex, b: complex) -> StateVector:
@@ -146,9 +152,6 @@ def shor_encode(a: complex, b: complex) -> StateVector:
     zero_logical = np.kron(np.kron(plus, plus), plus)
     one_logical = np.kron(np.kron(minus, minus), minus)
     return StateVector(n=9, amps=a * zero_logical + b * one_logical)
-
-
-_BLOCKS = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
 
 
 @dataclass(frozen=True)
@@ -171,19 +174,9 @@ def shor_correct(
     state matches the uncorrupted codeword up to global phase.
     """
     flipped = []
-    for q1, q2, q3 in _BLOCKS:
-        g1, state = measure_pauli_observable(state, pauli_row((1, 1), "Z", 9, q1 - 1), rng)
-        g2, state = measure_pauli_observable(state, pauli_row((1, 1), "Z", 9, q2 - 1), rng)
-        within = _PAIR_OUTCOME[(g1, g2)]
+    for offset in (0, 3, 6):
+        within, state = _repetition_round(state, rng, "Z", 9, offset=offset)
         if within:
-            qubit = (q1, q2, q3)[within - 1]
-            state = apply_gate(state, "X", qubit)
-            flipped.append(qubit)
-
-    s12, state = measure_pauli_observable(state, pauli_row((1,) * 6, "X", 9, 0), rng)
-    s23, state = measure_pauli_observable(state, pauli_row((1,) * 6, "X", 9, 3), rng)
-    phase_block = _PAIR_OUTCOME[(s12, s23)]
-    if phase_block:
-        state = apply_gate(state, "Z", _BLOCKS[phase_block - 1][0])
-
+            flipped.append(offset + within)
+    phase_block, state = _repetition_round(state, rng, "X", 9, width=3)
     return ShorSyndrome(flipped_qubits=tuple(flipped), phase_block=phase_block), state

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdforge.cli import build_parser, main
+from qkdforge.cli import main
 from qkdforge.codes import code_from_parts, named_code
 from qkdforge.gf2 import BitMatrix
 from qkdforge.verify import report_json, run_all_checks
@@ -94,6 +94,30 @@ class TestDispatch:
         _, again, _ = run_cli(capsys, argv)
         assert out == again
 
+    def test_bb84_sweep_reads_the_code_file_once(self, capsys, tmp_path, monkeypatch):
+        matrix = tmp_path / "gen.txt"
+        matrix.write_text("\n".join(str(r) for r in named_code("hamming74").G.rows) + "\n")
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        common = ["--mode", "shor-preskill", "--c1", str(matrix), "--px", "0.05"]
+        code, out, _ = run_cli(capsys, ["bb84", "sweep", *common, "--seed", "3", "--runs", "4"])
+        assert code == 0 and reads == [matrix]
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4
+        for seed, row in zip(range(3, 7), rows):
+            _, report, _ = run_cli(capsys, ["bb84", "run", *common, "--seed", str(seed)])
+            t = json.loads(report)["output"]
+            qber = f"{t['mismatches'] / len(t['checkIdx']):.6f}" if t["checkIdx"] else ""
+            match = "" if t["keysMatch"] is None else str(t["keysMatch"]).lower()
+            aborted = str(t["aborted"]).lower()
+            assert row == f"{seed},{qber},{len(t['sifted'])},{aborted},{t['key'] or ''},{match}"
+
     def test_qec_demo(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -177,9 +201,8 @@ class TestDispatch:
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("QKDFORGE_SEED", "123")
-        parser = build_parser()
-        args = parser.parse_args(["distill"])
-        assert args.seed == 123
+        code, out, _ = run_cli(capsys, ["distill"])
+        assert code == 0 and json.loads(out)["seed"] == 123
 
 
 def assert_domain_error(capsys, argv, message):

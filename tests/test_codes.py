@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -144,8 +145,15 @@ class TestConstruction:
         assert words(rep3) == {"000", "111"}
 
     def test_dependent_rows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dependent"):
             code_from_generator(BitMatrix.from_strings(["1010", "0101", "1111"]))
+        # More rows than columns is reported as dependence, before k < n.
+        with pytest.raises(ValueError, match="dependent"):
+            code_from_generator(BitMatrix.from_strings(["110", "011", "101", "111"]))
+
+    def test_square_generator_rejected(self):
+        with pytest.raises(ValueError, match="need k < n"):
+            code_from_generator(BitMatrix.identity(3))
 
     def test_check_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -153,6 +161,22 @@ class TestConstruction:
                 BitMatrix.from_strings(["1001", "0101", "0011"]),
                 BitMatrix.from_strings(["1110"]),
             )
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(generators())
+    def test_derived_check_matrix(self, g):
+        """The H that code_from_generator derives is not re-validated at
+        run time; its invariants are checked here."""
+        assume(rank(g) == g.num_rows)
+        code = code_from_generator(g)
+        assert rank(code.H) == code.n - code.k
+        assert not any(h.dot(row) for h in code.H.rows for row in g.rows)
+        assert words(code.dual().dual()) == words(code)
+
+    def test_code_is_frozen(self, hamming):
+        with pytest.raises(FrozenInstanceError):
+            hamming.k = 3
+        assert hamming.weights == (3, 2, 1)
 
     def test_named_codes_pin_printed_check_matrices(self, hamming, rep3):
         assert [str(r) for r in hamming.H.rows] == ["1110100", "1101010", "0111001"]

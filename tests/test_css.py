@@ -24,6 +24,8 @@ from qkdforge.qsim import (
     overlap,
 )
 
+from test_codes import hamming15
+
 BV = BitVector.from_string
 
 
@@ -88,6 +90,16 @@ class TestBuild:
         parity = named_code("parity4")
         with pytest.raises(ValueError):
             css_build(parity, parity.dual(), 1)
+
+    @pytest.mark.parametrize("name, t", [("parity4", 0), ("hamming74", 1), ("h15", 1)])
+    def test_default_t_is_the_largest_both_correct(self, name, t):
+        c1 = hamming15() if name == "h15" else named_code(name)
+        c2 = c1.dual()
+        assert min(c1.corrects, c2.dual().corrects) == t
+        default, explicit = css_build(c1, c2), css_build(c1, c2, t)
+        assert default.t == explicit.t == t
+        assert default.bit_table.entries == explicit.bit_table.entries
+        assert default.phase_table.entries == explicit.phase_table.entries
 
 
 class TestCodewords:

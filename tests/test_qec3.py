@@ -203,6 +203,14 @@ class TestShorCode:
             assert fidelity(corrected, clean) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("correct", [
+    bitflip_syndrome_and_correct, phaseflip_syndrome_and_correct, shor_correct,
+])
+def test_wrong_size_state_rejected(correct):
+    with pytest.raises(ValueError, match="Pauli string length"):
+        correct(basis_state(BV("0000")), np.random.default_rng(0))
+
+
 class TestArbitraryError:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
