@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -75,10 +76,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=8)
+def _code_from_text(text: str) -> LinearCode:
+    return code_from_generator(parse_matrix_text(text))
+
+
 def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -> LinearCode:
     """A code argument is a built-in name, the word 'dual' (relative to
     the already-resolved partner code), or a path to a generator-matrix
-    text file."""
+    text file, read on every call; each code is built once per text."""
     if name_or_path == "dual":
         if relative_to is None:
             raise ValueError("'dual' needs a partner code to take the dual of")
@@ -91,7 +97,7 @@ def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -
             text = path.read_text()
         except OSError as exc:
             raise ValueError(f"cannot read code file {name_or_path!r}: {exc.strerror}") from None
-        return code_from_generator(parse_matrix_text(text))
+        return _code_from_text(text)
     raise ValueError(
         f"unknown code {name_or_path!r}: expected one of {list(NAMED_CODE_NAMES)}, "
         "'dual', or a path to a matrix file"
@@ -140,29 +146,26 @@ def _cmd_qec(args: argparse.Namespace) -> int:
     started = time.time()
     rng = np.random.default_rng(args.seed)
     a, b = 0.6, 0.8
-    if args.code == "bitflip":
-        clean = bitflip_encode(a, b)
-        state = apply_gate(clean, "X", args.qubit) if args.qubit else clean
-        outcome, corrected = bitflip_syndrome_and_correct(state, rng)
-        output = {"syndromeOutcome": outcome, "correction": f"X{outcome}" if outcome else None}
-    elif args.code == "phaseflip":
-        clean = phaseflip_encode(a, b)
-        state = apply_gate(clean, "Z", args.qubit) if args.qubit else clean
-        outcome, corrected = phaseflip_syndrome_and_correct(state, rng)
-        output = {"syndromeOutcome": outcome, "correction": f"Z{outcome}" if outcome else None}
+    if args.code != "shor":
+        gate, encode, correct = {
+            "bitflip": ("X", bitflip_encode, bitflip_syndrome_and_correct),
+            "phaseflip": ("Z", phaseflip_encode, phaseflip_syndrome_and_correct),
+        }[args.code]
+        clean = encode(a, b)
+        state = apply_gate(clean, gate, args.qubit) if args.qubit else clean
+        outcome, corrected = correct(state, rng)
+        correction = f"{gate}{outcome}" if outcome else None
+        output = {"syndromeOutcome": outcome, "correction": correction}
     else:  # shor
         clean = shor_encode(a, b)
         if args.error == "random":
             qubit = args.qubit if args.qubit else int(rng.integers(1, 10))
             state = apply_error(clean, random_error(rng, qubit))
-        elif args.error == "none" or not args.qubit:
+        else:  # "none" names neither gate
             state = clean
-        else:
-            state = clean
-            if "Z" in args.error:
-                state = apply_gate(state, "Z", args.qubit)
-            if "X" in args.error:
-                state = apply_gate(state, "X", args.qubit)
+            for gate in ("Z", "X") if args.qubit else ():
+                if gate in args.error:
+                    state = apply_gate(state, gate, args.qubit)
         syndrome, corrected = shor_correct(state, rng)
         output = {
             "syndromeOutcome": {
@@ -180,9 +183,9 @@ def _cmd_qec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_css(args: argparse.Namespace):
+def _code_pair(args: argparse.Namespace) -> tuple[LinearCode, LinearCode]:
     c1 = _resolve_code(args.c1)
-    return css_build(c1, _resolve_code(args.c2, relative_to=c1), args.t)
+    return c1, _resolve_code(args.c2, relative_to=c1)
 
 
 def _bits(text: Optional[str], n: int, name: str) -> BitVector:
@@ -205,7 +208,7 @@ def _coset_set(text: Optional[str], check: BitMatrix) -> list[BitVector]:
 
 def _cmd_css(args: argparse.Namespace) -> int:
     started = time.time()
-    code = _build_css(args)
+    code = css_build(*_code_pair(args), args.t)
     n = code.n
     config = {"c1": args.c1, "c2": args.c2, "t": code.t}
     if args.action == "build":
@@ -304,11 +307,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _session_config(args: argparse.Namespace) -> SessionConfig:
     mode = "shor_preskill" if args.mode == "shor-preskill" else "standard"
     eve_kind = "intercept_resend" if args.eve == "intercept" else "none"
-    codes = None
-    if mode == "shor_preskill":
-        c1 = _resolve_code(args.c1)
-        c2 = _resolve_code(args.c2, relative_to=c1)
-        codes = (c1, c2)
+    codes = _code_pair(args) if mode == "shor_preskill" else None
     return SessionConfig(
         n=args.n,
         delta=args.delta,
@@ -323,17 +322,8 @@ def _session_config(args: argparse.Namespace) -> SessionConfig:
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
     started = time.time()
-    config_echo = {
-        "mode": args.mode,
-        "n": args.n,
-        "delta": args.delta,
-        "tAbort": args.t_abort,
-        "eve": args.eve,
-        "eveBasis": args.eve_basis,
-        "px": args.px,
-        "pz": args.pz,
-        "c1": args.c1,
-        "c2": args.c2,
+    config_echo = {"tAbort": args.t_abort, "eveBasis": args.eve_basis} | {
+        key: getattr(args, key) for key in ("mode", "n", "delta", "eve", "px", "pz", "c1", "c2")
     }
     if args.action == "run" and args.format == "csv":
         print("error: csv output applies to 'bb84 sweep' only", file=sys.stderr)
@@ -377,7 +367,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: it reads nothing from the environment."""
     parser = argparse.ArgumentParser(
         prog="qkdforge",
         description="Linear codes, CSS quantum codes, and BB84 key distribution",

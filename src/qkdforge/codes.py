@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from functools import cache, cached_property, wraps
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -22,13 +23,25 @@ from .gf2 import (
     pack_rows,
     rank,
     rref,
-    solve_particular,
     unpack_vectors,
 )
 
 # Codeword enumeration is brute force over a packed 2^k-row array;
 # anything bigger than this is a usage error, not a job for this package.
 ENUMERATION_LIMIT = 24
+
+
+def _kept_on_first_argument(build):
+    """Memoize build(owner, *args), positional only, in the owner's __dict__."""
+
+    @wraps(build)
+    def cached(owner, *args):
+        memo = owner.__dict__.setdefault(f"_{build.__name__}", {})
+        if args not in memo:
+            memo[args] = build(owner, *args)
+        return memo[args]
+
+    return cached
 
 
 @dataclass(eq=False, frozen=True)
@@ -104,9 +117,10 @@ class LinearCode:
         shift = pack_rows(x.to_numpy()[np.newaxis])
         return frozenset(unpack_vectors(self._packed_codewords() ^ shift, self.n))
 
+    @_kept_on_first_argument
     def dual(self) -> "LinearCode":
         """The [n, n-k] code of all words orthogonal to every codeword;
-        generated by H."""
+        generated by H. Built once per code."""
         return code_from_generator(self.H)
 
     def char_sum(self, u: BitVector) -> int:
@@ -155,13 +169,13 @@ def code_from_parts(G: BitMatrix, H: BitMatrix) -> LinearCode:
     return LinearCode(n=n, k=k, G=G, H=H)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SyndromeTable:
-    """Injective map from syndrome to the unique error of weight <= t_max
-    producing it. Always contains zero syndrome -> zero error."""
+    """Injective, read-only map from syndrome to the unique error of weight
+    <= t_max producing it. Always contains zero syndrome -> zero error."""
 
     t_max: int
-    entries: dict[BitVector, BitVector]
+    entries: Mapping[BitVector, BitVector]
 
     def __contains__(self, syndrome: BitVector) -> bool:
         return syndrome in self.entries
@@ -173,8 +187,9 @@ class SyndromeTable:
         return len(self.entries)
 
 
+@_kept_on_first_argument
 def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
-    """Tabulate H.e^T for every error e of weight <= t_max.
+    """Tabulate H.e^T for every error e of weight <= t_max, once per H.
 
     Raises ValueError for a negative t_max, and if two distinct errors
     collide on a syndrome, which means the requested t_max exceeds what
@@ -194,7 +209,7 @@ def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
                     f"and {error}: t_max={t_max} exceeds the code's capacity"
                 )
             entries[syndrome] = error
-    return SyndromeTable(t_max=t_max, entries=entries)
+    return SyndromeTable(t_max=t_max, entries=MappingProxyType(entries))
 
 
 def build_syndrome_table(code: LinearCode, t_max: int) -> SyndromeTable:
@@ -230,7 +245,7 @@ def decode(code: LinearCode, table: SyndromeTable, received: BitVector) -> Decod
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CosetQuotient:
     """Cosets of C2 inside C1 (C2 a subcode of C1), with a deterministic
     set of k1 - k2 extension rows completing a basis of C2 to one of C1.
@@ -263,6 +278,18 @@ class CosetQuotient:
             for m in range(2**self.key_length)
         ]
 
+    @cached_property
+    def _reduced_basis(self) -> tuple[tuple[int, int], ...]:
+        """(pivot bit, row) pairs of the basis (C2 rows, then extension rows)
+        reduced, each row followed by k1 bits naming the basis rows it sums:
+        a codeword of C1 is the sum of the rows whose pivot bits it has."""
+        n, k1 = self.c1.n, self.c1.k
+        basis = enumerate(self.c2.G.rows + self.extension_rows)
+        reduced = rref(BitMatrix(tuple(
+            BitVector(row.value << k1 | 1 << (k1 - 1 - i), n + k1) for i, row in basis)))
+        pivots = (1 << (n + k1 - 1 - col) for col in reduced.pivot_cols)
+        return tuple(zip(pivots, (row.value for row in reduced.matrix.rows)))
+
 
 def check_nested(c1: LinearCode, c2: LinearCode) -> None:
     """Raise ValueError unless C2 is a proper subcode of C1, which every
@@ -276,8 +303,9 @@ def check_nested(c1: LinearCode, c2: LinearCode) -> None:
             raise ValueError("C2 is not contained in C1")
 
 
+@_kept_on_first_argument
 def quotient(c1: LinearCode, c2: LinearCode) -> CosetQuotient:
-    """Build the coset structure of C2 in C1.
+    """Build the coset structure of C2 in C1, once per pair.
 
     Extension rows are the C1 generator rows a greedy scan keeps: each
     row that is independent of the C2 basis and the rows kept before
@@ -300,18 +328,20 @@ def key_from_coset(q: CosetQuotient, u: BitVector) -> BitVector:
     """Key string for the coset u + C2.
 
     Expresses u in the basis (C2 basis rows, extension rows) and returns
-    the coefficients on the extension rows. Constant on each coset and
-    bijective across cosets.
+    the coefficients on the extension rows, unique as the rows are
+    independent. Constant on each coset and bijective across cosets.
     """
     if q.key_length == 0:
         raise ValueError("quotient has no extension rows (C2 = C1)")
     if not q.c1.contains(u):
         raise ValueError(f"{u} is not a codeword of C1")
-    basis = BitMatrix(tuple(q.c2.G.rows) + q.extension_rows)
-    coefficients = solve_particular(basis.transpose(), u)
-    if coefficients is None:
+    k1, shifted, total = q.c1.k, u.value << q.c1.k, 0
+    for pivot, row in q._reduced_basis:
+        if shifted & pivot:
+            total ^= row
+    if total >> k1 != u.value:
         raise AssertionError("codeword not expressible in the quotient basis")
-    return coefficients[q.c2.k :]
+    return BitVector(total & ((1 << q.key_length) - 1), q.key_length)
 
 
 # Built-in named codes. Generator and check matrices are pinned rather
@@ -332,8 +362,9 @@ _NAMED = {
 }
 
 
+@cache
 def named_code(name: str) -> LinearCode:
-    """Look up a built-in code: parity4, hamming74, or rep3."""
+    """Look up a built-in code, built once: parity4, hamming74, or rep3."""
     try:
         g_rows, h_rows = _NAMED[name]
     except KeyError:

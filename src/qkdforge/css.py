@@ -51,7 +51,7 @@ class CssParams:
         return cls(x=BitVector.zeros(n), z=BitVector.zeros(n))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CssCode:
     """A validated CSS code: the classical pair, the coset structure, the
     two check matrices used for syndrome measurement, and prebuilt

@@ -109,13 +109,8 @@ def run_distillation(
     computational measurement of all qubits yields both parties' strings;
     each key is the coset label of (measured string - x).
     """
-    code = session.code
-    if code is None:
-        raise ValueError("session has no CSS code attached")
-    n = session.n
-
     x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
-    joint = session.joint
+    code, n, joint = session.code, session.n, session.joint
 
     bob_sx, joint = measure_check_rows(code.h1, "Z", joint, rng, offset=n)
     bob_sz, joint = measure_check_rows(code.h2, "X", joint, rng, offset=n)

@@ -25,11 +25,15 @@ from .qsim import (
 )
 
 ATOL = 1e-9
+_IDENTITY = np.eye(2, dtype=complex)
+# np.allclose(gram, I, atol=ATOL) as one comparison: |gram - I| <= ATOL + 1e-5 |I|.
+_UNITARY_TOLERANCE = ATOL + 1e-5 * np.abs(_IDENTITY)
 
 
 @dataclass(frozen=True)
 class ArbitraryError:
-    """Single-qubit unitary t*I + u*X + v*Y + w*Z acting on one qubit."""
+    """Single-qubit unitary t*I + u*X + v*Y + w*Z acting on one qubit; its
+    read-only matrix is built and checked once, at construction."""
 
     t: complex
     u: complex
@@ -38,17 +42,14 @@ class ArbitraryError:
     qubit: int
 
     def __post_init__(self) -> None:
-        m = self.matrix()
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=ATOL):
+        m = self.t * _IDENTITY + self.u * GATES["X"] + self.v * GATES["Y"] + self.w * GATES["Z"]
+        if not (np.abs(m.conj().T @ m - _IDENTITY) <= _UNITARY_TOLERANCE).all():
             raise ValueError("coefficients do not form a unitary matrix")
+        m.setflags(write=False)
+        object.__setattr__(self, "_matrix", m)
 
     def matrix(self) -> np.ndarray:
-        return (
-            self.t * np.eye(2, dtype=complex)
-            + self.u * GATES["X"]
-            + self.v * GATES["Y"]
-            + self.w * GATES["Z"]
-        )
+        return self._matrix
 
 
 def rotation_error(theta: float, qubit: int) -> ArbitraryError:

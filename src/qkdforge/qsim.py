@@ -178,17 +178,14 @@ def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit, computed as the fast transform
     amps'[z] = 2^(-n/2) * sum_i (-1)^(i.z) amps[i]; self-inverse."""
-    amps = state.amps.astype(complex).copy()
-    size = amps.size
+    amps = state.amps.copy()
     h = 1
-    while h < size:
+    while h < amps.size:
         block = amps.reshape(-1, 2, h)
-        top = block[:, 0, :].copy()
-        bottom = block[:, 1, :].copy()
-        block[:, 0, :] = top + bottom
-        block[:, 1, :] = top - bottom
+        top, bottom = block[:, 0, :].copy(), block[:, 1, :].copy()
+        block[:, 0, :], block[:, 1, :] = top + bottom, top - bottom
         h *= 2
-    amps /= np.sqrt(size)
+    amps /= np.sqrt(amps.size)
     return StateVector(n=state.n, amps=amps)
 
 
@@ -270,8 +267,7 @@ def measure_projective(
 
     outcome = _draw_outcome(rng, probabilities)
     mask = np.zeros_like(work.amps, dtype=bool)
-    for i in index_sets[outcome]:
-        mask[i] = True
+    mask[list(index_sets[outcome])] = True
     collapsed = np.where(mask, work.amps, 0.0)
     collapsed = collapsed / np.linalg.norm(collapsed)
     new_state = StateVector(n=state.n, amps=collapsed)
@@ -291,13 +287,8 @@ def measure_pauli_observable(
     applied = _pauli_amps(state, pauli)
     expectation = float(np.real(np.vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-    r = rng.random()
-    if r < p_plus:
-        eigenvalue = +1
-        collapsed = state.amps + applied
-    else:
-        eigenvalue = -1
-        collapsed = state.amps - applied
+    eigenvalue = +1 if rng.random() < p_plus else -1
+    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
     collapsed = collapsed / np.linalg.norm(collapsed)
     return eigenvalue, StateVector(n=state.n, amps=collapsed)
 

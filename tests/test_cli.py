@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,63 @@ class TestBoundaries:
         monkeypatch.setenv("QKDFORGE_SEED", "9")
         code, out, _ = run_cli(capsys, ["css", action])
         assert code == 0 and json.loads(out)["seed"] == 9
+
+
+def without_elapsed(stdout):
+    """A report's stdout less elapsedMs, the one field that varies by run."""
+    return re.sub(r'"elapsedMs": [-+0-9.eE]+(, )?', "", stdout)
+
+
+class TestInProcessReuse:
+    """The parser, named codes and matrix-file codes are built once per
+    process; none of that may leak from one call into the next."""
+
+    def test_rewritten_matrix_file_is_read_again(self, capsys, tmp_path):
+        matrix = tmp_path / "gen.txt"
+        matrix.write_text("111\n")
+        _, first, _ = run_cli(capsys, ["codes", "info", str(matrix)])
+        matrix.write_text("1001\n0101\n0011\n")
+        code, second, _ = run_cli(capsys, ["codes", "info", str(matrix)])
+        assert code == 0
+        assert json.loads(first)["output"]["generator"] == ["111"]
+        output = json.loads(second)["output"]
+        assert (output["n"], output["k"], output["d"]) == (4, 3, 2)
+        assert output["generator"] == ["1001", "0101", "0011"]
+
+    def test_seed_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        reports = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("QKDFORGE_SEED", seed)
+            code, out, _ = run_cli(capsys, ["distill"])
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r["seed"] for r in reports] == [1, 2]
+        assert reports[0]["output"] != reports[1]["output"]
+
+    @pytest.mark.parametrize("bad", [
+        ["bb84", "run", "--n", "seven"],
+        ["bb84", "fly"],
+        ["css", "build", "--t", "one"],
+        ["bb84", "run", "--format", "xml"],
+    ])
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
+        argv = ["bb84", "run", "--mode", "shor-preskill", "--px", "0.05", "--seed", "4"]
+        code, first, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert_usage_error(capsys, bad, "usage:")
+        code, again, _ = run_cli(capsys, argv)
+        assert code == 0 and without_elapsed(again) == without_elapsed(first)
+
+    def test_cached_named_code_survives_a_corrupted_registry(self):
+        ham = named_code("hamming74")
+        scrambled = code_from_parts(ham.G, BitMatrix((ham.H.rows[1], ham.H.rows[0], ham.H.rows[2])))
+        failures = {r.name for r in run_all_checks({"hamming74": scrambled}) if not r.passed}
+        assert "hamming74 single-error syndrome table" in failures
+        again = named_code("hamming74")
+        assert again is ham
+        assert [str(r) for r in again.G.rows] == ["1000110", "0100111", "0010101", "0001011"]
+        assert [str(r) for r in again.H.rows] == ["1110100", "1101010", "0111001"]
+        assert all(r.passed for r in run_all_checks())
 
 
 class TestVerifyBattery:

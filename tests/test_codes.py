@@ -17,7 +17,7 @@ from qkdforge.codes import (
     quotient,
     syndrome_table_from_check,
 )
-from qkdforge.gf2 import BitMatrix, BitVector, rank
+from qkdforge.gf2 import BitMatrix, BitVector, rank, solve_particular
 
 BV = BitVector.from_string
 
@@ -343,6 +343,37 @@ class TestSyndromeTable:
         table = build_syndrome_table(hamming, 0)
         assert table[BitVector.zeros(3)] == BitVector.zeros(7)
 
+    def test_table_is_frozen_and_read_only(self, hamming):
+        table = build_syndrome_table(hamming, 1)
+        with pytest.raises(FrozenInstanceError):
+            table.t_max = 0
+        with pytest.raises(FrozenInstanceError):
+            table.entries = {}
+        with pytest.raises(TypeError):
+            table.entries[BV("110")] = BV("0100000")
+        assert table[BV("110")] == BV("1000000")
+
+
+class TestBuiltOnce:
+    def test_derived_objects_are_shared(self, hamming):
+        assert hamming.dual() is hamming.dual()
+        assert quotient(hamming, hamming.dual()) is quotient(hamming, hamming.dual())
+        assert build_syndrome_table(hamming, 1) is syndrome_table_from_check(hamming.H, 1)
+        assert syndrome_table_from_check(hamming.H, 0) is not build_syndrome_table(hamming, 1)
+        assert named_code("hamming74") is hamming
+
+    def test_equal_codes_keep_their_own_derived_objects(self, hamming):
+        twin = code_from_parts(hamming.G, hamming.H)
+        assert twin.dual() is not hamming.dual()
+        assert quotient(twin, twin.dual()) is not quotient(hamming, hamming.dual())
+
+    def test_failed_builds_are_not_kept(self, parity):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="collision"):
+                syndrome_table_from_check(parity.H, 1)
+            with pytest.raises(ValueError, match="not a subcode"):
+                quotient(parity.dual(), parity)
+
 
 class TestDecode:
     def test_single_error_corrected(self, hamming):
@@ -557,6 +588,47 @@ class TestKeyFromCoset:
         q = quotient(parity, parity.dual())
         with pytest.raises(ValueError):
             key_from_coset(q, BV("0001"))
+
+    def test_quotient_is_frozen(self, hamming):
+        q = quotient(hamming, hamming.dual())
+        with pytest.raises(FrozenInstanceError):
+            q.extension_rows = ()
+        with pytest.raises(FrozenInstanceError):
+            q.c2 = hamming
+
+
+def key_by_solving(q, u):
+    """key_from_coset as first written: solve for u's coefficients in the
+    basis (C2 rows, extension rows) with a full elimination per call."""
+    basis = BitMatrix(q.c2.G.rows + q.extension_rows)
+    coefficients = solve_particular(basis.transpose(), u)
+    assert coefficients is not None
+    return coefficients[q.c2.k :]
+
+
+class TestKeyFromCosetOracle:
+    def test_every_coset_of_the_named_and_h15_pairs(self, parity, hamming):
+        for c1 in (parity, hamming, hamming15()):
+            q = quotient(c1, c1.dual())
+            for m in range(2**q.key_length):
+                key = BitVector(m, q.key_length)
+                for w in q.c2.codewords():
+                    u = q.representative(key) + w
+                    assert key_from_coset(q, u) == key_by_solving(q, u) == key
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(generators(), st.data())
+    def test_matches_solving_on_row_subsets(self, g, data):
+        """C2 is spanned by a proper subset of C1's generator rows, taken
+        in a drawn order; every C1 codeword gets the oracle's key."""
+        assume(g.num_rows >= 2 and rank(g) == g.num_rows)
+        c1 = code_from_generator(g)
+        picked = data.draw(st.lists(
+            st.integers(0, c1.k - 1), min_size=1, max_size=c1.k - 1, unique=True))
+        c2 = code_from_generator(BitMatrix(tuple(g.rows[i] for i in picked)))
+        q = quotient(c1, c2)
+        for u in c1.codewords():
+            assert key_from_coset(q, u) == key_by_solving(q, u)
 
 
 class TestCharSum:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,12 @@ class TestBuild:
         assert hamming_pair.h2.rows == hamming_pair.h1.rows
         assert len(hamming_pair.bit_table) == 8
         assert len(hamming_pair.phase_table) == 8
+
+    def test_code_is_frozen(self, hamming_pair):
+        with pytest.raises(FrozenInstanceError):
+            hamming_pair.t = 0
+        with pytest.raises(FrozenInstanceError):
+            hamming_pair.bit_table = hamming_pair.phase_table
 
     def test_equal_codes_rejected(self):
         ham = named_code("hamming74")

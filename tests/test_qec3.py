@@ -3,6 +3,7 @@ import pytest
 
 from qkdforge.gf2 import BitVector
 from qkdforge.qec3 import (
+    ATOL,
     ArbitraryError,
     apply_error,
     bitflip_decode,
@@ -222,6 +223,40 @@ class TestArbitraryError:
             [[0, 1], [1, 0]]
         )
         assert np.allclose(err.matrix(), expected)
+
+    @pytest.mark.parametrize("t, u, unitary", [
+        # The diagonal of m^H m may miss 1 by ATOL + 1e-5 |1|, numpy's
+        # default rtol on top of ATOL ...
+        (np.sqrt(1 + 1.0000e-5), 0.0, True),
+        (np.sqrt(1 + 1.0002e-5), 0.0, False),
+        # ... and the off-diagonal 2tu may miss 0 by ATOL alone.
+        (1.0, 0.4e-9, True),
+        (1.0, 0.6e-9, False),
+    ])
+    def test_unitarity_tolerance_boundary(self, t, u, unitary):
+        m = t * np.eye(2) + u * np.array([[0, 1], [1, 0]])
+        assert np.allclose(m.conj().T @ m, np.eye(2), atol=ATOL) == unitary
+        if unitary:
+            ArbitraryError(t=t, u=u, v=0.0, w=0.0, qubit=1)
+        else:
+            with pytest.raises(ValueError, match="unitary"):
+                ArbitraryError(t=t, u=u, v=0.0, w=0.0, qubit=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    @pytest.mark.parametrize("field", ["t", "u", "v", "w"])
+    def test_non_finite_rejected(self, bad, field):
+        coefficients = {"t": 1.0, "u": 0.0, "v": 0.0, "w": 0.0, field: bad}
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
+            ArbitraryError(**coefficients, qubit=1)
+
+    def test_matrix_built_once_and_read_only(self):
+        err = rotation_error(0.3, qubit=2)
+        assert err.matrix() is err.matrix()
+        assert not err.matrix().flags.writeable
+        state = apply_error(bitflip_encode(0.6, 0.8), err)
+        assert np.allclose(state.amps[[0b000, 0b010, 0b101, 0b111]],
+                           [0.6 * np.cos(0.3), 0.6j * np.sin(0.3),
+                            0.8j * np.sin(0.3), 0.8 * np.cos(0.3)])
 
     def test_random_errors_unitary(self):
         rng = np.random.default_rng(12)
