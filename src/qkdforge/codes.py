@@ -280,15 +280,9 @@ class CosetQuotient:
 
     @cached_property
     def _reduced_basis(self) -> tuple[tuple[int, int], ...]:
-        """(pivot bit, row) pairs of the basis (C2 rows, then extension rows)
-        reduced, each row followed by k1 bits naming the basis rows it sums:
-        a codeword of C1 is the sum of the rows whose pivot bits it has."""
-        n, k1 = self.c1.n, self.c1.k
-        basis = enumerate(self.c2.G.rows + self.extension_rows)
-        reduced = rref(BitMatrix(tuple(
-            BitVector(row.value << k1 | 1 << (k1 - 1 - i), n + k1) for i, row in basis)))
-        pivots = (1 << (n + k1 - 1 - col) for col in reduced.pivot_cols)
-        return tuple(zip(pivots, (row.value for row in reduced.matrix.rows)))
+        """The basis (C2 rows, then extension rows), reduced and tracked: a
+        codeword of C1 is the sum of the rows whose pivot columns it has."""
+        return BitMatrix(self.c2.G.rows + self.extension_rows).tracked_rref
 
 
 def check_nested(c1: LinearCode, c2: LinearCode) -> None:
@@ -335,9 +329,9 @@ def key_from_coset(q: CosetQuotient, u: BitVector) -> BitVector:
         raise ValueError("quotient has no extension rows (C2 = C1)")
     if not q.c1.contains(u):
         raise ValueError(f"{u} is not a codeword of C1")
-    k1, shifted, total = q.c1.k, u.value << q.c1.k, 0
-    for pivot, row in q._reduced_basis:
-        if shifted & pivot:
+    n, k1, total = q.c1.n, q.c1.k, 0
+    for col, row in q._reduced_basis:
+        if u.value >> (n - 1 - col) & 1:
             total ^= row
     if total >> k1 != u.value:
         raise AssertionError("codeword not expressible in the quotient basis")

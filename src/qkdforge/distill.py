@@ -43,9 +43,8 @@ def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
         raise ValueError(f"code length {code.n} does not match n={n}")
     size = 2**n
     amps = np.zeros(size * size, dtype=complex)
-    amps[:: size + 1] = 1.0
-    amps /= np.sqrt(size)
-    return EprSession(n=n, joint=StateVector(n=2 * n, amps=amps), code=code)
+    amps[:: size + 1] = 1.0 / np.sqrt(size)
+    return EprSession(n=n, joint=StateVector._adopt(2 * n, amps), code=code)
 
 
 def inject_bob_errors(session: EprSession, e1: BitVector, e2: BitVector) -> EprSession:

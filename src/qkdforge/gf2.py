@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -134,6 +135,16 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_strings("".join(col) for col in zip(*map(str, self.rows)))
+
+    @cached_property
+    def tracked_rref(self) -> tuple[tuple[int, int], ...]:
+        """(pivot column, row) pairs of [self | I] reduced, kept on the matrix:
+        each row ends in num_rows bits naming the rows of self it sums, and
+        a pivot past self's columns marks a sum of rows that is zero."""
+        m, n = self.num_rows, self.num_cols
+        rows = (BitVector(r.value << m | 1 << (m - 1 - i), n + m) for i, r in enumerate(self.rows))
+        reduced = rref(BitMatrix(tuple(rows)))
+        return tuple(zip(reduced.pivot_cols, (row.value for row in reduced.matrix.rows)))
 
     def to_numpy(self) -> np.ndarray:
         n, width = self.num_cols, -(-self.num_cols // 8)
@@ -272,22 +283,17 @@ def solve_particular(matrix: BitMatrix, target: BitVector) -> Optional[BitVector
     """Deterministic particular solution of M.x^T = s over GF(2).
 
     Free variables are fixed to 0, so the same (M, s) always yields the
-    same x. Returns None when the system is inconsistent.
+    same x. Returns None when the system is inconsistent. Read off the
+    matrix's tracked_rref, one elimination per matrix: x has the pivot
+    column of each reduced row over whose source rows s has odd parity.
     """
     if len(target) != matrix.num_rows:
-        raise ValueError(
-            f"target length must equal rows: {len(target)} vs {matrix.num_rows}"
-        )
-    n = matrix.num_cols
-    augmented = BitMatrix(
-        tuple(BitVector(row.value << 1 | bit, n + 1) for row, bit in zip(matrix.rows, target))
-    )
-    reduced = rref(augmented)
-    if n in reduced.pivot_cols:
-        return None
-    value = 0
-    for row, col in zip(reduced.matrix.rows, reduced.pivot_cols):
-        if row.value & 1:
+        raise ValueError(f"target length must equal rows: {len(target)} vs {matrix.num_rows}")
+    n, value = matrix.num_cols, 0
+    for col, row in matrix.tracked_rref:
+        if (row & target.value).bit_count() & 1:
+            if col >= n:
+                return None
             value |= 1 << (n - 1 - col)
     return BitVector(value, n)
 

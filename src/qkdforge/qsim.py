@@ -32,28 +32,41 @@ GATES: dict[str, np.ndarray] = {
 
 @dataclass(eq=False)
 class StateVector:
-    """Normalized complex amplitudes over n qubits."""
+    """Normalized complex amplitudes over n qubits, copied and read-only."""
 
     n: int
     amps: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, adopt: bool = False) -> None:
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = self.amps if adopt else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
-            raise ValueError(
-                f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}"
-            )
+            raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state is not normalized: |amps| = {norm}")
-        amps = amps.copy()
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        self.amps = amps
+
+    @classmethod
+    def _adopt(cls, n: int, amps: np.ndarray) -> "StateVector":
+        """StateVector(n, amps) without the copy, for a kernel's fresh array."""
+        state = cls.__new__(cls)
+        state.n, state.amps = n, amps
+        state.__post_init__(adopt=True)
+        return state
 
     def ket_label(self, index: int) -> str:
         return format(index, f"0{self.n}b")
+
+
+def _divide(amps: np.ndarray, divisor: float) -> np.ndarray:
+    """amps / divisor in place, as the float64 view times 1 / divisor: the
+    same bits on every nonzero component (README, Conventions)."""
+    floats = amps.view(np.float64)
+    floats *= 1.0 / divisor
+    return amps
 
 
 def basis_state(bits: BitVector) -> StateVector:
@@ -61,7 +74,7 @@ def basis_state(bits: BitVector) -> StateVector:
     n = len(bits)
     amps = np.zeros(2**n, dtype=complex)
     amps[bits.value] = 1.0
-    return StateVector(n=n, amps=amps)
+    return StateVector._adopt(n, amps)
 
 
 def _apply_single(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
@@ -84,7 +97,7 @@ def apply_gate(state: StateVector, gate: str, qubit: int) -> StateVector:
         matrix = GATES[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}") from None
-    return StateVector(n=state.n, amps=_apply_single(state.amps, state.n, qubit, matrix))
+    return StateVector._adopt(state.n, _apply_single(state.amps, state.n, qubit, matrix))
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray, qubit: int) -> StateVector:
@@ -93,7 +106,7 @@ def apply_matrix(state: StateVector, matrix: np.ndarray, qubit: int) -> StateVec
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValueError("single-qubit matrix must be 2x2")
-    return StateVector(n=state.n, amps=_apply_single(state.amps, state.n, qubit, matrix))
+    return StateVector._adopt(state.n, _apply_single(state.amps, state.n, qubit, matrix))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -104,7 +117,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
         raise ValueError("control and target must differ")
     source = np.arange(state.amps.size)
     source ^= (source >> (state.n - control) & 1) << (state.n - target)
-    return StateVector(n=state.n, amps=state.amps[source])
+    return StateVector._adopt(state.n, state.amps[source])
 
 
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -148,7 +161,10 @@ def pauli_row(
     if offset < 0 or offset + row.n > n:
         raise ValueError(f"a row of {row.n} at offset {offset} does not fit {n} qubits")
     mask = row.value << (n - offset - row.n)
-    return PauliString(format(mask, f"0{n}b").replace("0", "I").replace("1", kind))
+    factors = format(mask, f"0{n}b").replace("0", "I").replace("1", kind)
+    pauli = object.__new__(PauliString)  # the masks are the row: skip the parse
+    pauli.__dict__.update(factors=factors, x=mask * (kind == "X"), z=mask * (kind == "Z"))
+    return pauli
 
 
 def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
@@ -172,21 +188,17 @@ def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply a Pauli string with its phases (including the i's from Y)
     tracked exactly. An all-identity string returns the state itself."""
     amps = _pauli_amps(state, pauli)
-    return state if amps is state.amps else StateVector(n=state.n, amps=amps)
+    return state if amps is state.amps else StateVector._adopt(state.n, amps)
 
 
 def hadamard_all(state: StateVector) -> StateVector:
     """Hadamard on every qubit, computed as the fast transform
     amps'[z] = 2^(-n/2) * sum_i (-1)^(i.z) amps[i]; self-inverse."""
     amps = state.amps.copy()
-    h = 1
-    while h < amps.size:
-        block = amps.reshape(-1, 2, h)
-        top, bottom = block[:, 0, :].copy(), block[:, 1, :].copy()
-        block[:, 0, :], block[:, 1, :] = top + bottom, top - bottom
-        h *= 2
-    amps /= np.sqrt(amps.size)
-    return StateVector(n=state.n, amps=amps)
+    for i in range(state.n):
+        top, bottom = amps.reshape(-1, 2, 1 << i).swapaxes(0, 1)
+        top[...], bottom[...] = top + bottom, top - bottom
+    return StateVector._adopt(state.n, _divide(amps, np.sqrt(amps.size)))
 
 
 @dataclass(frozen=True)
@@ -269,8 +281,7 @@ def measure_projective(
     mask = np.zeros_like(work.amps, dtype=bool)
     mask[list(index_sets[outcome])] = True
     collapsed = np.where(mask, work.amps, 0.0)
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    new_state = StateVector(n=state.n, amps=collapsed)
+    new_state = StateVector._adopt(state.n, _divide(collapsed, np.linalg.norm(collapsed)))
     if basis == "hadamard":
         new_state = hadamard_all(new_state)
     record = MeasurementRecord(outcome=outcome, probability=probabilities[outcome])
@@ -288,9 +299,9 @@ def measure_pauli_observable(
     expectation = float(np.real(np.vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
-    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return eigenvalue, StateVector(n=state.n, amps=collapsed)
+    out = None if applied is state.amps else applied  # a fresh product: collapse in it
+    collapsed = (np.add if eigenvalue == 1 else np.subtract)(state.amps, applied, out=out)
+    return eigenvalue, StateVector._adopt(state.n, _divide(collapsed, np.linalg.norm(collapsed)))
 
 
 def measure_all_z(

@@ -17,7 +17,9 @@ from qkdforge.codes import (
     quotient,
     syndrome_table_from_check,
 )
-from qkdforge.gf2 import BitMatrix, BitVector, rank, solve_particular
+from qkdforge import gf2
+from qkdforge.css import css_build
+from qkdforge.gf2 import BitMatrix, BitVector, mat_apply, rank, rref, solve_particular
 
 BV = BitVector.from_string
 
@@ -595,6 +597,63 @@ class TestKeyFromCoset:
             q.extension_rows = ()
         with pytest.raises(FrozenInstanceError):
             q.c2 = hamming
+
+
+def augmented_solve(matrix, target):
+    """solve_particular as first written: one elimination of [M | s] per
+    call, with x read off the last column at the pivot columns."""
+    n = matrix.num_cols
+    augmented = BitMatrix(tuple(
+        BitVector(row.value << 1 | bit, n + 1) for row, bit in zip(matrix.rows, target)))
+    reduced = rref(augmented)
+    if n in reduced.pivot_cols:
+        return None
+    value = 0
+    for row, col in zip(reduced.matrix.rows, reduced.pivot_cols):
+        if row.value & 1:
+            value |= 1 << (n - 1 - col)
+    return BitVector(value, n)
+
+
+class TestSolveParticularOracle:
+    def test_every_syndrome_of_the_named_and_h15_check_matrices(self, parity, hamming):
+        for c1 in (parity, hamming, hamming15()):
+            code = css_build(c1, c1.dual())
+            for matrix in (code.h1, code.h2, c1.G, c1.dual().H):
+                m = matrix.num_rows
+                for s in range(2**m):
+                    target = BitVector(s, m)
+                    x = solve_particular(matrix, target)
+                    assert x == augmented_solve(matrix, target)
+                    assert mat_apply(matrix, x, side="right") == target
+
+    def test_dependent_rows_match_including_inconsistent_targets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            base = rng.integers(0, 2, size=(rows, cols))
+            mixed = np.vstack([base, (rng.integers(0, 2, size=(2, rows)) @ base) % 2])
+            matrix = BitMatrix.from_numpy(rng.permutation(mixed))
+            m = matrix.num_rows
+            for s in range(2**m):
+                target = BitVector(s, m)
+                assert solve_particular(matrix, target) == augmented_solve(matrix, target)
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        calls = []
+
+        def counting_rref(matrix):
+            calls.append(matrix)
+            return rref(matrix)
+
+        monkeypatch.setattr(gf2, "rref", counting_rref)
+        matrix = BitMatrix.from_strings(["1110100", "1101010", "0111001"])
+        for s in range(8):
+            solve_particular(matrix, BitVector(s, 3))
+        assert len(calls) == 1
+        # An equal but distinct matrix keeps its own reduction.
+        solve_particular(BitMatrix(matrix.rows), BitVector(1, 3))
+        assert len(calls) == 2
 
 
 def key_by_solving(q, u):

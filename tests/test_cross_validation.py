@@ -6,9 +6,10 @@ measurement) is checked here against explicit operator matrices built
 with kron products, on random states. The simulator's kernels are also
 checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
-running-sum outcome draw), and the closed-form batched BB84 transport
-against the per-qubit state-vector transport, draw for draw. Slow and
-memory-hungry by design; sizes stay small.
+running-sum outcome draw, the copying collapse that divided by the
+norm), and the closed-form batched BB84 transport against the per-qubit
+state-vector transport, draw for draw. Slow and memory-hungry by
+design; sizes stay small.
 """
 
 import itertools
@@ -458,6 +459,42 @@ def loop_draw_outcome(rng, probabilities):
     raise ValueError("all outcome probabilities are zero")
 
 
+def dividing_measure_pauli_observable(state, pauli, rng):
+    """The copying observable measurement that the in-place collapse
+    replaced: a new sum or difference array, divided by its real norm
+    (numpy's complex division), copied again into the new state."""
+    applied = apply_pauli_string(state, pauli).amps
+    expectation = float(np.real(np.vdot(state.amps, applied)))
+    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
+    eigenvalue = +1 if rng.random() < p_plus else -1
+    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
+    collapsed = collapsed / np.linalg.norm(collapsed)
+    return eigenvalue, StateVector(n=state.n, amps=collapsed).amps
+
+
+def copying_hadamard_all(amps):
+    """The fast transform with copied halves and a final complex division."""
+    amps = amps.copy()
+    h = 1
+    while h < amps.size:
+        block = amps.reshape(-1, 2, h)
+        top, bottom = block[:, 0, :].copy(), block[:, 1, :].copy()
+        block[:, 0, :], block[:, 1, :] = top + bottom, top - bottom
+        h *= 2
+    amps /= np.sqrt(amps.size)
+    return amps
+
+
+def assert_same_nonzero_bits(got, want):
+    """Equal values, and bit-identical float components wherever the
+    component is nonzero; only the sign of an exact zero may differ."""
+    assert np.array_equal(got, want)
+    got, want = got.view(np.float64), want.view(np.float64)
+    nonzero = want != 0.0
+    assert np.array_equal(got == 0.0, ~nonzero)
+    assert np.array_equal(got.view(np.int64)[nonzero], want.view(np.int64)[nonzero])
+
+
 KERNEL_SIZES = (1, 2, 3, 7, 9, 14)
 
 
@@ -518,6 +555,31 @@ class TestKernelOracles:
             value, collapsed = measure_pauli_observable(psi, PauliString(factors), ScriptedRng([r]))
             assert value == sign
             assert np.array_equal(collapsed.amps, want)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_collapse_matches_dividing_measurement_bit_for_bit(self, n):
+        # A small r forces +1 and a large one -1, unless the state is an
+        # eigenstate. Draws of exactly 0 or just below 1 are not used: they
+        # can pick a branch that round-off leaves with weight 1e-16 or 0.
+        rng = np.random.default_rng(350 + n)
+        strings = ["I" * n, "X" * n, "Z" * n, ("XZ" * n)[:n], ("ZIY" * n)[:n]]
+        strings += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3)]
+        outcomes = set()
+        for psi in kernel_states(rng, n):
+            for factors in strings:
+                for r in (1e-6, 1.0 - 1e-6):
+                    pauli = PauliString(factors)
+                    want_value, want = dividing_measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    assert value == want_value, (factors, r)
+                    assert_same_nonzero_bits(collapsed.amps, want)
+                    outcomes.add(value)
+        assert outcomes == {1, -1}
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_hadamard_all_matches_dividing_transform_bit_for_bit(self, n):
+        for psi in kernel_states(np.random.default_rng(380 + n), n):
+            assert_same_nonzero_bits(hadamard_all(psi).amps, copying_hadamard_all(psi.amps))
 
     def test_draw_outcome_matches_loop_on_scripted_draws(self):
         rng = np.random.default_rng(400)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qkdforge import codes, gf2
 from qkdforge.codes import named_code
 from qkdforge.css import CssParams, css_build, css_codeword
 from qkdforge.distill import (
@@ -215,3 +216,23 @@ class TestAliceMeasurementIdentity:
             alt_alice = key_from_coset(hamming_pair.quotient, report.alice_bits + alt_x)
             alt_bob = key_from_coset(hamming_pair.quotient, report.bob_bits + alt_x)
             assert alt_alice == alt_bob
+
+
+def test_rounds_on_a_built_code_run_no_elimination(hamming_pair, monkeypatch):
+    """Alice's parameters are read off a reduction of each check matrix
+    kept on the matrix, so only the first round eliminates."""
+    run_distillation(create_epr(7, hamming_pair), np.random.default_rng(0))
+    calls, real_rref = [], gf2.rref
+
+    def counting_rref(matrix):
+        calls.append(matrix)
+        return real_rref(matrix)
+
+    for module in (gf2, codes):
+        monkeypatch.setattr(module, "rref", counting_rref)
+    for position in (None, 0, 4):
+        session = inject_bob_errors(
+            create_epr(7, hamming_pair), unit_error(7, position), unit_error(7, None))
+        alice_key, bob_key, _ = run_distillation(session, np.random.default_rng(position))
+        assert alice_key == bob_key
+    assert calls == []

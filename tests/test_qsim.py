@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qkdforge.distill import create_epr
 from qkdforge.gf2 import BitVector
 from qkdforge.qsim import (
+    ATOL,
     GATES,
     BasisProjector,
     PauliString,
@@ -12,6 +14,7 @@ from qkdforge.qsim import (
     amplitudes_json,
     apply_cnot,
     apply_gate,
+    apply_matrix,
     apply_pauli_string,
     basis_state,
     fidelity,
@@ -56,6 +59,56 @@ class TestBasisState:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             StateVector(n=1, amps=np.array([1.0, 1.0]))
+
+
+class TestOwnership:
+    """The public constructor copies what it is given; kernels hand their
+    fresh arrays to StateVector._adopt, which checks them the same way."""
+
+    def test_caller_writes_do_not_reach_the_state(self):
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        psi = StateVector(n=2, amps=amps)
+        amps[:] = [0.0, 0.0, 0.0, 1.0]
+        assert psi.amps.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert psi.amps is not amps and not psi.amps.flags.writeable
+
+    def test_every_kernel_output_is_read_only(self):
+        rng = np.random.default_rng(21)
+        psi = random_state(rng, 3)
+        rest = frozenset(format(i, "03b") for i in range(1, 8))
+        split = {
+            basis: [BasisProjector(frozenset({"000"}), basis), BasisProjector(rest, basis)]
+            for basis in ("computational", "hadamard")
+        }
+        outputs = [
+            basis_state(BV("101")),
+            apply_gate(psi, "H", 2),
+            apply_matrix(psi, GATES["Y"], 3),
+            apply_cnot(psi, 1, 3),
+            apply_pauli_string(psi, PauliString("XYZ")),
+            hadamard_all(psi),
+            measure_projective(psi, split["computational"], rng)[1],
+            measure_projective(psi, split["hadamard"], rng)[1],
+            measure_pauli_observable(psi, PauliString("ZZI"), rng)[1],
+            measure_pauli_observable(psi, PauliString("III"), rng)[1],
+            measure_all_z(psi, rng)[1],
+            create_epr(2).joint,
+        ]
+        for out in outputs:
+            assert not out.amps.flags.writeable
+            with pytest.raises(ValueError):
+                out.amps[0] = 0.0
+
+    def test_adopt_checks_like_the_constructor(self):
+        good = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        adopted = StateVector._adopt(2, good)
+        assert adopted.amps is good and not good.flags.writeable
+        off = np.array([1.0 + 2 * ATOL, 0.0, 0.0, 0.0], dtype=complex)
+        for n, amps in ((2, off), (3, good.copy()), (1, good.copy()), (0, good.copy())):
+            with pytest.raises(ValueError):
+                StateVector(n=n, amps=amps)
+            with pytest.raises(ValueError):
+                StateVector._adopt(n, amps)
 
 
 class TestSingleQubitGates:
@@ -172,6 +225,22 @@ class TestPauliStrings:
         for n, offset in ((4, 3), (9, -1)):
             with pytest.raises(ValueError):
                 pauli_row(BV("11"), "Z", n, offset)
+
+    def test_pauli_row_masks_match_the_parsed_string(self):
+        cases = [
+            (BV("101"), 7, 2), (BV("1"), 1, 0), (BV("0110"), 4, 0), (BV("11"), 5, 3),
+            (BV("000"), 4, 1), (BV("1011001"), 14, 7), ((1, 0, 1), 5, 1), ((1, 1), None, 0),
+        ]
+        for row, n, offset in cases:
+            bits = "".join(map(str, row))
+            width = offset + len(bits) if n is None else n
+            for kind in ("X", "Z"):
+                spelled = bits.replace("0", "I").replace("1", kind)
+                expected = PauliString(
+                    "I" * offset + spelled + "I" * (width - offset - len(bits)))
+                got = pauli_row(row, kind, n, offset)
+                assert (got.factors, got.x, got.z) == (expected.factors, expected.x, expected.z)
+                assert got == expected and hash(got) == hash(expected)
 
     def test_pattern_string_matches_gate_loop(self):
         """One Pauli string per pattern gives exactly the amplitudes of
