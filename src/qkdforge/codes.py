@@ -285,9 +285,11 @@ class CosetQuotient:
         return BitMatrix(self.c2.G.rows + self.extension_rows).tracked_rref
 
 
+@_kept_on_first_argument
 def check_nested(c1: LinearCode, c2: LinearCode) -> None:
     """Raise ValueError unless C2 is a proper subcode of C1, which every
-    CSS construction and every coset key needs."""
+    CSS construction and every coset key needs. A pair that passed is
+    not checked again."""
     if c2.n != c1.n:
         raise ValueError("C1 and C2 must have the same length")
     if c2.k >= c1.k:
@@ -327,14 +329,16 @@ def key_from_coset(q: CosetQuotient, u: BitVector) -> BitVector:
     """
     if q.key_length == 0:
         raise ValueError("quotient has no extension rows (C2 = C1)")
-    if not q.c1.contains(u):
-        raise ValueError(f"{u} is not a codeword of C1")
     n, k1, total = q.c1.n, q.c1.k, 0
+    if len(u) != n:
+        raise ValueError(f"word length must be n={n}, got {len(u)}")
     for col, row in q._reduced_basis:
         if u.value >> (n - 1 - col) & 1:
             total ^= row
+    # The rows picked by u's pivot bits sum to the one codeword that
+    # agrees with u there: u itself exactly when u lies in C1.
     if total >> k1 != u.value:
-        raise AssertionError("codeword not expressible in the quotient basis")
+        raise ValueError(f"{u} is not a codeword of C1")
     return BitVector(total & ((1 << q.key_length) - 1), q.key_length)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,8 +44,8 @@ class StateVector:
         amps = self.amps if adopt else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        norm = np.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         amps.setflags(write=False)
         self.amps = amps
@@ -167,20 +168,45 @@ def pauli_row(
     return pauli
 
 
+@lru_cache(maxsize=4)
+def _index(n: int) -> np.ndarray:
+    """np.arange(2^n), read-only, kept for the last few qubit counts."""
+    index = np.arange(1 << n)
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _signs(bits: int, mask: int) -> np.ndarray:
+    """(-1)^{|j&mask|} for j < 2^bits, a read-only complex table."""
+    j = np.arange(1 << bits)
+    signs = np.where(np.bitwise_count(j & mask) & 1, -1.0 + 0j, 1.0 + 0j)
+    signs.setflags(write=False)
+    return signs
+
+
 def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
     """The amplitudes of pauli applied to state, as a raw array:
-    out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x], one gather and one sign.
-    Every nonzero amplitude is exact; the identity gives state.amps."""
+    out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
+           = (-i)^{|x&z|} (-1)^{|j_hi&z_hi|} (-1)^{|j_lo&z_lo|} amps[j^x],
+    one gather, the scalar phase, and +/-1 tables over the high and the
+    low half of j. Every nonzero amplitude is exact; the identity
+    gives state.amps."""
     if len(pauli) != state.n:
         raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
-    x, z = pauli.x, pauli.z
+    n, x, z = state.n, pauli.x, pauli.z
     if not x | z:
         return state.amps
-    source = np.arange(state.amps.size) ^ x
-    out = state.amps[source]
-    if z:
-        phase = (1, 1j, -1, -1j)[(x & z).bit_count() & 3]
-        out *= np.where(np.bitwise_count(source & z) & 1, -phase, phase)
+    out = state.amps[_index(n) ^ x] if x else state.amps.copy()
+    phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+    if phase != 1:
+        out *= phase
+    low = n // 2
+    grid = out.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = out[j]
+    if z_high := z >> low:
+        grid *= _signs(n - low, z_high)[:, np.newaxis]
+    if z_low := z & ((1 << low) - 1):
+        grid *= _signs(low, z_low)
     return out
 
 
@@ -301,7 +327,15 @@ def measure_pauli_observable(
     eigenvalue = +1 if rng.random() < p_plus else -1
     out = None if applied is state.amps else applied  # a fresh product: collapse in it
     collapsed = (np.add if eigenvalue == 1 else np.subtract)(state.amps, applied, out=out)
-    return eigenvalue, StateVector._adopt(state.n, _divide(collapsed, np.linalg.norm(collapsed)))
+    norm = np.linalg.norm(collapsed)
+    if norm == 0.0:
+        # Round-off left the drawn branch a sliver of probability and no
+        # amplitude: applied was -/+amps exactly, so the other branch,
+        # the one with all the mass, is amps + amps.
+        eigenvalue = -eigenvalue
+        collapsed = np.add(state.amps, state.amps, out=collapsed)
+        norm = np.linalg.norm(collapsed)
+    return eigenvalue, StateVector._adopt(state.n, _divide(collapsed, norm))
 
 
 def measure_all_z(

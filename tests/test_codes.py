@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from qkdforge.codes import (
     ENUMERATION_LIMIT,
+    LinearCode,
     build_syndrome_table,
+    check_nested,
     code_from_generator,
     code_from_parts,
     decode,
@@ -375,6 +377,22 @@ class TestBuiltOnce:
                 syndrome_table_from_check(parity.H, 1)
             with pytest.raises(ValueError, match="not a subcode"):
                 quotient(parity.dual(), parity)
+            with pytest.raises(ValueError, match="C2 is not contained in C1"):
+                check_nested(parity, code_from_generator(BitMatrix.from_strings(["1110"])))
+            with pytest.raises(ValueError, match="proper subcode"):
+                check_nested(parity, parity)
+
+    def test_passed_nesting_check_is_kept(self, hamming, monkeypatch):
+        check_nested(hamming, hamming.dual())
+
+        def no_more_checks(code, word):
+            raise AssertionError("nesting checked again")
+
+        monkeypatch.setattr(LinearCode, "contains", no_more_checks)
+        check_nested(hamming, hamming.dual())
+        twin = code_from_parts(hamming.G, hamming.H)
+        with pytest.raises(AssertionError, match="checked again"):
+            check_nested(twin, twin.dual())
 
 
 class TestDecode:
@@ -586,10 +604,20 @@ class TestKeyFromCoset:
         for key in keys:
             assert key_from_coset(q, q.representative(key)) == key
 
-    def test_non_codeword_rejected(self, parity):
+    def test_non_codeword_rejected(self, parity, hamming):
         q = quotient(parity, parity.dual())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^0001 is not a codeword of C1$"):
             key_from_coset(q, BV("0001"))
+        with pytest.raises(ValueError, match="word length must be n=4, got 3"):
+            key_from_coset(q, BV("000"))
+        for c1 in (parity, hamming):
+            q = quotient(c1, c1.dual())
+            words = {str(c) for c in c1.codewords()}
+            for value in range(2**c1.n):
+                u = BitVector(value, c1.n)
+                if str(u) not in words:
+                    with pytest.raises(ValueError, match=f"^{u} is not a codeword of C1$"):
+                        key_from_coset(q, u)
 
     def test_quotient_is_frozen(self, hamming):
         q = quotient(hamming, hamming.dual())

@@ -7,7 +7,8 @@ with kron products, on random states. The simulator's kernels are also
 checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
-norm), and the closed-form batched BB84 transport against the per-qubit
+norm, the mask kernel that rebuilt its index and signs on every call),
+and the closed-form batched BB84 transport against the per-qubit
 state-vector transport, draw for draw. Slow and memory-hungry by
 design; sizes stay small.
 """
@@ -45,7 +46,7 @@ from qkdforge.qsim import (
     measure_all_z,
     measure_pauli_observable,
 )
-from qkdforge.qsim import _draw_outcome
+from qkdforge.qsim import _draw_outcome, _index, _pauli_amps, _signs
 
 BV = BitVector.from_string
 
@@ -472,6 +473,55 @@ def dividing_measure_pauli_observable(state, pauli, rng):
     return eigenvalue, StateVector(n=state.n, amps=collapsed).amps
 
 
+def per_call_pauli_amps(amps, x, z):
+    """The mask kernel that the cached half-width sign tables replaced: a
+    fresh index, parity and complex sign over all 2^n entries per call."""
+    source = np.arange(amps.size) ^ x
+    out = amps[source]
+    if z:
+        phase = (1, 1j, -1, -1j)[(x & z).bit_count() & 3]
+        out *= np.where(np.bitwise_count(source & z) & 1, -phase, phase)
+    return out
+
+
+def per_call_measure_pauli_observable(state, x, z, rng):
+    """Observable measurement on the per-call kernel's product, with the
+    same branch rule and a collapse divided by its norm."""
+    applied = per_call_pauli_amps(state.amps, x, z)
+    expectation = float(np.real(np.vdot(state.amps, applied)))
+    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
+    eigenvalue = +1 if rng.random() < p_plus else -1
+    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
+    return eigenvalue, collapsed / np.linalg.norm(collapsed)
+
+
+def pauli_from_masks(n, x, z):
+    factors = "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n - 1, -1, -1))
+    pauli = PauliString(factors)
+    assert (pauli.x, pauli.z) == (x, z)
+    return pauli
+
+
+def mask_pairs(rng, n):
+    """(x, z) pairs whose masks lie in the high half of the index, in the
+    low half, or across both: X-only, Z-only and Y-bearing, with even and
+    odd |x&z|. Below 4 qubits every pair."""
+    if n <= 3:
+        return list(itertools.product(range(2**n), repeat=2))
+    low = (1 << n // 2) - 1
+    pairs = []
+    for region in ((1 << n) - 1 ^ low, low, (1 << n) - 1):
+        draw = lambda: int(rng.integers(1, 1 << n)) & region or region
+        for _ in range(3):
+            pairs += [(draw(), 0), (0, draw())]
+        for parity in (0, 1, 0, 1, 0, 1):
+            x, z = draw(), draw()
+            while not x & z or (x & z).bit_count() % 2 != parity:
+                x, z = draw(), draw()
+            pairs.append((x, z))
+    return pairs
+
+
 def copying_hadamard_all(amps):
     """The fast transform with copied halves and a final complex division."""
     amps = amps.copy()
@@ -575,6 +625,46 @@ class TestKernelOracles:
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
         assert outcomes == {1, -1}
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 8, 9, 14))
+    def test_pauli_amps_match_per_call_kernel_bit_for_bit(self, n):
+        rng = np.random.default_rng(360 + n)
+        pairs = mask_pairs(rng, n)
+        high, low = (1 << n) - (1 << n // 2), (1 << n // 2) - 1
+        y_parities = {(x & z).bit_count() % 2 for x, z in pairs if x & z}
+        assert y_parities == ({0, 1} if n > 1 else {1})
+        if n > 1:
+            for region in (high, low):
+                kinds = {(bool(x), bool(z)) for x, z in pairs if not (x | z) & ~region}
+                assert {(True, False), (False, True), (True, True)} <= kinds
+        for psi in kernel_states(rng, n):
+            for x, z in pairs:
+                got = _pauli_amps(psi, pauli_from_masks(n, x, z))
+                assert_same_nonzero_bits(got, per_call_pauli_amps(psi.amps, x, z))
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 8, 9, 14))
+    def test_pauli_measurement_matches_per_call_kernel_bit_for_bit(self, n):
+        rng = np.random.default_rng(370 + n)
+        pairs = mask_pairs(rng, n)
+        outcomes = set()
+        for psi in kernel_states(rng, n):
+            for x, z in pairs[:: max(1, len(pairs) // 12)]:
+                for r in (1e-6, 1.0 - 1e-6, float(rng.random())):
+                    want_value, want = per_call_measure_pauli_observable(psi, x, z, ScriptedRng([r]))
+                    pauli = pauli_from_masks(n, x, z)
+                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    assert value == want_value, (x, z, r)
+                    assert_same_nonzero_bits(collapsed.amps, want)
+                    outcomes.add(value)
+        assert outcomes == {1, -1}
+
+    def test_cached_tables_are_read_only(self):
+        pauli = PauliString("XYZIXYZIY")
+        apply_pauli_string(random_state(np.random.default_rng(390), 9), pauli)
+        for table in (_index(9), _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_hadamard_all_matches_dividing_transform_bit_for_bit(self, n):

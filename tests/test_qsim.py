@@ -104,7 +104,9 @@ class TestOwnership:
         adopted = StateVector._adopt(2, good)
         assert adopted.amps is good and not good.flags.writeable
         off = np.array([1.0 + 2 * ATOL, 0.0, 0.0, 0.0], dtype=complex)
-        for n, amps in ((2, off), (3, good.copy()), (1, good.copy()), (0, good.copy())):
+        nan = np.array([np.nan, 0.0], dtype=complex)
+        cases = ((2, off), (3, good.copy()), (1, good.copy()), (0, good.copy()), (1, nan))
+        for n, amps in cases:
             with pytest.raises(ValueError):
                 StateVector(n=n, amps=amps)
             with pytest.raises(ValueError):
@@ -402,7 +404,36 @@ class TestMeasureProjective:
             ], rng)
 
 
+class FixedDraw:
+    """A generator whose every uniform is r; counts the draws."""
+
+    def __init__(self, r):
+        self.r, self.draws = r, 0
+
+    def random(self):
+        self.draws += 1
+        return self.r
+
+
 class TestMeasurePauliObservable:
+    @pytest.mark.parametrize(
+        "factors, kets, r, eigenvalue",
+        [
+            # X|-> = -|->, but round-off leaves p_plus = 1.1e-16 > 0.0.
+            ("X", {"0": 1.0, "1": -1.0}, 0.0, -1),
+            # XI|+>|1> = |+>|1>, but round-off leaves p_plus just below 1.
+            ("XI", {"01": 1.0, "11": 1.0}, float(np.nextafter(1.0, 0.0)), 1),
+        ],
+    )
+    def test_draw_on_a_massless_branch_takes_the_other(self, factors, kets, r, eigenvalue):
+        psi = state_from(kets)
+        rng = FixedDraw(r)
+        value, out = measure_pauli_observable(psi, PauliString(factors), rng)
+        assert rng.draws == 1
+        assert value == eigenvalue
+        assert np.all(np.isfinite(out.amps))
+        assert fidelity(out, psi) == pytest.approx(1.0, abs=ATOL)
+
     def test_flipped_second_qubit_pattern(self):
         rng = np.random.default_rng(12)
         psi = state_from({"010": 0.6, "101": 0.8})
