@@ -44,7 +44,7 @@ class StateVector:
         amps = self.amps if adopt else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
-        norm = np.sqrt(np.vdot(amps, amps).real)
+        norm = np.sqrt(_vdot(amps, amps).real)
         if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         amps.setflags(write=False)
@@ -60,6 +60,33 @@ class StateVector:
 
     def ket_label(self, index: int) -> str:
         return format(index, f"0{self.n}b")
+
+
+# 2^13 amplitudes: below OpenBLAS's 10,000-element threading cut, so one
+# block's dot runs on the calling thread whatever the BLAS thread count.
+_BLOCK = 1 << 13
+
+
+def _blocked(dot, a: np.ndarray, b: np.ndarray):
+    """dot(a, b) as the sum of dot over fixed 2^13-element blocks, added in
+    index order from block 0, so the same bits under any BLAS thread count
+    (README, Conventions). Up to 2^13 elements it is the one call dot(a, b)."""
+    total = dot(a[:_BLOCK], b[:_BLOCK])
+    for start in range(_BLOCK, a.size, _BLOCK):
+        total += dot(a[start : start + _BLOCK], b[start : start + _BLOCK])
+    return total
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b), summed block by block."""
+    return _blocked(np.vdot, a, b)
+
+
+def _norm(amps: np.ndarray) -> float:
+    """np.linalg.norm(amps) by its own formula, the real-view dot plus the
+    imaginary-view dot, then sqrt; each dot summed block by block."""
+    re, im = amps.real, amps.imag
+    return np.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
 
 
 def _divide(amps: np.ndarray, divisor: float) -> np.ndarray:
@@ -197,16 +224,22 @@ def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
     n, x, z = state.n, pauli.x, pauli.z
     if not x | z:
         return state.amps
-    out = state.amps[_index(n) ^ x] if x else state.amps.copy()
-    phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
-    if phase != 1:
-        out *= phase
     low = n // 2
-    grid = out.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = out[j]
+    tables = []
     if z_high := z >> low:
-        grid *= _signs(n - low, z_high)[:, np.newaxis]
+        tables.append(_signs(n - low, z_high)[:, np.newaxis])
     if z_low := z & ((1 << low) - 1):
-        grid *= _signs(low, z_low)
+        tables.append(_signs(low, z_low))
+    if x:
+        out = state.amps[_index(n) ^ x]
+        phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+        if phase != 1:
+            out *= phase
+    else:  # no gather, no phase: the first sign table writes the new array
+        out = (state.amps.reshape(-1, 1 << low) * tables.pop(0)).reshape(-1)
+    grid = out.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = out[j]
+    for table in tables:
+        grid *= table
     return out
 
 
@@ -307,7 +340,7 @@ def measure_projective(
     mask = np.zeros_like(work.amps, dtype=bool)
     mask[list(index_sets[outcome])] = True
     collapsed = np.where(mask, work.amps, 0.0)
-    new_state = StateVector._adopt(state.n, _divide(collapsed, np.linalg.norm(collapsed)))
+    new_state = StateVector._adopt(state.n, _divide(collapsed, _norm(collapsed)))
     if basis == "hadamard":
         new_state = hadamard_all(new_state)
     record = MeasurementRecord(outcome=outcome, probability=probabilities[outcome])
@@ -322,19 +355,19 @@ def measure_pauli_observable(
     Returns the sampled eigenvalue and the collapsed state.
     """
     applied = _pauli_amps(state, pauli)
-    expectation = float(np.real(np.vdot(state.amps, applied)))
+    expectation = float(np.real(_vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
     out = None if applied is state.amps else applied  # a fresh product: collapse in it
     collapsed = (np.add if eigenvalue == 1 else np.subtract)(state.amps, applied, out=out)
-    norm = np.linalg.norm(collapsed)
+    norm = _norm(collapsed)
     if norm == 0.0:
         # Round-off left the drawn branch a sliver of probability and no
         # amplitude: applied was -/+amps exactly, so the other branch,
         # the one with all the mass, is amps + amps.
         eigenvalue = -eigenvalue
         collapsed = np.add(state.amps, state.amps, out=collapsed)
-        norm = np.linalg.norm(collapsed)
+        norm = _norm(collapsed)
     return eigenvalue, StateVector._adopt(state.n, _divide(collapsed, norm))
 
 
@@ -356,7 +389,7 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     """The scalar product <a|b>."""
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    return complex(np.vdot(a.amps, b.amps))
+    return complex(_vdot(a.amps, b.amps))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -9,15 +9,22 @@ gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
 norm, the mask kernel that rebuilt its index and signs on every call),
 and the closed-form batched BB84 transport against the per-qubit
-state-vector transport, draw for draw. Slow and memory-hungry by
-design; sizes stay small.
+state-vector transport, draw for draw. The oracles reduce over whole
+states in 2^13-amplitude blocks, as the simulator does, so that they
+agree bit for bit under any BLAS thread count. Slow and memory-hungry
+by design; sizes stay small.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdforge
 from qkdforge.bb84 import (
     BASIS_X,
     BASIS_Z,
@@ -46,7 +53,7 @@ from qkdforge.qsim import (
     measure_all_z,
     measure_pauli_observable,
 )
-from qkdforge.qsim import _draw_outcome, _index, _pauli_amps, _signs
+from qkdforge.qsim import _draw_outcome, _index, _norm, _pauli_amps, _signs, _vdot
 
 BV = BitVector.from_string
 
@@ -460,16 +467,39 @@ def loop_draw_outcome(rng, probabilities):
     raise ValueError("all outcome probabilities are zero")
 
 
+ORACLE_BLOCK = 2**13
+
+
+def block_sum(dot, a, b):
+    """dot(a, b) over the blocks a[0:2^13], a[2^13:2^14], ..., added one
+    by one in index order to the first block's value."""
+    total = None
+    for start in range(0, a.size, ORACLE_BLOCK):
+        part = dot(a[start : start + ORACLE_BLOCK], b[start : start + ORACLE_BLOCK])
+        total = part if total is None else total + part
+    return total
+
+
+def block_vdot(a, b):
+    return block_sum(np.vdot, a, b)
+
+
+def block_norm(amps):
+    """np.linalg.norm's sum, Re.Re + Im.Im, each term block by block."""
+    re, im = amps.real, amps.imag
+    return np.sqrt(block_sum(np.dot, re, re) + block_sum(np.dot, im, im))
+
+
 def dividing_measure_pauli_observable(state, pauli, rng):
     """The copying observable measurement that the in-place collapse
     replaced: a new sum or difference array, divided by its real norm
     (numpy's complex division), copied again into the new state."""
     applied = apply_pauli_string(state, pauli).amps
-    expectation = float(np.real(np.vdot(state.amps, applied)))
+    expectation = float(np.real(block_vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
     collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
-    collapsed = collapsed / np.linalg.norm(collapsed)
+    collapsed = collapsed / block_norm(collapsed)
     return eigenvalue, StateVector(n=state.n, amps=collapsed).amps
 
 
@@ -488,11 +518,11 @@ def per_call_measure_pauli_observable(state, x, z, rng):
     """Observable measurement on the per-call kernel's product, with the
     same branch rule and a collapse divided by its norm."""
     applied = per_call_pauli_amps(state.amps, x, z)
-    expectation = float(np.real(np.vdot(state.amps, applied)))
+    expectation = float(np.real(block_vdot(state.amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
     collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
-    return eigenvalue, collapsed / np.linalg.norm(collapsed)
+    return eigenvalue, collapsed / block_norm(collapsed)
 
 
 def pauli_from_masks(n, x, z):
@@ -598,10 +628,10 @@ class TestKernelOracles:
             factors = "".join(rng.choice(list("IXYZ"), size=n))
             applied = gate_loop_pauli(psi.amps, n, factors)
             r = float(rng.random())
-            p_plus = min(max((1.0 + float(np.real(np.vdot(psi.amps, applied)))) / 2.0, 0.0), 1.0)
+            p_plus = min(max((1.0 + float(np.real(block_vdot(psi.amps, applied)))) / 2.0, 0.0), 1.0)
             sign = 1 if r < p_plus else -1
             want = psi.amps + sign * applied
-            want = want / np.linalg.norm(want)
+            want = want / block_norm(want)
             value, collapsed = measure_pauli_observable(psi, PauliString(factors), ScriptedRng([r]))
             assert value == sign
             assert np.array_equal(collapsed.amps, want)
@@ -702,3 +732,80 @@ class TestKernelOracles:
                 loop_draw_outcome(ScriptedRng([0.5]), row)
             with pytest.raises(ValueError):
                 _draw_outcome(ScriptedRng([0.5]), row)
+
+
+def scalar_bytes(value):
+    return np.asarray(value).tobytes()
+
+
+# One fixed script over 13-16 qubits: dense random states normalized by
+# numpy's own pairwise sum (no BLAS call), Pauli measurements, fidelity, a
+# projective measurement at 14 qubits and `distill --code hamming74`. It
+# prints a sha256 of the amplitudes and outcomes and one of the stdout.
+THREAD_SCRIPT = """
+import hashlib, io, json
+from contextlib import redirect_stdout
+import numpy as np
+from qkdforge import qsim
+from qkdforge.cli import main
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(11)
+for n in (13, 14, 15, 16):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.sqrt(np.sum(amps.real**2 + amps.imag**2))
+    start = psi = qsim.StateVector(n, amps)
+    for _ in range(4):
+        factors = "".join(rng.choice(list("IXYZ"), size=n))
+        value, psi = qsim.measure_pauli_observable(psi, qsim.PauliString(factors), rng)
+        digest.update(bytes([value + 1]) + psi.amps.tobytes())
+    digest.update(np.float64(qsim.fidelity(start, psi)).tobytes())
+    if n == 14:
+        kets = [format(i, "014b") for i in range(2**14)]
+        projectors = [
+            qsim.BasisProjector(frozenset(kets[r::3]), "hadamard") for r in range(3)
+        ]
+        record, psi = qsim.measure_projective(psi, projectors, rng)
+        digest.update(repr(record).encode() + psi.amps.tobytes())
+out = io.StringIO()
+with redirect_stdout(out):
+    main(["distill", "--code", "hamming74", "--seed", "5"])
+report = json.loads(out.getvalue())
+del report["elapsedMs"]
+print(digest.hexdigest(), hashlib.sha256(json.dumps(report).encode()).hexdigest())
+"""
+
+
+def run_with_blas_threads(threads):
+    src = str(Path(qkdforge.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = src + os.pathsep + path if path else src
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBlockedReductions:
+    @pytest.mark.parametrize("size", (1, 2, 3, 100, 2**13 - 1, 2**13))
+    def test_one_block_is_numpys_call(self, size):
+        rng = np.random.default_rng(500 + size)
+        a, b = (rng.normal(size=size) + 1j * rng.normal(size=size) for _ in range(2))
+        assert scalar_bytes(_vdot(a, b)) == scalar_bytes(np.vdot(a, b))
+        assert scalar_bytes(_vdot(a, a)) == scalar_bytes(np.vdot(a, a))
+        assert scalar_bytes(_norm(a)) == scalar_bytes(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("n", (14, 15, 16))
+    def test_larger_states_sum_blocks_in_index_order(self, n):
+        rng = np.random.default_rng(510 + n)
+        a, b = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(2))
+        assert scalar_bytes(_vdot(a, b)) == scalar_bytes(block_vdot(a, b))
+        assert scalar_bytes(_vdot(a, a)) == scalar_bytes(block_vdot(a, a))
+        assert scalar_bytes(_norm(a)) == scalar_bytes(block_norm(a))
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self):
+        digests = run_with_blas_threads(1), run_with_blas_threads(2)
+        assert len(digests[0].split()) == 2
+        assert digests[0] == digests[1]
