@@ -19,9 +19,10 @@ whole transcript.
 
 Every qubit on the wire is one of the four BB84 states, and the
 eavesdropper's measure-and-resend and the X/Z channel map that set onto
-itself up to a phase. Transport is therefore a lookup in a small table of
-measurement outcome distributions, built once from the dense simulator,
-plus a comparison of uniforms: no state vector is made per qubit.
+itself up to a phase. Transport is therefore one comparison per
+measurement, of a uniform against a threshold from a small table of
+outcome distributions built once from the dense simulator: no state
+vector is made per qubit.
 """
 
 from __future__ import annotations
@@ -221,13 +222,18 @@ def _outcome_table() -> np.ndarray:
     return table
 
 
-def _draw_outcomes(r: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
-    """qsim._draw_outcome over rows of (p0, p1): r < p0 gives 0, r < p0 + p1
-    gives 1, and a draw beyond a total that round-off left below 1 falls
-    back to the last outcome with nonzero probability."""
-    p0, p1 = probabilities[:, 0], probabilities[:, 1]
-    fallback = np.where(p1 > 0.0, 1, 0)
-    return np.where(r < p0, 0, np.where(r < p0 + p1, 1, fallback))
+@functools.cache
+def _thresholds() -> np.ndarray:
+    """_outcome_table() as one threshold per wire state and basis: a
+    measurement with uniform r gives 1 exactly when r >= p0 and p1 > 0,
+    which is qsim._draw_outcome's branch over (p0, p1) including the
+    fallback for a total that round-off left below 1. Entry
+    ((((value*2 + basis)*2 + x_flip)*2 + z_flip)*2 + measured_basis) is
+    p0 where p1 > 0, else +inf."""
+    rows = _outcome_table().reshape(-1, 2)
+    thresholds = np.where(rows[:, 1] > 0.0, rows[:, 0], np.inf)
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 def _transport(
@@ -244,7 +250,7 @@ def _transport(
     eavesdropper, 5 with a fixed-basis one and 4 with none, and the
     channel columns are drawn even when px or pz is 0.
     """
-    table = _outcome_table()
+    thresholds = _thresholds()
     intercept = eve.kind == "intercept_resend"
     uniform = intercept and eve.basis_policy == "uniform_random"
     draws = iter(rng.random((len(d), 4 + intercept + uniform)).T)
@@ -253,17 +259,19 @@ def _transport(
     value, basis = d, b
     eve_learned = np.zeros(len(d), dtype=bool)
     if intercept:
-        if uniform:
-            eve_basis = np.where(next(draws) < 0.5, BASIS_Z, BASIS_X)
+        if uniform:  # r < 0.5 picks BASIS_Z (0), else BASIS_X (1)
+            eve_basis = (next(draws) >= 0.5).astype(np.intp)
         else:
             eve_basis = BASIS_Z if eve.basis_policy == "always_Z" else BASIS_X
-        value = _draw_outcomes(next(draws), table[d, b, 0, 0, eve_basis])
+        # Eve measures Alice's qubit before the channel: the cells with no flips.
+        value = (next(draws) >= thresholds[(d * 2 + b) * 8 + eve_basis]).astype(np.intp)
         basis = eve_basis
         eve_learned = eve_basis == b
-    x_flip = (next(draws) < channel.px).astype(np.intp)
-    z_flip = (next(draws) < channel.pz).astype(np.intp)
-    bob_bases = np.where(next(draws) < 0.5, BASIS_Z, BASIS_X)
-    bob_bits = _draw_outcomes(next(draws), table[value, basis, x_flip, z_flip, bob_bases])
+    x_flip = next(draws) < channel.px
+    z_flip = next(draws) < channel.pz
+    bob_bases = (next(draws) >= 0.5).astype(np.intp)
+    cell = (((value * 2 + basis) * 2 + x_flip) * 2 + z_flip) * 2 + bob_bases
+    bob_bits = (next(draws) >= thresholds[cell]).astype(np.intp)
     return bob_bases, bob_bits, eve_learned
 
 
@@ -352,54 +360,29 @@ def shor_preskill_keys(
     return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(quot, u), bob_key)
 
 
-def _sift(b: np.ndarray, bob_bases: np.ndarray) -> tuple[int, ...]:
+def _sift(b: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
     """The positions where Bob measured in Alice's basis."""
-    return tuple(np.flatnonzero(b == bob_bases).tolist())
-
-
-def _transmission_phase(config: SessionConfig, rng: np.random.Generator) -> tuple[
-    BitVector, BitVector, BitVector, BitVector, tuple[bool, ...], tuple[int, ...]
-]:
-    """Alice's raw bits and bases, their transport to Bob, and sifting:
-    returns (d, b, bob_bases, bob_bits, eve_learned, sifted)."""
-    d = rng.integers(0, 2, size=config.raw_length)
-    b = rng.integers(0, 2, size=config.raw_length)
-    bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
-    return (
-        *(BitVector.from_ints(bits) for bits in (d, b, bob_bases, bob_bits)),
-        tuple(eve_learned.tolist()),
-        _sift(b, bob_bases),
-    )
-
-
-def _key_indices(selected: tuple[int, ...], check_idx: tuple[int, ...]) -> tuple[int, ...]:
-    """The selected positions that are not check bits, in sifted order."""
-    check_set = set(check_idx)
-    return tuple(i for i in selected if i not in check_set)
+    return np.flatnonzero(b == bob_bases)
 
 
 def _select_blocks(
-    config: SessionConfig,
-    rng: np.random.Generator,
-    sifted: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    n: int, rng: np.random.Generator, sifted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick 2n of the sifted positions, then n of those as check bits;
-    the remaining n form the key block. Returns (selected, check_idx)."""
-    n = config.n
-    picks = rng.choice(len(sifted), size=2 * n, replace=False)
-    selected = tuple(sorted(sifted[p] for p in picks))
-    check_picks = rng.choice(2 * n, size=n, replace=False)
-    return selected, tuple(sorted(selected[p] for p in check_picks))
+    the remaining n form the key block. Returns (selected, check_idx,
+    key_idx), each in sifted order."""
+    # sifted is increasing, so a mask over it yields the picks sorted.
+    is_selected = np.zeros(len(sifted), dtype=bool)
+    is_selected[rng.choice(len(sifted), size=2 * n, replace=False)] = True
+    selected = sifted[is_selected]
+    is_check = np.zeros(2 * n, dtype=bool)
+    is_check[rng.choice(2 * n, size=n, replace=False)] = True
+    return selected, selected[is_check], selected[~is_check]
 
 
-def _mismatches(d: BitVector, bob_bits: BitVector, check_idx: tuple[int, ...]) -> int:
+def _mismatches(d: np.ndarray, bob_bits: np.ndarray, check_idx: np.ndarray) -> int:
     """Check positions where Alice's announced bit differs from Bob's."""
-    return _block(d + bob_bits, check_idx).weight()
-
-
-def _block(bits: BitVector, idx: tuple[int, ...]) -> BitVector:
-    text = str(bits)
-    return BitVector.from_string("".join([text[i] for i in idx]))
+    return int(np.count_nonzero(d[check_idx] != bob_bits[check_idx]))
 
 
 def _abort(transcript: SessionTranscript, reason: str) -> SessionTranscript:
@@ -419,17 +402,20 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
-    d, b, bob_bases, bob_bits, eve_flags, sifted = _transmission_phase(config, rng)
+    d = rng.integers(0, 2, size=config.raw_length)
+    b = rng.integers(0, 2, size=config.raw_length)
+    bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
+    sifted = _sift(b, bob_bases)
     transcript = SessionTranscript(
         mode=config.mode,
         seed=config.seed,
         n=n,
-        d=d,
-        b=b,
-        bob_bases=bob_bases,
-        bob_bits=bob_bits,
-        eve_learned=eve_flags,
-        sifted=sifted,
+        d=BitVector.from_ints(d),
+        b=BitVector.from_ints(b),
+        bob_bases=BitVector.from_ints(bob_bases),
+        bob_bits=BitVector.from_ints(bob_bits),
+        eve_learned=tuple(eve_learned.tolist()),
+        sifted=tuple(sifted.tolist()),
     )
     if config.mode == "shor_preskill":
         # Alice's codeword draw happens before any announcement.
@@ -438,20 +424,20 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     if len(sifted) < 2 * n:
         return _abort(transcript, "insufficient_sifted_bits")
 
-    selected, check_idx = _select_blocks(config, rng, sifted)
-    transcript.selected = selected
-    transcript.check_idx = check_idx
-    transcript.key_idx = key_idx = _key_indices(selected, check_idx)
+    selected, check_idx, key_idx = _select_blocks(n, rng, sifted)
+    transcript.selected = tuple(selected.tolist())
+    transcript.check_idx = tuple(check_idx.tolist())
+    transcript.key_idx = tuple(key_idx.tolist())
     transcript.mismatches = _mismatches(d, bob_bits, check_idx)
     if transcript.mismatches > config.t_abort:
         return _abort(transcript, "check_bit_errors")
-    transcript.alice_block = alice_block = _block(d, key_idx)
-    transcript.bob_block = bob_block = _block(bob_bits, key_idx)
+    transcript.alice_block = alice_block = BitVector.from_ints(d[key_idx])
+    transcript.bob_block = bob_block = BitVector.from_ints(bob_bits[key_idx])
 
     if config.mode == "standard":
         if config.reconciler is not None:
             transcript.reconciled_block = config.reconciler(alice_block, bob_block)
-        learned = sum(1 for i in key_idx if eve_flags[i])
+        learned = int(np.count_nonzero(eve_learned[key_idx]))
         transcript.pa_report = {
             "blockMismatches": (alice_block + bob_block).weight(),
             "r": learned,
@@ -483,16 +469,20 @@ def replay_bob(
 ) -> dict:
     """Recompute Bob's side of a finished session from his measurements
     plus Alice's announcements only, through the runner's own sifting,
-    key-index and decoding helpers; used to check that the transcript
+    check-count and decoding helpers; used to check that the transcript
     carries no hidden coupling. As in the transcript, u_hat and bob_key
     are None when decoding fails."""
-    out: dict = {"sifted": _sift(transcript.b.to_numpy(), transcript.bob_bases.to_numpy())}
+    sifted = _sift(transcript.b.to_numpy(), transcript.bob_bases.to_numpy())
+    out: dict = {"sifted": tuple(sifted.tolist())}
     if transcript.check_idx is None:
         return out
+    bob_bits = transcript.bob_bits.to_numpy()
+    selected, check_idx = np.array(transcript.selected), np.array(transcript.check_idx)
     # Alice announces her bits at the check positions.
-    out["mismatches"] = _mismatches(transcript.d, transcript.bob_bits, transcript.check_idx)
-    out["key_idx"] = _key_indices(transcript.selected, transcript.check_idx)
-    out["bob_block"] = _block(transcript.bob_bits, out["key_idx"])
+    out["mismatches"] = _mismatches(transcript.d.to_numpy(), bob_bits, check_idx)
+    key_idx = selected[~np.isin(selected, check_idx)]
+    out["key_idx"] = tuple(key_idx.tolist())
+    out["bob_block"] = BitVector.from_ints(bob_bits[key_idx])
     if transcript.mode == "shor_preskill" and transcript.x_minus_u is not None:
         if c1 is None or c2 is None:
             raise ValueError("replaying a shor_preskill decode needs the code pair c1, c2")

@@ -274,11 +274,21 @@ class BasisProjector:
         if self.basis not in ("computational", "hadamard"):
             raise ValueError(f"unknown basis {self.basis!r}")
 
-    def indices(self, n: int) -> frozenset[int]:
-        for ket in self.kets:
-            if len(ket) != n or any(c not in "01" for c in ket):
-                raise ValueError(f"bad ket {ket!r} for n={n}")
-        return frozenset(int(k, 2) for k in self.kets)
+    def indices(self, n: int) -> np.ndarray:
+        """The kets' basis-state indices, validated once per (kets, n)."""
+        return _ket_indices(self.kets, n)
+
+
+@lru_cache(maxsize=16)
+def _ket_indices(kets: frozenset[str], n: int) -> np.ndarray:
+    """A read-only index array, in the iteration order of the frozenset
+    of the kets' ints."""
+    for ket in kets:
+        if len(ket) != n or any(c not in "01" for c in ket):
+            raise ValueError(f"bad ket {ket!r} for n={n}")
+    index = np.fromiter(frozenset(int(k, 2) for k in kets), dtype=np.intp, count=len(kets))
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)
@@ -327,18 +337,17 @@ def measure_projective(
     basis = bases.pop()
 
     index_sets = [p.indices(state.n) for p in projectors]
-    total = sum(len(s) for s in index_sets)
-    union = frozenset().union(*index_sets)
-    if total != len(union) or len(union) != 2**state.n:
+    if (np.bincount(np.concatenate(index_sets), minlength=2**state.n) != 1).any():
         raise ValueError("projector kets must partition the full basis")
 
     work = hadamard_all(state) if basis == "hadamard" else state
     weights = np.abs(work.amps) ** 2
-    probabilities = [float(sum(weights[i] for i in s)) for s in index_sets]
+    # accumulate adds strictly in index order; np.sum would pair terms up.
+    probabilities = [float(np.add.accumulate(weights[index])[-1]) for index in index_sets]
 
     outcome = _draw_outcome(rng, probabilities)
     mask = np.zeros_like(work.amps, dtype=bool)
-    mask[list(index_sets[outcome])] = True
+    mask[index_sets[outcome]] = True
     collapsed = np.where(mask, work.amps, 0.0)
     new_state = StateVector._adopt(state.n, _divide(collapsed, _norm(collapsed)))
     if basis == "hadamard":

@@ -7,9 +7,11 @@ with kron products, on random states. The simulator's kernels are also
 checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
-norm, the mask kernel that rebuilt its index and signs on every call),
-and the closed-form batched BB84 transport against the per-qubit
-state-vector transport, draw for draw. The oracles reduce over whole
+norm, the mask kernel that rebuilt its index and signs on every call,
+the projective measurement that re-parsed its kets on every call), the
+closed-form batched BB84 transport against the per-qubit state-vector
+transport, draw for draw, and the session's index arrays against the
+tuple stages they replaced. The oracles reduce over whole
 states in 2^13-amplitude blocks, as the simulator does, so that they
 agree bit for bit under any BLAS thread count. Slow and memory-hungry
 by design; sizes stay small.
@@ -25,14 +27,17 @@ import numpy as np
 import pytest
 
 import qkdforge
+from qkdforge import bb84
 from qkdforge.bb84 import (
     BASIS_X,
     BASIS_Z,
     ChannelModel,
     EveStrategy,
-    _draw_outcomes,
+    SessionConfig,
     _outcome_table,
+    _thresholds,
     _transport,
+    run_session,
     transmit_qubit,
 )
 from qkdforge.codes import named_code
@@ -40,6 +45,7 @@ from qkdforge.css import css_build, css_codeword, pauli_row
 from qkdforge.gf2 import BitVector
 from qkdforge.qec3 import random_error, rotation_error, shor_correct, shor_encode
 from qkdforge.qsim import (
+    BasisProjector,
     GATES,
     PauliString,
     StateVector,
@@ -52,8 +58,17 @@ from qkdforge.qsim import (
     hadamard_all,
     measure_all_z,
     measure_pauli_observable,
+    measure_projective,
 )
-from qkdforge.qsim import _draw_outcome, _index, _norm, _pauli_amps, _signs, _vdot
+from qkdforge.qsim import (
+    _divide,
+    _draw_outcome,
+    _index,
+    _norm,
+    _pauli_amps,
+    _signs,
+    _vdot,
+)
 
 BV = BitVector.from_string
 
@@ -302,6 +317,16 @@ EDGE_DRAWS = sorted(
 )
 
 
+def where_draw_outcomes(r, probabilities):
+    """The two-np.where outcome rule that the thresholds replaced: over
+    rows of (p0, p1), r < p0 gives 0, r < p0 + p1 gives 1, and a draw
+    beyond a round-off-short total falls back to the last outcome with
+    nonzero probability."""
+    p0, p1 = probabilities[:, 0], probabilities[:, 1]
+    fallback = np.where(p1 > 0.0, 1, 0)
+    return np.where(r < p0, 0, np.where(r < p0 + p1, 1, fallback))
+
+
 class ScriptedRng:
     """Stands in for a Generator whose uniforms are given in advance."""
 
@@ -344,12 +369,27 @@ class TestTransportOracle:
             expected = np.abs(state.amps) ** 2
             assert np.array_equal(table[value, basis, x_flip, z_flip, measured], expected)
 
+    def test_thresholds_are_the_flat_table_rows(self):
+        table, thresholds = _outcome_table(), _thresholds()
+        assert thresholds.shape == (32,) and not thresholds.flags.writeable
+        for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
+            cell = (((value * 2 + basis) * 2 + x_flip) * 2 + z_flip) * 2 + measured
+            p0, p1 = table[value, basis, x_flip, z_flip, measured]
+            assert thresholds[cell] == (p0 if p1 > 0.0 else np.inf)
+
     def test_outcome_rule_matches_draw_outcome_branch_for_branch(self):
+        # r >= threshold against the two-np.where rule it replaced and the
+        # dense simulator's draw, at every edge draw and at p0 and the
+        # double just below it, for all 32 rows.
         fallbacks = 0
-        for row in _ROWS:
-            for r in EDGE_DRAWS:
+        for row, threshold in zip(_ROWS, _thresholds()):
+            p0 = row[0]
+            for r in sorted(set(EDGE_DRAWS) | {float(p0), float(np.nextafter(p0, 0.0))}):
+                if r >= 1.0:
+                    continue
                 expected = _draw_outcome(ScriptedRng([r]), list(row))
-                assert _draw_outcomes(np.array([r]), row[None, :])[0] == expected
+                assert where_draw_outcomes(np.array([r]), row[None, :])[0] == expected
+                assert int(r >= threshold) == expected, (row, r)
                 fallbacks += r >= row[0] + row[1]
         assert fallbacks > 0  # some edge draw lands in the round-off fallback
 
@@ -421,6 +461,112 @@ class TestTransportOracle:
             single = CountingRng(3)
             transmit_qubit(1, BASIS_X, channel, EVES[eve], single)
             assert single.uniforms == k
+
+
+# --- Tuple-index oracles for the session's classical stages ------------------
+
+
+def tuple_select_blocks(n, rng, sifted):
+    """The tuple selection that the index arrays replaced: sorted twice,
+    indexing a tuple with numpy integers."""
+    picks = rng.choice(len(sifted), size=2 * n, replace=False)
+    selected = tuple(sorted(sifted[p] for p in picks))
+    check_picks = rng.choice(2 * n, size=n, replace=False)
+    return selected, tuple(sorted(selected[p] for p in check_picks))
+
+
+def tuple_key_indices(selected, check_idx):
+    check_set = set(check_idx)
+    return tuple(i for i in selected if i not in check_set)
+
+
+def tuple_block(bits, idx):
+    text = str(bits)
+    return BitVector.from_string("".join([text[i] for i in idx]))
+
+
+def tuple_mismatches(d, bob_bits, check_idx):
+    return tuple_block(d + bob_bits, check_idx).weight()
+
+
+def tuple_session(config):
+    """run_session's front half and standard report on tuples of Python
+    ints, as before the index arrays; returns the fields they set and the
+    generator's end state."""
+    rng = np.random.default_rng(config.seed)
+    d = rng.integers(0, 2, size=config.raw_length)
+    b = rng.integers(0, 2, size=config.raw_length)
+    bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
+    d, bob_bits = BitVector.from_ints(d), BitVector.from_ints(bob_bits)
+    eve_learned = tuple(eve_learned.tolist())
+    sifted = tuple(np.flatnonzero(b == bob_bases).tolist())
+    out = dict(sifted=sifted, selected=None, check_idx=None, key_idx=None, mismatches=None,
+               alice_block=None, bob_block=None, pa_report=None, abort_reason=None)
+    if config.mode == "shor_preskill":
+        c1 = config.codes[0]
+        c1.encode(BitVector.from_ints(rng.integers(0, 2, size=c1.k)))  # the codeword draw
+    if len(sifted) < 2 * config.n:
+        return dict(out, abort_reason="insufficient_sifted_bits"), rng.bit_generator.state
+    selected, check_idx = tuple_select_blocks(config.n, rng, sifted)
+    key_idx = tuple_key_indices(selected, check_idx)
+    mismatches = tuple_mismatches(d, bob_bits, check_idx)
+    out.update(selected=selected, check_idx=check_idx, key_idx=key_idx, mismatches=mismatches)
+    if mismatches > config.t_abort:
+        return dict(out, abort_reason="check_bit_errors"), rng.bit_generator.state
+    alice_block, bob_block = tuple_block(d, key_idx), tuple_block(bob_bits, key_idx)
+    out.update(alice_block=alice_block, bob_block=bob_block)
+    if config.mode == "standard":
+        learned = sum(1 for i in key_idx if eve_learned[i])
+        out["pa_report"] = {
+            "blockMismatches": (alice_block + bob_block).weight(),
+            "r": learned,
+            "s": config.shed_bits,
+            "targetK": config.n - learned - config.shed_bits,
+            "eveBound": bb84.bennett_bound(config.shed_bits),
+        }
+    return out, rng.bit_generator.state
+
+
+def session_configs():
+    """Both modes, every eavesdropper, n in {1, 7, 20, 200}; delta = 0
+    and a zero check-error budget reach both early aborts."""
+    c1 = named_code("hamming74")
+    for eve, seed, delta, t_abort in itertools.product(
+        EVES.values(), range(6), (0.0, 0.25), (0, None)
+    ):
+        channel = ChannelModel(0.05 * (seed % 3), 0.1)
+        for n in (1, 7, 20, 200):
+            yield SessionConfig(n=n, delta=delta, t_abort=t_abort, seed=seed,
+                                channel=channel, eve=eve)
+        yield SessionConfig(n=7, delta=delta, t_abort=t_abort, seed=seed, mode="shor_preskill",
+                            channel=channel, eve=eve, codes=(c1, c1.dual()))
+
+
+class TestSessionIndexOracle:
+    def test_sessions_match_tuple_stages(self, monkeypatch):
+        generators = []
+
+        def spy(d, b, channel, eve, rng):
+            generators.append(rng)
+            return _transport(d, b, channel, eve, rng)
+
+        monkeypatch.setattr(bb84, "_transport", spy)
+        reasons = set()
+        for config in session_configs():
+            want, want_state = tuple_session(config)
+            transcript = run_session(config)
+            for name, value in want.items():
+                assert getattr(transcript, name) == value, (name, config)
+            assert generators.pop().bit_generator.state == want_state, config
+            for name in ("selected", "check_idx", "key_idx", "sifted"):
+                got = getattr(transcript, name)
+                assert got is None or all(type(i) is int for i in got)
+            assert type(transcript.mismatches) in (int, type(None))
+            reasons.add((config.mode, transcript.abort_reason))
+        assert {reason for _, reason in reasons} == {
+            None, "insufficient_sifted_bits", "check_bit_errors"
+        }
+        assert {mode for mode, _ in reasons} == {"standard", "shor_preskill"}
 
 
 # --- Exact oracles for the simulator kernels ---------------------------------
@@ -563,6 +709,42 @@ def copying_hadamard_all(amps):
         h *= 2
     amps /= np.sqrt(amps.size)
     return amps
+
+
+def generator_measure_projective(state, projectors, rng):
+    """The per-call projective measurement that the cached index arrays
+    replaced: every ket validated and parsed on each call, and each
+    probability a generator sum over a frozenset of ints. Returns the
+    outcome, the probabilities and the collapsed amplitudes."""
+    index_sets = []
+    for projector in projectors:
+        for ket in projector.kets:
+            if len(ket) != state.n or any(c not in "01" for c in ket):
+                raise ValueError(f"bad ket {ket!r}")
+        index_sets.append(frozenset(int(k, 2) for k in projector.kets))
+    hadamard = projectors[0].basis == "hadamard"
+    work = hadamard_all(state) if hadamard else state
+    weights = np.abs(work.amps) ** 2
+    probabilities = [float(sum(weights[i] for i in s)) for s in index_sets]
+    outcome = _draw_outcome(rng, probabilities)
+    mask = np.zeros_like(work.amps, dtype=bool)
+    mask[list(index_sets[outcome])] = True
+    collapsed = np.where(mask, work.amps, 0.0)
+    collapsed = StateVector(state.n, _divide(collapsed, _norm(collapsed)))
+    return outcome, probabilities, (hadamard_all(collapsed) if hadamard else collapsed).amps
+
+
+def projector_partitions(rng, n, basis):
+    """Kets split three ways by index mod 3, and split at random into
+    parts of uneven size, so the frozensets iterate in a scrambled order."""
+    kets = [format(i, f"0{n}b") for i in range(2**n)]
+    yield [BasisProjector(frozenset(kets[r::3]), basis) for r in range(3)]
+    labels = rng.integers(0, 4, size=2**n)
+    labels[:4] = range(4)  # no part is empty
+    yield [
+        BasisProjector(frozenset(k for k, label in zip(kets, labels) if label == part), basis)
+        for part in range(4)
+    ]
 
 
 def assert_same_nonzero_bits(got, want):
@@ -725,6 +907,42 @@ class TestKernelOracles:
                 assert _draw_outcome(ScriptedRng([r]), list(row)) == want, (row, r)
                 fallbacks += r >= total
         assert fallbacks > 0  # some draws land past a round-off-short total
+
+    @pytest.mark.parametrize("basis", ("computational", "hadamard"))
+    @pytest.mark.parametrize("n", (3, 9, 14))
+    def test_projective_measurement_matches_generator_sums_bit_for_bit(self, n, basis):
+        rng = np.random.default_rng(410 + n)
+        psi = random_state(rng, n)
+        for projectors in projector_partitions(rng, n, basis):
+            _, probabilities, _ = generator_measure_projective(psi, projectors, ScriptedRng([0.0]))
+            acc = np.add.accumulate(probabilities)
+            draws = {0.0, 0.5, float(np.nextafter(1.0, 0.0))}
+            draws |= {float(a) for a in acc[:-1]} | {float(np.nextafter(a, 0.0)) for a in acc}
+            outcomes = set()
+            for r in sorted(draws):
+                want_outcome, want_probabilities, want_amps = generator_measure_projective(
+                    psi, projectors, ScriptedRng([r])
+                )
+                record, collapsed = measure_projective(psi, projectors, ScriptedRng([r]))
+                assert record.outcome == want_outcome, r
+                assert scalar_bytes(record.probability) == scalar_bytes(
+                    want_probabilities[want_outcome]
+                )
+                assert collapsed.amps.tobytes() == want_amps.tobytes()
+                outcomes.add(record.outcome)
+            assert outcomes == set(range(len(projectors)))  # every probability compared
+            for projector in projectors:
+                index = projector.indices(n)
+                assert not index.flags.writeable
+                assert index.tolist() == list(frozenset(int(k, 2) for k in projector.kets))
+
+    def test_bad_kets_raise_on_every_call(self):
+        psi = random_state(np.random.default_rng(420), 2)
+        for kets in ({"0a", "00", "01", "10", "11"}, {"000", "01", "10", "11"}):
+            projectors = [BasisProjector(frozenset(kets))]
+            for _ in range(2):
+                with pytest.raises(ValueError, match="bad ket"):
+                    measure_projective(psi, projectors, ScriptedRng([0.5]))
 
     def test_draw_outcome_without_mass_raises(self):
         for row in ([0.0], [0.0, 0.0, 0.0], []):
