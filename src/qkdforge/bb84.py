@@ -37,9 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .codes import (
-    CosetQuotient,
     LinearCode,
-    SyndromeTable,
     build_syndrome_table,
     check_nested,
     decode,
@@ -328,36 +326,27 @@ class KeyDerivation:
 
 
 def _bob_keys(
-    c1: LinearCode,
-    quot: CosetQuotient,
-    table: SyndromeTable,
-    bob_block: BitVector,
-    x_minus_u: BitVector,
+    c1: LinearCode, c2: LinearCode, bob_block: BitVector, x_minus_u: BitVector
 ) -> tuple[str, Optional[BitVector], Optional[BitVector]]:
     """Bob's half of the shor_preskill tail: shift his block by the
-    announcement to u + e1, decode it with C1, and key off the coset of
-    the decoded word only when decoding succeeded. Returns
-    (decode status, u_hat, bob_key)."""
-    result = decode(c1, table, bob_block + x_minus_u)
+    announcement to u + e1, decode it with C1's table up to its capacity,
+    and key off the coset of the decoded word in C1/C2 only when decoding
+    succeeded. Returns (decode status, u_hat, bob_key)."""
+    result = decode(c1, build_syndrome_table(c1, c1.corrects), bob_block + x_minus_u)
     if result.status != "ok":
         return result.status, None, None
-    return result.status, result.word, key_from_coset(quot, result.word)
+    return result.status, result.word, key_from_coset(quotient(c1, c2), result.word)
 
 
 def shor_preskill_keys(
-    c1: LinearCode,
-    quot: CosetQuotient,
-    table: SyndromeTable,
-    x: BitVector,
-    u: BitVector,
-    bob_block: BitVector,
+    c1: LinearCode, c2: LinearCode, x: BitVector, u: BitVector, bob_block: BitVector
 ) -> KeyDerivation:
     """Steps from the announcement onward: Alice announces x - u, Bob
     forms (x + e1) + (x - u) = u + e1 and decodes it with C1; both sides
-    key off the coset of their codeword."""
+    key off the coset of their codeword in C1/C2."""
     x_minus_u = x + u
-    status, u_hat, bob_key = _bob_keys(c1, quot, table, bob_block, x_minus_u)
-    return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(quot, u), bob_key)
+    status, u_hat, bob_key = _bob_keys(c1, c2, bob_block, x_minus_u)
+    return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(quotient(c1, c2), u), bob_key)
 
 
 def _sift(b: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
@@ -447,11 +436,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         }
         return transcript
 
-    c1, c2 = config.codes
-    table = build_syndrome_table(c1, c1.corrects)
-    derivation = shor_preskill_keys(
-        c1, quotient(c1, c2), table, alice_block, transcript.u, bob_block
-    )
+    derivation = shor_preskill_keys(*config.codes, alice_block, transcript.u, bob_block)
     transcript.x_minus_u = derivation.x_minus_u
     if derivation.decode_status != "ok":
         return _abort(transcript, "decode_failure")
@@ -486,8 +471,7 @@ def replay_bob(
     if transcript.mode == "shor_preskill" and transcript.x_minus_u is not None:
         if c1 is None or c2 is None:
             raise ValueError("replaying a shor_preskill decode needs the code pair c1, c2")
-        table = build_syndrome_table(c1, c1.corrects)
         _, out["u_hat"], out["bob_key"] = _bob_keys(
-            c1, quotient(c1, c2), table, out["bob_block"], transcript.x_minus_u
+            c1, c2, out["bob_block"], transcript.x_minus_u
         )
     return out

@@ -128,7 +128,7 @@ def css_codeword(
     return StateVector(n=code.n, amps=amps)
 
 
-def measure_check_rows(
+def _measure_rows(
     matrix: BitMatrix,
     kind: str,
     state: StateVector,
@@ -147,23 +147,24 @@ def measure_check_rows(
 
 
 def css_bit_syndrome(
-    code: CssCode, state: StateVector, rng: np.random.Generator
+    code: CssCode, state: StateVector, rng: np.random.Generator, offset: int = 0
 ) -> tuple[BitVector, StateVector]:
-    """Measure the Z-string for each row of H1 and map eigenvalues
-    +1 -> 0, -1 -> 1.
+    """Measure the Z-string for each row of H1 on qubits offset + 1..
+    offset + n and map eigenvalues +1 -> 0, -1 -> 1.
 
     On a codeword with bit errors e1 and shift x this equals
     H1.(e1 + x)^T. Returns the syndrome and the post-measurement state.
     """
-    return measure_check_rows(code.h1, "Z", state, rng)
+    return _measure_rows(code.h1, "Z", state, rng, offset)
 
 
 def css_phase_syndrome(
-    code: CssCode, state: StateVector, rng: np.random.Generator
+    code: CssCode, state: StateVector, rng: np.random.Generator, offset: int = 0
 ) -> tuple[BitVector, StateVector]:
-    """Measure the X-string for each row of H2; on a codeword with phase
-    errors e2 and phase pattern z this equals H2.(e2 + z)^T."""
-    return measure_check_rows(code.h2, "X", state, rng)
+    """Measure the X-string for each row of H2 on qubits offset + 1..
+    offset + n; on a codeword with phase errors e2 and phase pattern z
+    this equals H2.(e2 + z)^T."""
+    return _measure_rows(code.h2, "X", state, rng, offset)
 
 
 def css_phase_syndrome_hadamard(
@@ -173,7 +174,7 @@ def css_phase_syndrome_hadamard(
     read the phase syndrome as Z-strings of H2, transform back. Produces
     the same outcomes as css_phase_syndrome."""
     transformed = hadamard_all(state)
-    syndrome, transformed = measure_check_rows(code.h2, "Z", transformed, rng)
+    syndrome, transformed = _measure_rows(code.h2, "Z", transformed, rng)
     return syndrome, hadamard_all(transformed)
 
 
@@ -193,36 +194,36 @@ class CssCorrection:
 def css_correct(
     code: CssCode,
     state: StateVector,
-    params: Optional[CssParams] = None,
-    rng: Optional[np.random.Generator] = None,
+    params: Optional[CssParams],
+    rng: np.random.Generator,
+    offset: int = 0,
 ) -> CssCorrection:
-    """Correct bit flips first, then phase flips.
+    """Correct bit flips first, then phase flips, on qubits offset + 1..
+    offset + n of the state; params None means zero shift and phase.
 
     Each measured syndrome is shifted back by the announced-parameter
     contribution (H1.x^T or H2.z^T) before the table lookup; X and then Z
     corrections are applied to the flagged qubits. A syndrome outside the
-    table stops the procedure with detected_uncorrectable.
+    table stops the procedure with detected_uncorrectable. This is the one
+    place that decides a syndrome is uncorrectable.
     """
     if params is None:
         params = CssParams.zero(code.n)
-    if rng is None:
-        rng = np.random.default_rng()
-
-    bit_syndrome, state = css_bit_syndrome(code, state, rng)
+    bit_syndrome, state = css_bit_syndrome(code, state, rng, offset)
     shifted = bit_syndrome + mat_apply(code.h1, params.x, side="right")
     if shifted not in code.bit_table:
         return CssCorrection(state, bit_syndrome, status="detected_uncorrectable")
     e1 = code.bit_table[shifted]
-    state = apply_pauli_string(state, pauli_row(e1, "X"))
+    state = apply_pauli_string(state, pauli_row(e1, "X", state.n, offset))
 
-    phase_syndrome, state = css_phase_syndrome(code, state, rng)
+    phase_syndrome, state = css_phase_syndrome(code, state, rng, offset)
     shifted = phase_syndrome + mat_apply(code.h2, params.z, side="right")
     if shifted not in code.phase_table:
         return CssCorrection(
             state, bit_syndrome, phase_syndrome, e1, status="detected_uncorrectable"
         )
     e2 = code.phase_table[shifted]
-    state = apply_pauli_string(state, pauli_row(e2, "Z"))
+    state = apply_pauli_string(state, pauli_row(e2, "Z", state.n, offset))
 
     return CssCorrection(state, bit_syndrome, phase_syndrome, e1, e2)
 

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .codes import key_from_coset
-from .css import CssCode, measure_check_rows
-from .gf2 import BitVector, mat_apply, solve_particular
+from .css import CssCode, CssParams, css_bit_syndrome, css_correct, css_phase_syndrome
+from .gf2 import BitVector, solve_particular
 from .qsim import StateVector, apply_pauli_string, measure_all_z, pauli_row
 
 MAX_JOINT_QUBITS = 16
@@ -85,8 +85,8 @@ def measure_alice_parameters(
     if code is None:
         raise ValueError("session has no CSS code attached")
     joint = session.joint
-    alice_sx, joint = measure_check_rows(code.h1, "Z", joint, rng)
-    alice_sz, joint = measure_check_rows(code.h2, "X", joint, rng)
+    alice_sx, joint = css_bit_syndrome(code, joint, rng)
+    alice_sz, joint = css_phase_syndrome(code, joint, rng)
     x = solve_particular(code.h1, alice_sx)
     z = solve_particular(code.h2, alice_sz)
     if x is None or z is None:
@@ -102,28 +102,20 @@ def run_distillation(
     """One full distillation round.
 
     Alice measures the Z-strings of H1 and X-strings of H2 on her half
-    and solves for the parameters (x, z) she announces. Bob measures the
-    same observables on his half, subtracts the announced shifts, looks
-    up his error patterns, and applies X/Z corrections. A final
+    and solves for the parameters (x, z) she announces. Bob runs
+    css_correct with those parameters on his half, qubits n+1..2n, and a
+    syndrome it reports uncorrectable raises ValueError. A final
     computational measurement of all qubits yields both parties' strings;
     each key is the coset label of (measured string - x).
     """
     x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
-    code, n, joint = session.code, session.n, session.joint
+    code, n = session.code, session.n
 
-    bob_sx, joint = measure_check_rows(code.h1, "Z", joint, rng, offset=n)
-    bob_sz, joint = measure_check_rows(code.h2, "X", joint, rng, offset=n)
-
-    bit_key = bob_sx + mat_apply(code.h1, x, side="right")
-    phase_key = bob_sz + mat_apply(code.h2, z, side="right")
-    if bit_key not in code.bit_table or phase_key not in code.phase_table:
+    bob = css_correct(code, session.joint, CssParams(x, z), rng, offset=n)
+    if bob.status != "ok":
         raise ValueError("uncorrectable syndrome: errors exceed the code capacity")
-    e1 = code.bit_table[bit_key]
-    e2 = code.phase_table[phase_key]
-    joint = apply_pauli_string(joint, pauli_row(e1, "X", 2 * n, n))
-    joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
 
-    bits, joint = measure_all_z(joint, rng)
+    bits, joint = measure_all_z(bob.state, rng)
     session.joint = joint
     alice_bits = bits[:n]
     bob_bits = bits[n:]
@@ -135,10 +127,10 @@ def run_distillation(
         z=z,
         alice_bit_syndrome=alice_sx,
         alice_phase_syndrome=alice_sz,
-        bob_bit_syndrome=bob_sx,
-        bob_phase_syndrome=bob_sz,
-        bit_correction=e1,
-        phase_correction=e2,
+        bob_bit_syndrome=bob.bit_syndrome,
+        bob_phase_syndrome=bob.phase_syndrome,
+        bit_correction=bob.x_correction,
+        phase_correction=bob.z_correction,
         alice_bits=alice_bits,
         bob_bits=bob_bits,
     )

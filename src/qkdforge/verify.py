@@ -263,13 +263,11 @@ def _check_distillation(codes: dict) -> tuple[bool, str]:
 
 def _check_shor_preskill_sweep(codes: dict) -> tuple[bool, str]:
     ham = codes["hamming74"]
-    quot = quotient(ham, ham.dual())
-    table = build_syndrome_table(ham, ham.corrects)
     x = BV("1010101")
     u = BV("0111001")
     for pattern in range(8):
         e1 = BitVector(1 << (7 - pattern) if pattern else 0, 7)
-        derivation = shor_preskill_keys(ham, quot, table, x, u, x + e1)
+        derivation = shor_preskill_keys(ham, ham.dual(), x, u, x + e1)
         if derivation.decode_status != "ok" or derivation.alice_key != derivation.bob_key:
             return False, f"pattern {pattern}: keys differ"
     return True, "8 single-error patterns, keys always agree"

@@ -363,8 +363,6 @@ def test_criterion_10_bb84_monte_carlo():
 def test_criterion_11_shor_preskill():
     c1 = named_code("hamming74")
     c2 = c1.dual()
-    quot = quotient(c1, c2)
-    table = build_syndrome_table(c1, 1)
 
     # End-to-end protocol run with a quiet channel.
     transcript = None
@@ -385,7 +383,7 @@ def test_criterion_11_shor_preskill():
         if position is not None:
             bits[position] = 1
         e1 = BitVector.from_ints(bits)
-        derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
+        derivation = shor_preskill_keys(c1, c2, x, u, x + e1)
         assert derivation.decode_status == "ok"
         assert derivation.alice_key == derivation.bob_key
         assert len(derivation.alice_key) == 1

@@ -20,7 +20,7 @@ from qkdforge.bb84 import (
     shor_preskill_keys,
     transmit_qubit,
 )
-from qkdforge.codes import build_syndrome_table, named_code, quotient
+from qkdforge.codes import named_code
 from qkdforge.gf2 import BitVector
 
 BV = BitVector.from_string
@@ -243,8 +243,6 @@ class TestRunShorPreskill:
 
     def test_single_errors_always_agree(self):
         c1, c2 = hamming_setup()
-        quot = quotient(c1, c2)
-        table = build_syndrome_table(c1, 1)
         x = BV("0110100")
         u = BV("1011000")
         for position in [None] + list(range(7)):
@@ -253,7 +251,7 @@ class TestRunShorPreskill:
                 bits = [0] * 7
                 bits[position] = 1
                 e1 = BitVector.from_ints(bits)
-            derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
+            derivation = shor_preskill_keys(c1, c2, x, u, x + e1)
             assert derivation.decode_status == "ok"
             assert derivation.u_hat == u
             assert derivation.alice_key == derivation.bob_key
@@ -263,15 +261,13 @@ class TestRunShorPreskill:
         # decoding drifts to a codeword a weight-3 word away, and no
         # weight-3 word lies in the dual, so the keys always split.
         c1, c2 = hamming_setup()
-        quot = quotient(c1, c2)
-        table = build_syndrome_table(c1, 1)
         x = BV("0000000")
         u = BV("0011110")
         for i, j in itertools.combinations(range(7), 2):
             bits = [0] * 7
             bits[i] = bits[j] = 1
             e1 = BitVector.from_ints(bits)
-            derivation = shor_preskill_keys(c1, quot, table, x, u, x + e1)
+            derivation = shor_preskill_keys(c1, c2, x, u, x + e1)
             assert derivation.decode_status == "ok"
             assert derivation.u_hat != u
             assert derivation.alice_key != derivation.bob_key

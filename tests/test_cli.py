@@ -252,6 +252,11 @@ class TestBoundaries:
     def test_error_pattern_length(self, capsys, argv):
         assert_domain_error(capsys, argv, "error vectors must have length n=7")
 
+    @pytest.mark.parametrize("e1, e2", [("1000", "0000"), ("0000", "1000")])
+    def test_distill_uncorrectable_syndrome(self, capsys, e1, e2):
+        argv = ["distill", "--code", "parity4", "--e1", e1, "--e2", e2, "--seed", "4"]
+        assert_domain_error(capsys, argv, "uncorrectable syndrome")
+
     @pytest.mark.parametrize("argv", [
         ["codes", "table", "hamming74", "--t", "-1"],
         ["css", "correct", "--t", "-1"],

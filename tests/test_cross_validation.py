@@ -10,8 +10,9 @@ running-sum outcome draw, the copying collapse that divided by the
 norm, the mask kernel that rebuilt its index and signs on every call,
 the projective measurement that re-parsed its kets on every call), the
 closed-form batched BB84 transport against the per-qubit state-vector
-transport, draw for draw, and the session's index arrays against the
-tuple stages they replaced. The oracles reduce over whole
+transport, draw for draw, the session's index arrays against the
+tuple stages they replaced, and distillation's css_correct round
+against the inline Bob half it replaced. The oracles reduce over whole
 states in 2^13-amplitude blocks, as the simulator does, so that they
 agree bit for bit under any BLAS thread count. Slow and memory-hungry
 by design; sizes stay small.
@@ -40,9 +41,16 @@ from qkdforge.bb84 import (
     run_session,
     transmit_qubit,
 )
-from qkdforge.codes import named_code
+from qkdforge.codes import key_from_coset, named_code
 from qkdforge.css import css_build, css_codeword, pauli_row
-from qkdforge.gf2 import BitVector
+from qkdforge.distill import (
+    DistillationReport,
+    create_epr,
+    inject_bob_errors,
+    measure_alice_parameters,
+    run_distillation,
+)
+from qkdforge.gf2 import BitVector, mat_apply
 from qkdforge.qec3 import random_error, rotation_error, shor_correct, shor_encode
 from qkdforge.qsim import (
     BasisProjector,
@@ -567,6 +575,86 @@ class TestSessionIndexOracle:
             None, "insufficient_sifted_bits", "check_bit_errors"
         }
         assert {mode for mode, _ in reasons} == {"standard", "shor_preskill"}
+
+
+# --- Distillation: Bob's inline correction round ----------------------------
+
+
+def measure_rows(matrix, kind, state, rng, offset):
+    syndrome = 0
+    for row in matrix.rows:
+        eigenvalue, state = measure_pauli_observable(
+            state, pauli_row(row, kind, state.n, offset), rng
+        )
+        syndrome = (syndrome << 1) | (eigenvalue == -1)
+    return BitVector(syndrome, matrix.num_rows), state
+
+
+def inline_run_distillation(session, rng):
+    """run_distillation with Bob's half written out as it was before it
+    became one css_correct call: both of Bob's syndromes, then the shifts
+    and table lookups, then the X and the Z correction."""
+    x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
+    code, n, joint = session.code, session.n, session.joint
+    bob_sx, joint = measure_rows(code.h1, "Z", joint, rng, n)
+    bob_sz, joint = measure_rows(code.h2, "X", joint, rng, n)
+    bit_key = bob_sx + mat_apply(code.h1, x, side="right")
+    phase_key = bob_sz + mat_apply(code.h2, z, side="right")
+    if bit_key not in code.bit_table or phase_key not in code.phase_table:
+        raise ValueError("uncorrectable syndrome: errors exceed the code capacity")
+    e1, e2 = code.bit_table[bit_key], code.phase_table[phase_key]
+    joint = apply_pauli_string(joint, pauli_row(e1, "X", 2 * n, n))
+    joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
+    bits, session.joint = measure_all_z(joint, rng)
+    alice_bits, bob_bits = bits[:n], bits[n:]
+    report = DistillationReport(
+        x, z, alice_sx, alice_sz, bob_sx, bob_sz, e1, e2, alice_bits, bob_bits
+    )
+    return (
+        key_from_coset(code.quotient, alice_bits + x),
+        key_from_coset(code.quotient, bob_bits + x),
+        report,
+    )
+
+
+def distillation_patterns(n):
+    """No error, every weight-1 error and one weight-2 error."""
+    return [0] + [1 << i for i in range(n)] + [0b11 << (n - 2)]
+
+
+def distill_or_error(run, code, e1, e2, seed):
+    rng = np.random.default_rng(seed)
+    session = inject_bob_errors(
+        create_epr(code.n, code), BitVector(e1, code.n), BitVector(e2, code.n)
+    )
+    try:
+        alice_key, bob_key, report = run(session, rng)
+    except ValueError as exc:
+        return str(exc), None
+    return (alice_key, bob_key, vars(report)), rng.bit_generator.state
+
+
+class TestDistillationOracle:
+    # parity4 runs every (e1, e2) pair at seeds 0-19; hamming74's 14-qubit
+    # rounds cost more, so each of its pairs takes 4 of those seeds in turn.
+    @pytest.mark.parametrize("name, seeds_per_pair", [("parity4", 20), ("hamming74", 4)])
+    def test_css_correct_round_matches_inline_round(self, name, seeds_per_pair):
+        c1 = named_code(name)
+        code = css_build(c1, c1.dual())
+        patterns = distillation_patterns(code.n)
+        outcomes = set()
+        for i, (e1, e2) in enumerate(itertools.product(patterns, patterns)):
+            for seed in ((seeds_per_pair * i + k) % 20 for k in range(seeds_per_pair)):
+                want, want_state = distill_or_error(inline_run_distillation, code, e1, e2, seed)
+                got, got_state = distill_or_error(run_distillation, code, e1, e2, seed)
+                case = (name, e1, e2, seed)
+                assert got == want, case
+                # An uncorrectable bit syndrome now stops before Bob's phase
+                # rows draw, so only completed rounds compare generator states.
+                if want_state is not None:
+                    assert got_state == want_state, case
+                outcomes.add(isinstance(want, str))
+        assert outcomes == ({False, True} if name == "parity4" else {False})
 
 
 # --- Exact oracles for the simulator kernels ---------------------------------

@@ -308,6 +308,37 @@ class TestCorrect:
         assert result.z_correction == BV("0100000")
         assert fidelity(result.state, clean) == pytest.approx(1.0, abs=1e-9)
 
+    def test_rng_is_required(self, hamming_pair):
+        clean = css_codeword(hamming_pair, BV("0000000"))
+        with pytest.raises(TypeError):
+            css_correct(hamming_pair, clean, None)
+
+    @pytest.mark.parametrize("before, after", [(7, 0), (2, 1)])
+    def test_offset_block_matches_the_block_alone(self, hamming_pair, before, after):
+        # Spectator qubits around the block change neither the syndromes
+        # nor the corrections, and come out of the round untouched.
+        params = CssParams(x=BV("1100110"), z=BV("0011010"))
+        clean = css_codeword(hamming_pair, BV("0001011"), params)
+        corrupted = apply_gate(apply_gate(clean, "X", 5), "Z", 2)
+        rng = np.random.default_rng(21)
+        head, tail = (rng.normal(size=(2, 2**count)) for count in (before, after))
+        head, tail = (v[0] + 1j * v[1] for v in (head, tail))
+        head, tail = head / np.linalg.norm(head), tail / np.linalg.norm(tail)
+
+        def embed(block):
+            amps = np.kron(np.kron(head, block.amps), tail)
+            return StateVector(n=before + 7 + after, amps=amps)
+
+        alone_rng, embedded_rng = np.random.default_rng(11), np.random.default_rng(11)
+        alone = css_correct(hamming_pair, corrupted, params, alone_rng)
+        embedded = css_correct(hamming_pair, embed(corrupted), params, embedded_rng, offset=before)
+        assert embedded.status == alone.status == "ok"
+        for name in ("bit_syndrome", "phase_syndrome", "x_correction", "z_correction"):
+            assert getattr(embedded, name) == getattr(alone, name), name
+        assert embedded.x_correction == BV("0000100")
+        assert embedded_rng.bit_generator.state == alone_rng.bit_generator.state
+        assert fidelity(embedded.state, embed(clean)) >= 1.0 - 1e-9
+
     def test_uncorrectable_detected(self, parity_pair):
         rng = np.random.default_rng(12)
         q1 = css_codeword(parity_pair, BV("0000"))

@@ -153,11 +153,13 @@ class TestRunDistillation:
 
     def test_uncorrectable_syndrome_rejected(self, parity_pair):
         # The parity pair corrects zero errors: any flip leaves a syndrome
-        # outside the (trivial) table.
-        rng = np.random.default_rng(4)
-        session = inject_bob_errors(create_epr(4, parity_pair), BV("1000"), BV("0000"))
-        with pytest.raises(ValueError):
-            run_distillation(session, rng)
+        # outside the (trivial) table, a bit flip in the bit syndrome and a
+        # phase flip in the phase syndrome.
+        for e1, e2 in [("1000", "0000"), ("0000", "1000")]:
+            rng = np.random.default_rng(4)
+            session = inject_bob_errors(create_epr(4, parity_pair), BV(e1), BV(e2))
+            with pytest.raises(ValueError, match="uncorrectable syndrome"):
+                run_distillation(session, rng)
 
     def test_code_required(self):
         with pytest.raises(ValueError):
