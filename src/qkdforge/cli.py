@@ -62,11 +62,15 @@ CSS_SEEDED_ACTIONS = ("inject", "correct")
 
 def _seed(text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid seed {text!r}: --seed and ${ENV_SEED} take an integer"
-        ) from None
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(
+        f"invalid seed {text!r}: --seed and ${ENV_SEED} take a non-negative integer"
+    )
 
 
 def _positive_int(text: str) -> int:
@@ -92,7 +96,7 @@ def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -
     if name_or_path in NAMED_CODE_NAMES:
         return named_code(name_or_path)
     path = Path(name_or_path)
-    if path.exists():
+    if name_or_path and path.exists():  # Path('') is the working directory
         try:
             text = path.read_text()
         except OSError as exc:
@@ -190,12 +194,11 @@ def _code_pair(args: argparse.Namespace) -> tuple[LinearCode, LinearCode]:
 
 def _bits(text: Optional[str], n: int, name: str) -> BitVector:
     """A bit-string option, all zeros if absent; it must hold n bits."""
-    if not text:
+    if text is None:
         return BitVector.zeros(n)
-    bits = BitVector.from_string(text)
-    if len(bits) != n:
+    if len(text) != n:
         raise ValueError(f"{name} must have length n={n}")
-    return bits
+    return BitVector.from_string(text)
 
 
 def _coset_set(text: Optional[str], check: BitMatrix) -> list[BitVector]:
@@ -367,9 +370,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process: it reads nothing from the environment."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="qkdforge",
         description="Linear codes, CSS quantum codes, and BB84 key distribution",
@@ -437,18 +445,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, in one argparse pass
+    when argv[0] names a subcommand: the top-level pass would only hand
+    the rest to that subcommand's parser. Usage errors, help and exits are
+    byte for byte those of the top-level pass."""
+    parser, subparsers = _parsers()
+    subparser = subparsers.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     draws = args.action in CSS_SEEDED_ACTIONS if args.subcommand == "css" else "seed" in args
     if draws and args.seed is None:
         try:
             args.seed = _seed(os.environ.get(ENV_SEED, "0"))
         except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
+            build_parser().error(str(exc))
     try:
         return args.func(args)
     except ValueError as exc:

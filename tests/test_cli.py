@@ -1,9 +1,17 @@
+import functools
+import io
 import json
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdforge import cli
 from qkdforge.cli import main
 from qkdforge.codes import code_from_parts, named_code
 from qkdforge.gf2 import BitMatrix
@@ -327,6 +335,46 @@ class TestBoundaries:
         code, out, _ = run_cli(capsys, ["css", action])
         assert code == 0 and json.loads(out)["seed"] == 9
 
+    @pytest.mark.parametrize("argv, message", [
+        (["css", "encode", "--v", ""], "coset representative v must have length n=7"),
+        (["css", "correct", "--x", ""], "shift x must have length n=7"),
+        (["css", "inject", "--z="], "phase pattern z must have length n=7"),
+        (["css", "correct", "--e1", ""], "error vectors must have length n=7"),
+        (["css", "inject", "--e2", ""], "error vectors must have length n=7"),
+        (["distill", "--e1", ""], "error vectors must have length n=7"),
+        (["distill", "--e2="], "error vectors must have length n=7"),
+    ])
+    def test_empty_bit_string_is_not_absent(self, capsys, argv, message):
+        """An empty bit string is a value of length 0, not the all-zeros default."""
+        assert_domain_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["bb84", "run", "--seed", "-5"],
+        ["bb84", "sweep", "--seed=-1"],
+        ["distill", "--seed", "-1"],
+        ["qec", "demo", "--seed", "-2"],
+        ["css", "correct", "--seed", "-3"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        assert_usage_error(capsys, argv, "argument --seed: invalid seed '-")
+
+    @pytest.mark.parametrize("argv", [["distill"], ["bb84", "run", "--n", "3"], ["css", "inject"]])
+    def test_negative_seed_variable_is_a_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("QKDFORGE_SEED", "-1")
+        assert_usage_error(capsys, argv, "invalid seed '-1'")
+
+    @pytest.mark.parametrize("argv", [
+        ["codes", "info", ""],
+        ["codes", "table", ""],
+        ["css", "build", "--c1", ""],
+        ["css", "build", "--c2", ""],
+        ["distill", "--code", ""],
+        ["bb84", "run", "--mode", "shor-preskill", "--c1", ""],
+    ])
+    def test_empty_code_argument_is_an_unknown_code(self, capsys, argv):
+        """Path('') is the working directory; an empty name is no code file."""
+        assert_domain_error(capsys, argv, "unknown code ''")
+
 
 def without_elapsed(stdout):
     """A report's stdout less elapsedMs, the one field that varies by run."""
@@ -431,3 +479,162 @@ class TestVerifyBattery:
         assert code == 1
         assert "FAIL synthetic broken check" in out
         assert "1 of 1 checks failed" in err
+
+
+# --- CLI grammar fuzz ---------------------------------------------------------
+
+# Each choice list is (valid values, invalid values).
+INTS = (["0", "1", "2"], ["-1", "nan", "inf", "", "1.5", "x"])
+FLOATS = (["0", "0.05", "0.25", "1"], ["1.5", "-0.1", "nan", "inf", "-inf", "", "x"])
+SEEDS = (["0", "3", "41"], ["-5", "-1", "nan", "inf", "", "1e3", "x"])
+BITS = (["0000000", "0001000", "0100000", "1111111"],
+        ["", "0", "11", "0000", "1000", "00000001", "01x0000", "-1", "nan"])
+SETS = (["0000000,1000000", "0000000"], ["0000,0001", "", ",", "01,0", "0000,x"])
+CSV_HEADER = "seed,qber,sifted_len,aborted,key,keys_match"
+EXTRA_TOKENS = ["--", "stray", "-h", "--help", "--he", "-x", "--bogus", "7"]
+
+
+@pytest.fixture(scope="module")
+def code_args(tmp_path_factory):
+    """Code arguments as (valid, invalid): the names, 'dual' and a matrix
+    file; the empty string, an unknown name, malformed matrix files, a
+    missing file and a directory."""
+    root = tmp_path_factory.mktemp("codes")
+    files = {"rep3.txt": "111\n", "ragged.txt": "101\n11\n", "letters.txt": "10x\n"}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return (
+        ["hamming74", "parity4", "rep3", "dual", str(root / "rep3.txt")],
+        ["", "golay23", str(root / "ragged.txt"), str(root / "letters.txt"),
+         str(root / "missing.txt"), str(root)],
+    )
+
+
+def grammar(codes):
+    """subcommand -> (choices for each positional, choices for each flag).
+    bb84 keeps n <= 50 and runs <= 3, so no drawn call is slow."""
+    seeded = {"--seed": SEEDS}
+    return {
+        "codes": ([(["info", "table"], ["list"]), codes], {"--t": INTS}),
+        "qec": ([(["demo"], ["run"])], {
+            "--code": (["bitflip", "phaseflip", "shor"], ["steane"]),
+            "--qubit": (["0", "1", "3", "9"], ["10", "-1", "nan", ""]),
+            "--error": (["none", "X", "Z", "XZ", "random"], ["Y"]),
+            **seeded,
+        }),
+        "css": ([(["build", "encode", "inject", "correct", "verify"], ["decode"])], {
+            "--c1": codes, "--c2": codes, "--t": INTS,
+            **{flag: BITS for flag in ("--v", "--x", "--z", "--e1", "--e2")},
+            "--x-set": SETS, "--z-set": SETS, **seeded,
+        }),
+        "distill": ([], {"--code": codes, "--e1": BITS, "--e2": BITS, **seeded}),
+        "bb84": ([(["run", "sweep"], ["fly"])], {
+            "--mode": (["standard", "shor-preskill"], ["b92"]),
+            "--n": (["1", "7", "20", "50"], ["0", "-3", "nan", "inf", "", "100000000"]),
+            "--delta": FLOATS, "--t-abort": INTS,
+            "--eve": (["none", "intercept"], ["pns"]),
+            "--eve-basis": (["uniform_random", "always_Z", "always_X"], ["always_Y"]),
+            "--px": FLOATS, "--pz": FLOATS, "--c1": codes, "--c2": codes,
+            "--runs": (["1", "3"], ["0", "-1", "nan", ""]),
+            "--format": (["json", "csv"], ["xml"]), **seeded,
+        }),
+        "verify": ([], {"--format": (["text", "json"], ["xml"])}),
+    }
+
+
+def pick(draw, choices, broken):
+    valid, invalid = choices
+    return draw(st.sampled_from(valid + invalid if broken else valid))
+
+
+@st.composite
+def flag_tokens(draw, flag, choices, others, broken):
+    """One option as --flag value, --flag=value or an abbreviation of the
+    flag; a broken one may also be ambiguous or lack its value."""
+    value = pick(draw, choices, broken)
+    prefixes = [flag[:k] for k in range(3, len(flag) + 1)]
+    if not broken:
+        prefixes = [p for p in prefixes if p == flag or not any(o.startswith(p) for o in others)]
+    form = draw(st.sampled_from(["split", "joined", "bare"] if broken else ["split", "joined"]))
+    name = draw(st.sampled_from(prefixes))
+    if form == "joined":
+        return [f"{name}={value}"]
+    return [name] if form == "bare" else [name, value]
+
+
+@st.composite
+def argvs(draw, codes):
+    """An argv for a valid call, which may still fail on its values, or
+    (as often) a broken one: wrong values, missing or stray tokens,
+    help requests, unknown subcommands or none at all."""
+    table = grammar(codes)
+    broken = draw(st.booleans())
+    head = draw(st.sampled_from(
+        [*table, "teleport", "", "-h", "--", "--bogus", None] if broken else list(table)))
+    if head is None:
+        return []
+    if head not in table:
+        return [head, *draw(st.lists(st.sampled_from([*table, *EXTRA_TOKENS]), max_size=2))]
+    positionals, flags = table[head]
+    argv = [pick(draw, choices, broken) for choices in positionals]
+    if broken:
+        argv = argv[:draw(st.integers(0, len(argv)))]
+    others = [*flags, "--help"]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv += draw(flag_tokens(flag, flags[flag], [o for o in others if o != flag], broken))
+    for token in draw(st.lists(st.sampled_from(EXTRA_TOKENS), max_size=2 if broken else 0)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [head, *argv]
+
+
+# The battery's report is fixed, so the fuzz runs it once, not per call.
+VERIFY_ONCE = functools.cache(run_all_checks)
+
+
+def reference_main(argv):
+    """main with one top-level parse_args over the whole argv: the oracle
+    that subcommand dispatch must match."""
+    with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
+        return main(argv)
+
+
+def call(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, without_elapsed(out.getvalue()), err.getvalue()
+
+
+class TestGrammarFuzz:
+    """argv drawn from the CLI grammar, valid or not. Dispatching straight
+    to the subcommand's parser must behave as the top-level parse does,
+    byte for byte, and every call must end in a clean exit code."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), env_seed=st.sampled_from([None, "7", "-1", "abc", ""]))
+    def test_dispatch_matches_the_top_level_parse(self, code_args, data, env_seed):
+        argv = data.draw(argvs(code_args), label="argv")
+        with mock.patch.dict(os.environ):
+            os.environ.pop(cli.ENV_SEED, None)
+            if env_seed is not None:
+                os.environ[cli.ENV_SEED] = env_seed
+            with mock.patch.object(cli, "run_all_checks", VERIFY_ONCE):
+                code, out, err = call(main, argv)
+                assert (code, out, err) == call(reference_main, argv)
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ")
+        if code != 0:
+            return
+        if out.startswith("usage: qkdforge"):
+            assert any(token.startswith(("-h", "--h")) for token in argv)
+        elif out.startswith(CSV_HEADER + "\n"):
+            assert argv[0] == "bb84"
+        elif out.startswith("PASS "):
+            assert argv[0] == "verify" and "FAIL" not in out
+        else:
+            assert isinstance(json.loads(out), dict)

@@ -98,6 +98,38 @@ class TestBitVector:
         assert v[0] == 1 and v[4] == 0
         assert v[:3] == BV("101")
 
+    @pytest.mark.parametrize("form", [
+        lambda raw: raw > 0,
+        lambda raw: raw.astype(np.uint8),
+        lambda raw: raw.astype(np.int8),
+        lambda raw: raw,
+        lambda raw: raw.astype(np.uint64),
+        lambda raw: raw.astype(float),
+        lambda raw: raw.tolist(),
+        lambda raw: (int(x) for x in raw),
+    ], ids=["bool", "uint8", "int8", "int64", "uint64", "float", "list", "generator"])
+    def test_from_ints_matches_the_int64_mod_2_oracle(self, form):
+        """from_ints packs low bits (or bools) directly; its value must be
+        that of the int64 % 2 form for every length, including the ones
+        that leave a partial last byte, and for negative entries."""
+
+        def oracle(values):
+            if not isinstance(values, np.ndarray):
+                values = list(values)
+            bits = np.asarray(values, dtype=np.int64) % 2
+            return BitVector(int("".join(map(str, bits)), 2), len(bits))
+
+        rng = np.random.default_rng(14)
+        for n in range(1, 71):
+            raw = rng.integers(-300, 300, size=n)
+            assert BitVector.from_ints(form(raw)) == oracle(form(raw))
+
+    @pytest.mark.parametrize("empty", [[], np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+                                       np.zeros(0), iter(())])
+    def test_from_ints_rejects_empty_input(self, empty):
+        with pytest.raises(ValueError, match="at least one bit"):
+            BitVector.from_ints(empty)
+
 
 class TestMatApply:
     def test_left_encoding_example(self):
