@@ -196,9 +196,10 @@ def _bits(text: Optional[str], n: int, name: str) -> BitVector:
     """A bit-string option, all zeros if absent; it must hold n bits."""
     if text is None:
         return BitVector.zeros(n)
-    if len(text) != n:
+    bits = BitVector.from_string(text) if text else None
+    if bits is None or len(bits) != n:
         raise ValueError(f"{name} must have length n={n}")
-    return BitVector.from_string(text)
+    return bits
 
 
 def _coset_set(text: Optional[str], check: BitMatrix) -> list[BitVector]:

@@ -42,18 +42,14 @@ class BitVector:
 
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> "BitVector":
-        """Each value mod 2, in order. A bool array packs as it is and an
-        integer array as its low bits, cast to uint8 in the same pass (x & 1
-        equals x % 2 for every two's-complement x); anything else is read as
-        int64 first."""
+        """Each value mod 2, in order. A bool or integer array packs as its
+        low bits, cast to uint8 in the same pass (x & 1 equals x % 2 for
+        every two's-complement x); anything else is read as int64 first."""
         if not isinstance(values, np.ndarray):
             values = np.asarray(list(values), dtype=np.int64)
         elif values.dtype.kind not in "biu":
             values = values.astype(np.int64)
-        if values.dtype.kind == "b":
-            bits = values
-        else:
-            bits = np.bitwise_and(values, 1, dtype=np.uint8, casting="unsafe")
+        bits = np.bitwise_and(values, 1, dtype=np.uint8, casting="unsafe")
         value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
         return cls(value, len(bits))
 

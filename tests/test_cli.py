@@ -349,6 +349,15 @@ class TestBoundaries:
         assert_domain_error(capsys, argv, message)
 
     @pytest.mark.parametrize("argv", [
+        ["css", "encode", "--v", "01x"],
+        ["css", "correct", "--x", "2"],
+        ["distill", "--e1", "0000000x"],
+    ])
+    def test_non_binary_bit_string_is_named_before_its_length(self, capsys, argv):
+        """A value that is neither binary nor n long reports its characters."""
+        assert_domain_error(capsys, argv, "BitVector entries must be 0 or 1, got ")
+
+    @pytest.mark.parametrize("argv", [
         ["bb84", "run", "--seed", "-5"],
         ["bb84", "sweep", "--seed=-1"],
         ["distill", "--seed", "-1"],

@@ -109,7 +109,7 @@ class TestBitVector:
         lambda raw: (int(x) for x in raw),
     ], ids=["bool", "uint8", "int8", "int64", "uint64", "float", "list", "generator"])
     def test_from_ints_matches_the_int64_mod_2_oracle(self, form):
-        """from_ints packs low bits (or bools) directly; its value must be
+        """from_ints packs the low bits of an array directly; its value must be
         that of the int64 % 2 form for every length, including the ones
         that leave a partial last byte, and for negative entries."""
 
