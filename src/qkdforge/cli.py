@@ -11,6 +11,7 @@ stderr. Exit codes: 0 success, 1 domain error or failed verification,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -150,27 +151,27 @@ def _cmd_qec(args: argparse.Namespace) -> int:
     started = time.time()
     rng = np.random.default_rng(args.seed)
     a, b = 0.6, 0.8
+    code_gate, encode, correct = {
+        "bitflip": ("X", bitflip_encode, bitflip_syndrome_and_correct),
+        "phaseflip": ("Z", phaseflip_encode, phaseflip_syndrome_and_correct),
+        "shor": ("X", shor_encode, shor_correct),
+    }[args.code]
+    error = args.error or code_gate
+    clean = encode(a, b)
+    if error == "random":
+        qubit = args.qubit if args.qubit else int(rng.integers(1, clean.n + 1))
+        state = apply_error(clean, random_error(rng, qubit))
+    else:  # "none" names neither gate
+        state = clean
+        for gate in ("Z", "X") if args.qubit else ():
+            if gate in error:
+                state = apply_gate(state, gate, args.qubit)
     if args.code != "shor":
-        gate, encode, correct = {
-            "bitflip": ("X", bitflip_encode, bitflip_syndrome_and_correct),
-            "phaseflip": ("Z", phaseflip_encode, phaseflip_syndrome_and_correct),
-        }[args.code]
-        clean = encode(a, b)
-        state = apply_gate(clean, gate, args.qubit) if args.qubit else clean
         outcome, corrected = correct(state, rng)
-        correction = f"{gate}{outcome}" if outcome else None
+        correction = f"{code_gate}{outcome}" if outcome else None
         output = {"syndromeOutcome": outcome, "correction": correction}
-    else:  # shor
-        clean = shor_encode(a, b)
-        if args.error == "random":
-            qubit = args.qubit if args.qubit else int(rng.integers(1, 10))
-            state = apply_error(clean, random_error(rng, qubit))
-        else:  # "none" names neither gate
-            state = clean
-            for gate in ("Z", "X") if args.qubit else ():
-                if gate in args.error:
-                    state = apply_gate(state, gate, args.qubit)
-        syndrome, corrected = shor_correct(state, rng)
+    else:
+        syndrome, corrected = correct(state, rng)
         output = {
             "syndromeOutcome": {
                 "flippedQubits": list(syndrome.flipped_qubits),
@@ -182,7 +183,7 @@ def _cmd_qec(args: argparse.Namespace) -> int:
             },
         }
     output["fidelity"] = fidelity(corrected, clean)
-    config = {"code": args.code, "qubit": args.qubit, "error": args.error}
+    config = {"code": args.code, "qubit": args.qubit, "error": error}
     _emit("qec demo", config, args.seed, output, started)
     return 0
 
@@ -332,6 +333,9 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
     if args.action == "run" and args.format == "csv":
         print("error: csv output applies to 'bb84 sweep' only", file=sys.stderr)
         return 2
+    if args.action == "sweep" and args.format == "json":
+        print("error: json output applies to 'bb84 run' only", file=sys.stderr)
+        return 2
     config = _session_config(args)
     if args.action == "run":
         transcript = run_session(config)
@@ -395,7 +399,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_qec.add_argument("action", choices=["demo"])
     p_qec.add_argument("--code", choices=["bitflip", "phaseflip", "shor"], default="bitflip")
     p_qec.add_argument("--qubit", type=int, default=0, help="0 injects no error")
-    p_qec.add_argument("--error", choices=["none", "X", "Z", "XZ", "random"], default="X")
+    p_qec.add_argument(
+        "--error", choices=["none", "X", "Z", "XZ", "random"], help="default: the code's own gate"
+    )
     p_qec.add_argument("--seed", type=_seed)
     p_qec.set_defaults(func=_cmd_qec)
 
@@ -439,7 +445,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_bb84.add_argument("--c2", default="dual")
     p_bb84.add_argument("--seed", type=_seed)
     p_bb84.add_argument("--runs", type=_positive_int, default=10, help="sweep size")
-    p_bb84.add_argument("--format", choices=["json", "csv"], default="json")
+    p_bb84.add_argument("--format", choices=["json", "csv"], help="default: json, csv for sweep")
     p_bb84.set_defaults(func=_cmd_bb84)
 
     p_verify = sub.add_parser("verify", help="run the full self-check battery")
@@ -465,7 +471,24 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _keep_heap_resident() -> bool:
+    """Keep freed heap memory resident under glibc: by default it handed a
+    distill call's 256 KB arrays back to the OS and the next call faulted
+    them in again, about 450 minor faults per call. Setting either value
+    ends glibc's dynamic threshold, so both are set, the mmap threshold
+    first. Only main, which owns its process, calls this."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no glibc malloc: leave the allocator alone
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    _keep_heap_resident()
     args = _parse(sys.argv[1:] if argv is None else argv)
     draws = args.action in CSS_SEEDED_ACTIONS if args.subcommand == "css" else "seed" in args
     if draws and args.seed is None:

@@ -197,7 +197,7 @@ def pauli_row(
 
 @lru_cache(maxsize=4)
 def _index(n: int) -> np.ndarray:
-    """np.arange(2^n), read-only, kept for the last few qubit counts."""
+    """np.arange(2^n), read-only, kept for the last few half widths."""
     index = np.arange(1 << n)
     index.setflags(write=False)
     return index
@@ -216,31 +216,36 @@ def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
     """The amplitudes of pauli applied to state, as a raw array:
     out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
            = (-i)^{|x&z|} (-1)^{|j_hi&z_hi|} (-1)^{|j_lo&z_lo|} amps[j^x],
-    one gather, the scalar phase, and +/-1 tables over the high and the
-    low half of j. Every nonzero amplitude is exact; the identity
-    gives state.amps."""
+    a gather of rows then of columns of the amplitudes viewed as a grid
+    over the high and the low half of j, the scalar phase, and +/-1
+    tables over the two halves. Every nonzero amplitude is exact; the
+    identity gives state.amps."""
     if len(pauli) != state.n:
         raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
     n, x, z = state.n, pauli.x, pauli.z
     if not x | z:
         return state.amps
     low = n // 2
+    low_mask = (1 << low) - 1
     tables = []
     if z_high := z >> low:
         tables.append(_signs(n - low, z_high)[:, np.newaxis])
-    if z_low := z & ((1 << low) - 1):
+    if z_low := z & low_mask:
         tables.append(_signs(low, z_low))
-    if x:
-        out = state.amps[_index(n) ^ x]
+    grid = state.amps.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = amps[j]
+    if x:  # each take builds a new grid
+        if x_high := x >> low:
+            grid = grid.take(_index(n - low) ^ x_high, axis=0)
+        if x_low := x & low_mask:
+            grid = grid.take(_index(low) ^ x_low, axis=1)
         phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
         if phase != 1:
-            out *= phase
-    else:  # no gather, no phase: the first sign table writes the new array
-        out = (state.amps.reshape(-1, 1 << low) * tables.pop(0)).reshape(-1)
-    grid = out.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = out[j]
+            grid *= phase
+    else:  # no gather, no phase: the first sign table writes the new grid
+        grid = grid * tables.pop(0)
     for table in tables:
         grid *= table
-    return out
+    return grid.reshape(-1)
 
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:

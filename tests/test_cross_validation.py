@@ -8,6 +8,7 @@ checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
 norm, the mask kernel that rebuilt its index and signs on every call,
+the gather through a full 2^n index that the half-grid takes replaced,
 the projective measurement that re-parsed its kets on every call), the
 closed-form batched BB84 transport against the per-qubit state-vector
 transport, draw for draw, the session's index arrays against the
@@ -759,6 +760,32 @@ def per_call_measure_pauli_observable(state, x, z, rng):
     return eigenvalue, collapsed / block_norm(collapsed)
 
 
+def full_index_pauli_amps(amps, n, x, z):
+    """The Pauli kernel before its gather became row and column takes on
+    the half-index grid: amps[arange(2^n) ^ x], a 2^n index per call,
+    then the same phase and cached half-width sign tables."""
+    low = n // 2
+    grid = amps[np.arange(2**n) ^ x].reshape(-1, 1 << low)
+    phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+    if phase != 1:
+        grid *= phase
+    if z >> low:
+        grid *= _signs(n - low, z >> low)[:, np.newaxis]
+    if z & (1 << low) - 1:
+        grid *= _signs(low, z & (1 << low) - 1)
+    return grid.reshape(-1)
+
+
+def full_index_measure_pauli_observable(state, x, z, rng):
+    """measure_pauli_observable on the full-index kernel's product."""
+    applied = full_index_pauli_amps(state.amps, state.n, x, z)
+    expectation = float(np.real(_vdot(state.amps, applied)))
+    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
+    eigenvalue = +1 if rng.random() < p_plus else -1
+    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
+    return eigenvalue, _divide(collapsed, _norm(collapsed))
+
+
 def pauli_from_masks(n, x, z):
     factors = "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n - 1, -1, -1))
     pauli = PauliString(factors)
@@ -958,10 +985,29 @@ class TestKernelOracles:
                     outcomes.add(value)
         assert outcomes == {1, -1}
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_grid_gather_matches_full_index_gather_bit_for_bit(self, n):
+        rng = np.random.default_rng(395 + n)
+        pairs = [(x, z) for x, z in mask_pairs(rng, n) if x]
+        low = (1 << n // 2) - 1
+        regions = {(bool(x & ~low), bool(x & low)) for x, _ in pairs}
+        assert regions == ({(True, False)} if n == 1 else {(True, False), (False, True), (True, True)})
+        assert any(x & z for x, z in pairs)  # Y factors
+        for psi in kernel_states(rng, n):
+            for i, (x, z) in enumerate(pairs):
+                pauli = pauli_from_masks(n, x, z)
+                want = full_index_pauli_amps(psi.amps, n, x, z)
+                assert apply_pauli_string(psi, pauli).amps.tobytes() == want.tobytes(), (x, z)
+                r = (1e-6, 1.0 - 1e-6, float(rng.random()))[i % 3]
+                want_value, want = full_index_measure_pauli_observable(psi, x, z, ScriptedRng([r]))
+                value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                assert value == want_value, (x, z, r)
+                assert collapsed.amps.tobytes() == want.tobytes(), (x, z, r)
+
     def test_cached_tables_are_read_only(self):
         pauli = PauliString("XYZIXYZIY")
         apply_pauli_string(random_state(np.random.default_rng(390), 9), pauli)
-        for table in (_index(9), _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
+        for table in (_index(5), _index(4), _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0
