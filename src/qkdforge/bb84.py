@@ -40,6 +40,7 @@ from .codes import (
     LinearCode,
     build_syndrome_table,
     check_nested,
+    check_table_budget,
     decode,
     key_from_coset,
     quotient,
@@ -124,6 +125,7 @@ class SessionConfig:
                     f"block size n={self.n} must equal the code length {self.codes[0].n}"
                 )
             check_nested(*self.codes)
+            check_table_budget(self.n, self.codes[0].corrects)  # Bob's table
 
     @property
     def raw_length(self) -> int:

@@ -139,9 +139,7 @@ def _cmd_codes(args: argparse.Namespace) -> int:
         table = build_syndrome_table(code, t_max)
         output = {
             "tMax": t_max,
-            "entries": {str(s): str(e) for s, e in sorted(
-                table.entries.items(), key=lambda kv: str(kv[0])
-            )},
+            "entries": {str(s): str(e) for s, e in table.entries.items()},
         }
     _emit(f"codes {args.action}", {"code": args.code, "t": args.t}, None, output, started)
     return 0
@@ -497,9 +495,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         except argparse.ArgumentTypeError as exc:
             build_parser().error(str(exc))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left: stdout to devnull, so the exit flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -29,17 +29,20 @@ from .gf2 import (
 # Codeword enumeration is brute force over a packed 2^k-row array;
 # anything bigger than this is a usage error, not a job for this package.
 ENUMERATION_LIMIT = 24
+# Entries of one syndrome table, an error of weight <= t_max each (README).
+SYNDROME_TABLE_LIMIT = 1 << 18
 
 
 def _kept_on_first_argument(build):
-    """Memoize build(owner, *args), positional only, in the owner's __dict__."""
+    """Memoize build(owner, ...) in owner.__dict__, keyed by the other arguments as passed."""
 
     @wraps(build)
-    def cached(owner, *args):
+    def cached(owner, *args, **kwargs):
+        key = args + tuple(kwargs.items())
         memo = owner.__dict__.setdefault(f"_{build.__name__}", {})
-        if args not in memo:
-            memo[args] = build(owner, *args)
-        return memo[args]
+        if key not in memo:
+            memo[key] = build(owner, *args, **kwargs)
+        return memo[key]
 
     return cached
 
@@ -187,17 +190,33 @@ class SyndromeTable:
         return len(self.entries)
 
 
+def check_table_budget(n: int, t_max: int) -> None:
+    """Raise ValueError if sum_{w <= t_max} C(n, w), the errors a table
+    holds, exceeds SYNDROME_TABLE_LIMIT; the sum stops once it does."""
+    total, count = 0, 1
+    for w in range(t_max + 1):
+        total += count  # count = C(n, w)
+        if total > SYNDROME_TABLE_LIMIT:
+            raise ValueError(
+                f"a syndrome table for t_max={t_max} on {n} bits needs at least {total} "
+                f"entries (the errors of weight <= {w}), over the limit {SYNDROME_TABLE_LIMIT}"
+            )
+        count = count * (n - w) // (w + 1)
+
+
 @_kept_on_first_argument
 def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
     """Tabulate H.e^T for every error e of weight <= t_max, once per H.
 
-    Raises ValueError for a negative t_max, and if two distinct errors
-    collide on a syndrome, which means the requested t_max exceeds what
-    this check matrix can resolve.
+    Raises ValueError for a negative t_max or a table over
+    SYNDROME_TABLE_LIMIT entries, both before any work, and if two
+    distinct errors collide on a syndrome, which means the requested
+    t_max exceeds what this check matrix can resolve.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     n = H.num_cols
+    check_table_budget(n, t_max)
     entries: dict[BitVector, BitVector] = {}
     for w in range(t_max + 1):
         for positions in itertools.combinations(range(n), w):

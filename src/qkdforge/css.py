@@ -11,12 +11,14 @@ C2), and both families of observables commute on codeword states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .codes import (
     CosetQuotient,
+    _kept_on_first_argument,
     LinearCode,
     SyndromeTable,
     check_nested,
@@ -25,6 +27,7 @@ from .codes import (
 )
 from .gf2 import BitMatrix, BitVector, mat_apply
 from .qsim import (
+    PauliString,
     StateVector,
     apply_pauli_string,
     fidelity,
@@ -74,12 +77,20 @@ class CssCode:
     def k(self) -> int:
         return self.c1.k - self.c2.k
 
+    @cached_property
+    def _c2_indices(self) -> np.ndarray:
+        """C2's codewords as basis indices, in message order, read-only."""
+        indices = np.fromiter((w.value for w in self.c2.codewords()), dtype=np.int64)
+        indices.setflags(write=False)
+        return indices
+
     def __repr__(self) -> str:
         return f"CssCode[n={self.n}, k={self.k}, t={self.t}]"
 
 
+@_kept_on_first_argument
 def css_build(c1: LinearCode, c2: LinearCode, t: Optional[int] = None) -> CssCode:
-    """Validate the nesting and capacities, then assemble the code.
+    """Validate the nesting and capacities, then assemble the code, once per (C1, C2, t).
 
     Requires C2 to be a proper subcode of C1 and both C1 and the dual of
     C2 to correct t errors. t defaults to the largest such value.
@@ -120,12 +131,20 @@ def css_codeword(
         params = CssParams.zero(code.n)
     if not code.c1.contains(v):
         raise ValueError(f"{v} is not a codeword of C1")
+    # One write of +/-1 / sqrt(|C2|) per distinct codeword (README, Conventions).
+    scale = 1.0 / np.sqrt(2**code.c2.k)
+    words = code._c2_indices
     amps = np.zeros(2**code.n, dtype=complex)
-    shift = (v + params.x).value
-    for w in code.c2.codewords():
-        amps[w.value ^ shift] += -1.0 if w.dot(params.z) else 1.0
-    amps /= np.sqrt(2**code.c2.k)
-    return StateVector(n=code.n, amps=amps)
+    amps[words ^ (v + params.x).value] = np.where(
+        np.bitwise_count(words & params.z.value) & 1, -scale, scale
+    )
+    return StateVector._adopt(code.n, amps)
+
+
+@_kept_on_first_argument
+def _row_observables(matrix: BitMatrix, kind: str, n: int, offset: int) -> tuple[PauliString, ...]:
+    """pauli_row(row, kind, n, offset) for each row of the check matrix."""
+    return tuple(pauli_row(row, kind, n, offset) for row in matrix.rows)
 
 
 def _measure_rows(
@@ -139,8 +158,7 @@ def _measure_rows(
     the check matrix in order, one draw per row, and map eigenvalues
     +1 -> 0, -1 -> 1. Returns the syndrome and the collapsed state."""
     syndrome = 0
-    for row in matrix.rows:
-        observable = pauli_row(row, kind, state.n, offset)
+    for observable in _row_observables(matrix, kind, state.n, offset):
         eigenvalue, state = measure_pauli_observable(state, observable, rng)
         syndrome = (syndrome << 1) | (eigenvalue == -1)
     return BitVector(syndrome, matrix.num_rows), state

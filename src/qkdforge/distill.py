@@ -12,6 +12,7 @@ whenever the injected errors stay within the code's capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -35,16 +36,22 @@ class EprSession:
     z: Optional[BitVector] = None
 
 
+@cache
+def _epr_state(n: int) -> StateVector:
+    """The n-pair state, built once per n: read-only, so sessions share it."""
+    size = 2**n
+    amps = np.zeros(size * size, dtype=complex)
+    amps[:: size + 1] = 1.0 / np.sqrt(size)
+    return StateVector._adopt(2 * n, amps)
+
+
 def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
     """Prepare n perfect pairs: (1/sqrt(2^n)) sum_j |j>_A |j>_B."""
     if 2 * n > MAX_JOINT_QUBITS:
         raise ValueError(f"2n = {2 * n} exceeds the joint-state limit {MAX_JOINT_QUBITS}")
     if code is not None and code.n != n:
         raise ValueError(f"code length {code.n} does not match n={n}")
-    size = 2**n
-    amps = np.zeros(size * size, dtype=complex)
-    amps[:: size + 1] = 1.0 / np.sqrt(size)
-    return EprSession(n=n, joint=StateVector._adopt(2 * n, amps), code=code)
+    return EprSession(n=n, joint=_epr_state(n), code=code)
 
 
 def inject_bob_errors(session: EprSession, e1: BitVector, e2: BitVector) -> EprSession:

@@ -10,6 +10,7 @@ measurement so seeded runs are bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -44,7 +45,7 @@ class StateVector:
         amps = self.amps if adopt else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
-        norm = np.sqrt(_vdot(amps, amps).real)
+        norm = math.sqrt(_vdot(amps, amps).real)
         if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         amps.setflags(write=False)
@@ -71,6 +72,8 @@ def _blocked(dot, a: np.ndarray, b: np.ndarray):
     """dot(a, b) as the sum of dot over fixed 2^13-element blocks, added in
     index order from block 0, so the same bits under any BLAS thread count
     (README, Conventions). Up to 2^13 elements it is the one call dot(a, b)."""
+    if a.size <= _BLOCK:
+        return dot(a, b)
     total = dot(a[:_BLOCK], b[:_BLOCK])
     for start in range(_BLOCK, a.size, _BLOCK):
         total += dot(a[start : start + _BLOCK], b[start : start + _BLOCK])
@@ -86,7 +89,7 @@ def _norm(amps: np.ndarray) -> float:
     """np.linalg.norm(amps) by its own formula, the real-view dot plus the
     imaginary-view dot, then sqrt; each dot summed block by block."""
     re, im = amps.real, amps.imag
-    return np.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
+    return math.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
 
 
 def _divide(amps: np.ndarray, divisor: float) -> np.ndarray:
@@ -195,14 +198,6 @@ def pauli_row(
     return pauli
 
 
-@lru_cache(maxsize=4)
-def _index(n: int) -> np.ndarray:
-    """np.arange(2^n), read-only, kept for the last few half widths."""
-    index = np.arange(1 << n)
-    index.setflags(write=False)
-    return index
-
-
 @lru_cache(maxsize=256)
 def _signs(bits: int, mask: int) -> np.ndarray:
     """(-1)^{|j&mask|} for j < 2^bits, a read-only complex table."""
@@ -212,19 +207,11 @@ def _signs(bits: int, mask: int) -> np.ndarray:
     return signs
 
 
-def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
-    """The amplitudes of pauli applied to state, as a raw array:
-    out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
-           = (-i)^{|x&z|} (-1)^{|j_hi&z_hi|} (-1)^{|j_lo&z_lo|} amps[j^x],
-    a gather of rows then of columns of the amplitudes viewed as a grid
-    over the high and the low half of j, the scalar phase, and +/-1
-    tables over the two halves. Every nonzero amplitude is exact; the
-    identity gives state.amps."""
-    if len(pauli) != state.n:
-        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
-    n, x, z = state.n, pauli.x, pauli.z
-    if not x | z:
-        return state.amps
+@lru_cache(maxsize=256)
+def _pauli_plan(n: int, x: int, z: int) -> tuple:
+    """What _pauli_amps needs for the masks (x, z) on n qubits, built once:
+    the grid's row length, the read-only row and column gathers (None for
+    a zero half of x), the scalar phase and the sign tables."""
     low = n // 2
     low_mask = (1 << low) - 1
     tables = []
@@ -232,17 +219,39 @@ def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
         tables.append(_signs(n - low, z_high)[:, np.newaxis])
     if z_low := z & low_mask:
         tables.append(_signs(low, z_low))
-    grid = state.amps.reshape(-1, 1 << low)  # grid[j_hi, j_lo] = amps[j]
-    if x:  # each take builds a new grid
-        if x_high := x >> low:
-            grid = grid.take(_index(n - low) ^ x_high, axis=0)
-        if x_low := x & low_mask:
-            grid = grid.take(_index(low) ^ x_low, axis=1)
-        phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+    rows = np.arange(1 << (n - low)) ^ (x >> low) if x >> low else None
+    cols = np.arange(1 << low) ^ (x & low_mask) if x & low_mask else None
+    for index in (rows, cols):
+        if index is not None:
+            index.setflags(write=False)
+    phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+    return 1 << low, rows, cols, phase, tuple(tables)
+
+
+def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
+    """The amplitudes of pauli applied to state, as a raw array:
+    out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
+           = (-i)^{|x&z|} (-1)^{|j_hi&z_hi|} (-1)^{|j_lo&z_lo|} amps[j^x],
+    a gather of rows then of columns of the amplitudes viewed as a grid
+    over the high and the low half of j, the scalar phase, and +/-1
+    tables over the two halves, all from the cached plan for (n, x, z).
+    Every nonzero amplitude is exact; the identity gives state.amps."""
+    if len(pauli) != state.n:
+        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
+    if not pauli.x | pauli.z:
+        return state.amps
+    width, rows, cols, phase, tables = _pauli_plan(state.n, pauli.x, pauli.z)
+    grid = state.amps.reshape(-1, width)  # grid[j_hi, j_lo] = amps[j]
+    if pauli.x:  # each take builds a new grid
+        if rows is not None:
+            grid = grid.take(rows, axis=0)
+        if cols is not None:
+            grid = grid.take(cols, axis=1)
         if phase != 1:
             grid *= phase
     else:  # no gather, no phase: the first sign table writes the new grid
-        grid = grid * tables.pop(0)
+        grid = grid * tables[0]
+        tables = tables[1:]
     for table in tables:
         grid *= table
     return grid.reshape(-1)
@@ -394,8 +403,9 @@ def measure_all_z(
     collapses to that ket.
     """
     weights = np.abs(state.amps) ** 2
-    outcome = _draw_outcome(rng, weights)
-    bits = BitVector(outcome, state.n)
+    # Zero weights skipped: adding +0.0 changes no sum (README, Conventions).
+    support = np.flatnonzero(weights != 0.0)
+    bits = BitVector(int(support[_draw_outcome(rng, weights[support])]), state.n)
     return bits, basis_state(bits)
 
 

@@ -20,8 +20,8 @@ from qkdforge.bb84 import (
     shor_preskill_keys,
     transmit_qubit,
 )
-from qkdforge.codes import named_code
-from qkdforge.gf2 import BitVector
+from qkdforge.codes import code_from_generator, named_code
+from qkdforge.gf2 import BitMatrix, BitVector
 
 BV = BitVector.from_string
 
@@ -138,6 +138,7 @@ class TestConfig:
 
     def test_size_limits(self):
         assert SessionConfig(n=MAX_N).raw_length <= MAX_RAW_LENGTH
+        assert SessionConfig(n=MAX_N, delta=1.0).raw_length == MAX_RAW_LENGTH  # the limit itself
         with pytest.raises(ValueError, match="n must be"):
             SessionConfig(n=MAX_N + 1)
         with pytest.raises(ValueError, match="raw block"):
@@ -153,6 +154,14 @@ class TestConfig:
             SessionConfig(n=7, mode="shor_preskill", codes=(c2, c1))
         with pytest.raises(ValueError, match="same length"):
             SessionConfig(n=7, mode="shor_preskill", codes=(c1, named_code("rep3")))
+
+    def test_shor_preskill_table_budget_checked_up_front(self):
+        """Bob's table for a [40, 2] code with two disjoint weight-20 rows
+        (t = 9) would hold about 3.7e8 entries; the config refuses it."""
+        c1 = code_from_generator(BitMatrix.from_strings(["1" * 20 + "0" * 20, "0" * 20 + "1" * 20]))
+        c2 = code_from_generator(BitMatrix.from_strings(["1" * 40]))
+        with pytest.raises(ValueError, match="syndrome table for t_max=9 on 40 bits"):
+            SessionConfig(n=40, mode="shor_preskill", codes=(c1, c2))
 
     def test_transmit_qubit_rejects_non_bits(self):
         rng = np.random.default_rng(0)

@@ -526,16 +526,86 @@ def test_distill_keeps_its_heap_resident():
     arrays of one distill call reuse the memory of the last call: about
     450 minor page faults per call without them, none with them.
     Importing the library leaves the allocator alone."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     done = subprocess.run(
-        [sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", FAULT_SCRIPT], env=source_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["untouched"] and report["set"]
     assert report["faults"] < 8, report
+
+
+def source_env():
+    """The environment with this source tree first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+# main(argv) in a fresh process, timed from after the imports; the time
+# goes to stdout, which the failing calls below leave empty otherwise.
+TIMED_MAIN = """
+import sys, time
+from qkdforge import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.fixture
+def forty_bit_codes(tmp_path):
+    """[40, 2] with two disjoint weight-20 rows (d = 20, t = 9), and the
+    [40, 1] all-ones code (d = 40, t = 19) inside it."""
+    c1, c2 = tmp_path / "c40_2.txt", tmp_path / "c40_1.txt"
+    c1.write_text("1" * 20 + "0" * 20 + "\n" + "0" * 20 + "1" * 20 + "\n")
+    c2.write_text("1" * 40 + "\n")
+    return str(c1), str(c2)
+
+
+class TestSizeBudgets:
+    """Tables that could not finish fail before any work: exit 1 with an
+    error line, well inside a second."""
+
+    @pytest.mark.parametrize("argv", [
+        ["codes", "table", "{c2}"],
+        ["bb84", "run", "--mode", "shor-preskill", "--n", "40", "--c1", "{c1}", "--c2", "{c2}"],
+    ])
+    def test_oversized_syndrome_table_is_an_error(self, forty_bit_codes, argv):
+        c1, c2 = forty_bit_codes
+        argv = [a.format(c1=c1, c2=c2) for a in argv]
+        done = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, *argv], env=source_env(), capture_output=True,
+            text=True, timeout=10,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: a syndrome table") and "over the limit" in done.stderr
+        assert float(done.stdout) < 1.0
+
+    def test_closed_pipe_prints_no_traceback(self, forty_bit_codes):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "qkdforge.cli", "codes", "info", forty_bit_codes[0]],
+                env=source_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
+def test_qec_demo_without_qubit_injects_no_error(capsys):
+    code, out, _ = run_cli(capsys, ["qec", "demo", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == {"code": "bitflip", "qubit": 0, "error": "X"}
+    assert payload["output"]["syndromeOutcome"] == 0
+    assert payload["output"]["correction"] is None
+    assert payload["output"]["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVerifyBattery:

@@ -11,6 +11,7 @@ from qkdforge.codes import (
     LinearCode,
     build_syndrome_table,
     check_nested,
+    check_table_budget,
     code_from_generator,
     code_from_parts,
     decode,
@@ -19,7 +20,7 @@ from qkdforge.codes import (
     quotient,
     syndrome_table_from_check,
 )
-from qkdforge import gf2
+from qkdforge import codes, gf2
 from qkdforge.css import css_build
 from qkdforge.gf2 import BitMatrix, BitVector, mat_apply, rank, rref, solve_particular
 
@@ -342,6 +343,29 @@ class TestSyndromeTable:
             syndrome_table_from_check(hamming.H, -1)
         with pytest.raises(ValueError, match="t_max must be nonnegative"):
             build_syndrome_table(hamming, -1)
+
+    def test_table_budget_is_checked_before_any_work(self, monkeypatch):
+        """sum_{w <= t} C(n, w) against SYNDROME_TABLE_LIMIT: at the limit
+        the table is built, one entry over it fails with the count named
+        and no syndrome computed."""
+        identity = BitMatrix.identity(40)  # every error has its own syndrome
+        monkeypatch.setattr(codes, "SYNDROME_TABLE_LIMIT", 1 + 40 + 780)
+        assert len(syndrome_table_from_check(identity, 2)) == 821
+        monkeypatch.setattr(codes, "SYNDROME_TABLE_LIMIT", 820)
+        monkeypatch.setattr(codes, "mat_apply", None)  # any syndrome would fail
+        with pytest.raises(ValueError, match="at least 821 entries .* over the limit 820"):
+            syndrome_table_from_check(BitMatrix.identity(40), 2)
+        with pytest.raises(ValueError, match="at least 821 entries"):
+            check_table_budget(40, 39)
+
+    def test_table_budget_admits_the_tested_codes(self):
+        assert codes.SYNDROME_TABLE_LIMIT == 1 << 18
+        # hamming74, [15, 11], the [23, 12] Golay code, the k = 20 codes, the
+        # largest table the tests build, and 102,091 entries in about 1.5 s.
+        for n, t in ((7, 1), (15, 1), (23, 3), (40, 1), (12, 4), (40, 4)):
+            check_table_budget(n, t)
+        with pytest.raises(ValueError, match="t_max=19 on 40 bits"):
+            check_table_budget(40, 19)  # the [40, 1] repetition code, 4.8e11 entries
 
     def test_zero_entry_always_present(self, hamming):
         table = build_syndrome_table(hamming, 0)

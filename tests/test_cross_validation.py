@@ -9,7 +9,10 @@ gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
 norm, the mask kernel that rebuilt its index and signs on every call,
 the gather through a full 2^n index that the half-grid takes replaced,
-the projective measurement that re-parsed its kets on every call), the
+the projective measurement that re-parsed its kets on every call, the
+Pauli kernel that worked out its gathers and tables on every call, the
+dense cumulative draw of measure_all_z, the loop-built CSS codeword,
+the EPR state built per session), the
 closed-form batched BB84 transport against the per-qubit state-vector
 transport, draw for draw, the session's index arrays against the
 tuple stages they replaced, and distillation's css_correct round
@@ -19,10 +22,12 @@ agree bit for bit under any BLAS thread count. Slow and memory-hungry
 by design; sizes stay small.
 """
 
+import io
 import itertools
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +48,8 @@ from qkdforge.bb84 import (
     transmit_qubit,
 )
 from qkdforge.codes import key_from_coset, named_code
-from qkdforge.css import css_build, css_codeword, pauli_row
+from qkdforge.cli import main
+from qkdforge.css import CssParams, css_build, css_codeword, pauli_row
 from qkdforge.distill import (
     DistillationReport,
     create_epr,
@@ -72,12 +78,14 @@ from qkdforge.qsim import (
 from qkdforge.qsim import (
     _divide,
     _draw_outcome,
-    _index,
     _norm,
     _pauli_amps,
+    _pauli_plan,
     _signs,
     _vdot,
 )
+
+from test_codes import hamming15
 
 BV = BitVector.from_string
 
@@ -872,6 +880,63 @@ def assert_same_nonzero_bits(got, want):
     assert np.array_equal(got.view(np.int64)[nonzero], want.view(np.int64)[nonzero])
 
 
+def dense_measure_all_z(state, rng):
+    """measure_all_z before it skipped zero weights: the cumulative sums
+    run over all 2^n weights."""
+    bits = BitVector(_draw_outcome(rng, np.abs(state.amps) ** 2), state.n)
+    return bits, basis_state(bits)
+
+
+def boundary_draws(weights, every=1):
+    """0, the largest draw below 1, and each cumulative total (every
+    every-th one) with its two nextafter neighbours, all in [0, 1)."""
+    acc = np.add.accumulate(weights)[::every]
+    draws = {0.0, float(np.nextafter(1.0, 0.0))}
+    for a in acc:
+        draws |= {float(a), float(np.nextafter(a, 0.0)), float(np.nextafter(a, 2.0))}
+    return sorted(d for d in draws if 0.0 <= d < 1.0)
+
+
+def loop_css_codeword(code, v, params):
+    """css_codeword before the scatter: one += per codeword of C2 into
+    zeros, the division, then a copying StateVector."""
+    amps = np.zeros(2**code.n, dtype=complex)
+    shift = (v + params.x).value
+    for w in code.c2.codewords():
+        amps[w.value ^ shift] += -1.0 if w.dot(params.z) else 1.0
+    amps /= np.sqrt(2**code.c2.k)
+    return StateVector(n=code.n, amps=amps).amps
+
+
+def inline_pauli_amps(state, pauli):
+    """_pauli_amps before the per-(n, x, z) plan: both half gathers, the
+    phase and the sign tables worked out on every call."""
+    n, x, z = state.n, pauli.x, pauli.z
+    if not x | z:
+        return state.amps
+    low = n // 2
+    low_mask = (1 << low) - 1
+    tables = []
+    if z >> low:
+        tables.append(_signs(n - low, z >> low)[:, np.newaxis])
+    if z & low_mask:
+        tables.append(_signs(low, z & low_mask))
+    grid = state.amps.reshape(-1, 1 << low)
+    if x:
+        if x >> low:
+            grid = grid.take(np.arange(1 << (n - low)) ^ (x >> low), axis=0)
+        if x & low_mask:
+            grid = grid.take(np.arange(1 << low) ^ (x & low_mask), axis=1)
+        phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
+        if phase != 1:
+            grid *= phase
+    else:
+        grid = grid * tables.pop(0)
+    for table in tables:
+        grid *= table
+    return grid.reshape(-1)
+
+
 KERNEL_SIZES = (1, 2, 3, 7, 9, 14)
 
 
@@ -1004,10 +1069,80 @@ class TestKernelOracles:
                 assert value == want_value, (x, z, r)
                 assert collapsed.amps.tobytes() == want.tobytes(), (x, z, r)
 
+    def test_sparse_draw_matches_dense_accumulate_at_every_boundary(self):
+        rng = np.random.default_rng(430)
+        underflow = np.zeros(8, dtype=complex)
+        # |1e-160|^2 is a subnormal weight, the first in the sums; |1e-170|^2 is 0.0
+        underflow[[1, 2, 5, 6]] = 1e-160, 1e-170, 0.6, 0.8j
+        states = [random_state(rng, n) for n in (3, 7, 9)]
+        states += [kernel_states(rng, n)[1] for n in (3, 9, 14)]  # two kets each
+        states.append(StateVector(3, underflow))
+        short = next(psi for psi in (random_state(rng, 5) for _ in range(200))
+                     if np.add.accumulate(np.abs(psi.amps) ** 2)[-1] < 1.0)
+        states += [short, random_state(rng, 14)]
+        assert np.count_nonzero(underflow) > np.count_nonzero(np.abs(underflow) ** 2)
+        fallbacks = 0
+        for psi in states:
+            weights = np.abs(psi.amps) ** 2
+            total = np.add.accumulate(weights)[-1]
+            for r in boundary_draws(weights, every=97 if psi.n == 14 else 1):
+                want_bits, want = dense_measure_all_z(psi, ScriptedRng([r]))
+                bits, collapsed = measure_all_z(psi, ScriptedRng([r]))
+                assert bits == want_bits, (psi.n, r)
+                assert collapsed.amps.tobytes() == want.amps.tobytes()
+                fallbacks += r >= total
+        assert fallbacks > 0  # draws past a round-off-short total fall back
+
+    @pytest.mark.parametrize("name", ("parity4", "hamming74", "h15"))
+    def test_scattered_codeword_matches_loop_bit_for_bit(self, name):
+        c1 = hamming15() if name == "h15" else named_code(name)
+        code = css_build(c1, c1.dual())
+        rng = np.random.default_rng(440)
+        params = [CssParams.zero(code.n), CssParams(BitVector.zeros(code.n), c1.dual().G.rows[0])]
+        params += [CssParams(*(BitVector(int(rng.integers(0, 2**code.n)), code.n)
+                               for _ in range(2))) for _ in range(2)]
+        for i, v in enumerate(c1.codewords()):
+            # [15, 11]'s 2,048 codewords take the parameter sets in turn.
+            for p in [params[i % len(params)]] if name == "h15" else params:
+                got, want = css_codeword(code, v, p).amps, loop_css_codeword(code, v, p)
+                assert np.array_equal(got, want), (str(v), p)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 9, 14))
+    def test_planned_pauli_amps_match_inline_form_cold_and_warm(self, n):
+        rng = np.random.default_rng(450 + n)
+        pairs = mask_pairs(rng, n)
+        for psi in kernel_states(rng, n):
+            _pauli_plan.cache_clear()
+            for _ in ("cold", "warm"):
+                for x, z in pairs:
+                    pauli = pauli_from_masks(n, x, z)
+                    want = inline_pauli_amps(psi, pauli)
+                    assert _pauli_amps(psi, pauli).tobytes() == want.tobytes(), (x, z)
+            assert _pauli_plan.cache_info().hits >= len(set(pairs) - {(0, 0)})
+
+    def test_shared_epr_state_is_read_only_and_unchanged_by_distill(self):
+        joint = create_epr(7).joint
+        assert create_epr(7, css_build(named_code("hamming74"), named_code("hamming74").dual())).joint is joint
+        before = joint.amps.tobytes()
+        assert not joint.amps.flags.writeable
+        with pytest.raises(ValueError):
+            joint.amps[0] = 0.0
+        size = 2**7
+        fresh = np.zeros(size * size, dtype=complex)
+        fresh[:: size + 1] = 1.0 / np.sqrt(size)
+        assert before == fresh.tobytes()
+        with redirect_stdout(io.StringIO()):
+            assert main(["distill", "--code", "hamming74", "--e1", "0010000", "--seed", "3"]) == 0
+            assert main(["distill", "--code", "hamming74", "--seed", "4"]) == 0
+        assert create_epr(7).joint is joint
+        assert joint.amps.tobytes() == before
+
     def test_cached_tables_are_read_only(self):
         pauli = PauliString("XYZIXYZIY")
         apply_pauli_string(random_state(np.random.default_rng(390), 9), pauli)
-        for table in (_index(5), _index(4), _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
+        _, rows, cols, _, tables = _pauli_plan(9, pauli.x, pauli.z)
+        for table in (rows, cols, *tables, _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0

@@ -110,6 +110,23 @@ class TestBuild:
         assert default.phase_table.entries == explicit.phase_table.entries
 
 
+    def test_built_once_per_pair_and_t(self):
+        ham = named_code("hamming74")
+        code = css_build(ham, ham.dual(), 1)
+        assert css_build(ham, ham.dual(), 1) is code
+        assert css_build(ham, ham.dual(), t=1).t == 1  # keyword t: kept apart, same code
+        assert css_build(ham, ham.dual()) is css_build(ham, ham.dual())
+        twin = code_from_generator(ham.G)
+        assert css_build(twin, twin.dual(), 1) is not code
+
+    def test_failed_builds_are_not_kept(self):
+        parity = named_code("parity4")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="corrects only"):
+                css_build(parity, parity.dual(), 1)
+        assert css_build(parity, parity.dual(), 0).t == 0
+
+
 class TestCodewords:
     def test_parity_quantum_codewords(self, parity_pair):
         amp = 1 / np.sqrt(2)

@@ -249,6 +249,15 @@ class TestArbitraryError:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
             ArbitraryError(**coefficients, qubit=1)
 
+    def test_matrix_is_the_pauli_sum(self):
+        """t I + u X + v Y + w Z with all four terms nonzero, written out
+        entry by entry: [[t + w, u - i v], [u + i v, t - w]]."""
+        theta, (nx, ny, nz) = 0.7, (0.48, 0.6, 0.64)  # a unit axis
+        t, u, v, w = np.cos(theta), *(1j * np.sin(theta) * c for c in (nx, ny, nz))
+        expected = np.array([[t + w, u - 1j * v], [u + 1j * v, t - w]])
+        got = ArbitraryError(t=t, u=u, v=v, w=w, qubit=1).matrix()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
     def test_matrix_built_once_and_read_only(self):
         err = rotation_error(0.3, qubit=2)
         assert err.matrix() is err.matrix()
