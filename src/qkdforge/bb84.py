@@ -4,9 +4,8 @@ One runner, run_session, serves both protocol modes. They share
 transmission, sifting and the check-bit estimate, and differ only in the
 classical tail:
 
-- standard: reconciliation is a pluggable hook (null by default) and
-  privacy amplification is reported as a target key length with the
-  exponential information bound.
+- standard: privacy amplification is reported as a target key length
+  with the exponential information bound; reconciliation is not run.
 - shor_preskill: a nested code pair does the work classically. Alice
   draws a random codeword u of C1, announces x - u over the classical
   channel, Bob shifts his block to u + e1 and decodes with C1's syndrome
@@ -32,7 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,11 +83,6 @@ class EveStrategy:
             raise ValueError(f"unknown basis policy {self.basis_policy!r}")
 
 
-# Stand-in for the interactive reconciliation exchange: receives both
-# blocks, returns Bob's corrected block.
-Reconciler = Callable[[BitVector, BitVector], BitVector]
-
-
 @dataclass
 class SessionConfig:
     n: int
@@ -99,7 +93,6 @@ class SessionConfig:
     channel: ChannelModel = field(default_factory=ChannelModel)
     eve: EveStrategy = field(default_factory=EveStrategy)
     codes: Optional[tuple[LinearCode, LinearCode]] = None
-    reconciler: Optional[Reconciler] = None
     shed_bits: int = 0  # extra bits sacrificed in the amplification report
 
     def __post_init__(self) -> None:
@@ -153,7 +146,6 @@ class SessionTranscript:
     abort_reason: Optional[str] = None
     alice_block: Optional[BitVector] = None
     bob_block: Optional[BitVector] = None
-    reconciled_block: Optional[BitVector] = None
     u: Optional[BitVector] = None
     x_minus_u: Optional[BitVector] = None
     u_hat: Optional[BitVector] = None
@@ -387,9 +379,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     bases, transport, Alice's codeword draw (shor_preskill only), sifting,
     block selection, the check-bit estimate and key-block extraction.
 
-    The standard tail runs the reconciler hook and reports privacy
-    amplification; the shor_preskill tail announces x - u, decodes Bob's
-    block with C1 and keys both sides off coset labels.
+    The standard tail reports privacy amplification; the shor_preskill
+    tail announces x - u, decodes Bob's block with C1 and keys both sides
+    off coset labels.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
@@ -426,8 +418,6 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     transcript.bob_block = bob_block = BitVector.from_ints(bob_bits[key_idx])
 
     if config.mode == "standard":
-        if config.reconciler is not None:
-            transcript.reconciled_block = config.reconciler(alice_block, bob_block)
         learned = int(np.count_nonzero(eve_learned[key_idx]))
         transcript.pa_report = {
             "blockMismatches": (alice_block + bob_block).weight(),

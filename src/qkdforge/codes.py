@@ -72,10 +72,6 @@ class LinearCode:
         return self.weights[0]
 
     @property
-    def detects(self) -> int:
-        return self.weights[1]
-
-    @property
     def corrects(self) -> int:
         return self.weights[2]
 

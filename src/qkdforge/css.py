@@ -27,6 +27,7 @@ from .codes import (
 )
 from .gf2 import BitMatrix, BitVector, mat_apply
 from .qsim import (
+    ATOL,
     PauliString,
     StateVector,
     apply_pauli_string,
@@ -37,8 +38,10 @@ from .qsim import (
     pauli_row,
 )
 
-ATOL = 1e-9
 IDENTIFY_TOLERANCE = 1e-6
+# Bytes verify_basis_identities holds: 2^n states and three 2^n x 2^n
+# complex matrices, 16 * 4^n bytes each (README, Conventions).
+BASIS_IDENTITY_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -279,9 +282,16 @@ def verify_basis_identities(
     when z is in the dual of C2 and 0 otherwise, and (iii) the resolution
     of identity: summing |state><state| over the basis reproduces every
     computational ket. Raises ValueError if any identity is violated
-    beyond 1e-9.
+    beyond 1e-9, and before any work if its bytes exceed
+    BASIS_IDENTITY_LIMIT.
     """
     n = code.n
+    needed = 4 * 16 * 4**n
+    if needed > BASIS_IDENTITY_LIMIT:
+        raise ValueError(
+            f"verifying the basis of {n} qubits needs {needed} bytes, "
+            f"over the limit {BASIS_IDENTITY_LIMIT}"
+        )
     if len(x_set) != 2 ** (n - code.c1.k):
         raise ValueError(f"x_set must contain {2 ** (n - code.c1.k)} values")
     if len(z_set) != 2**code.c2.k:

@@ -32,8 +32,6 @@ class EprSession:
     n: int
     joint: StateVector
     code: Optional[CssCode] = None
-    x: Optional[BitVector] = None
-    z: Optional[BitVector] = None
 
 
 @cache
@@ -61,7 +59,7 @@ def inject_bob_errors(session: EprSession, e1: BitVector, e2: BitVector) -> EprS
         raise ValueError(f"error vectors must have length n={n}")
     joint = apply_pauli_string(session.joint, pauli_row(e1, "X", 2 * n, n))
     joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
-    return EprSession(n=n, joint=joint, code=session.code, x=session.x, z=session.z)
+    return EprSession(n=n, joint=joint, code=session.code)
 
 
 @dataclass(eq=False)
@@ -86,7 +84,7 @@ def measure_alice_parameters(
     for the announced parameters.
 
     Returns (x, z, bit_syndrome, phase_syndrome); the session's joint
-    state and announced parameters are updated in place.
+    state is updated in place.
     """
     code = session.code
     if code is None:
@@ -99,7 +97,6 @@ def measure_alice_parameters(
     if x is None or z is None:
         raise AssertionError("announced-parameter systems must be solvable")
     session.joint = joint
-    session.x, session.z = x, z
     return x, z, alice_sx, alice_sz
 
 

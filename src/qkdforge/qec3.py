@@ -14,6 +14,7 @@ import numpy as np
 
 from .gf2 import BitVector
 from .qsim import (
+    ATOL,
     GATES,
     StateVector,
     apply_cnot,
@@ -24,7 +25,6 @@ from .qsim import (
     pauli_row,
 )
 
-ATOL = 1e-9
 _IDENTITY = np.eye(2, dtype=complex)
 # np.allclose(gram, I, atol=ATOL) as one comparison: |gram - I| <= ATOL + 1e-5 |I|.
 _UNITARY_TOLERANCE = ATOL + 1e-5 * np.abs(_IDENTITY)

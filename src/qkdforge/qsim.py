@@ -198,7 +198,6 @@ def pauli_row(
     return pauli
 
 
-@lru_cache(maxsize=256)
 def _signs(bits: int, mask: int) -> np.ndarray:
     """(-1)^{|j&mask|} for j < 2^bits, a read-only complex table."""
     j = np.arange(1 << bits)
@@ -276,40 +275,29 @@ def hadamard_all(state: StateVector) -> StateVector:
 
 @dataclass(frozen=True)
 class BasisProjector:
-    """Projector onto the span of the given kets, either directly in the
-    computational basis or conjugated by Hadamards on every qubit."""
+    """Projector onto the span of the given computational-basis kets; a
+    Hadamard-basis projector is this one conjugated by hadamard_all."""
 
     kets: frozenset[str]
-    basis: str = "computational"  # "computational" | "hadamard"
 
     def __post_init__(self) -> None:
         if not self.kets:
             raise ValueError("projector needs at least one ket")
-        if self.basis not in ("computational", "hadamard"):
-            raise ValueError(f"unknown basis {self.basis!r}")
 
     def indices(self, n: int) -> np.ndarray:
-        """The kets' basis-state indices, validated once per (kets, n)."""
-        return _ket_indices(self.kets, n)
-
-
-@lru_cache(maxsize=16)
-def _ket_indices(kets: frozenset[str], n: int) -> np.ndarray:
-    """A read-only index array, in the iteration order of the frozenset
-    of the kets' ints."""
-    for ket in kets:
-        if len(ket) != n or any(c not in "01" for c in ket):
-            raise ValueError(f"bad ket {ket!r} for n={n}")
-    index = np.fromiter(frozenset(int(k, 2) for k in kets), dtype=np.intp, count=len(kets))
-    index.setflags(write=False)
-    return index
+        """The kets' basis-state indices, validated for n qubits, in the
+        iteration order of the frozenset of the kets' ints."""
+        for ket in self.kets:
+            if len(ket) != n or any(c not in "01" for c in ket):
+                raise ValueError(f"bad ket {ket!r} for n={n}")
+        ints = frozenset(int(k, 2) for k in self.kets)
+        return np.fromiter(ints, dtype=np.intp, count=len(ints))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
     outcome: int
     probability: float
-    eigenvalue: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0 + ATOL:
@@ -339,35 +327,28 @@ def measure_projective(
 ) -> tuple[MeasurementRecord, StateVector]:
     """Projective measurement over a complete orthogonal projector set.
 
-    The projectors must all use the same basis and their kets must
-    partition the full space. Outcome i is sampled with probability
-    <psi|P_i|psi> and the state collapses to P_i|psi> renormalized.
+    The projectors' kets must partition the full computational basis.
+    Outcome i is sampled with probability <psi|P_i|psi> and the state
+    collapses to P_i|psi> renormalized. To measure in the Hadamard basis,
+    measure hadamard_all(state) and apply hadamard_all to the collapsed
+    state (README, Conventions).
     """
     if not projectors:
         raise ValueError("need at least one projector")
-    bases = {p.basis for p in projectors}
-    if len(bases) != 1:
-        raise ValueError("all projectors in one measurement must share a basis")
-    basis = bases.pop()
-
     index_sets = [p.indices(state.n) for p in projectors]
     if (np.bincount(np.concatenate(index_sets), minlength=2**state.n) != 1).any():
         raise ValueError("projector kets must partition the full basis")
 
-    work = hadamard_all(state) if basis == "hadamard" else state
-    weights = np.abs(work.amps) ** 2
+    weights = np.abs(state.amps) ** 2
     # accumulate adds strictly in index order; np.sum would pair terms up.
     probabilities = [float(np.add.accumulate(weights[index])[-1]) for index in index_sets]
 
     outcome = _draw_outcome(rng, probabilities)
-    mask = np.zeros_like(work.amps, dtype=bool)
+    mask = np.zeros_like(state.amps, dtype=bool)
     mask[index_sets[outcome]] = True
-    collapsed = np.where(mask, work.amps, 0.0)
-    new_state = StateVector._adopt(state.n, _divide(collapsed, _norm(collapsed)))
-    if basis == "hadamard":
-        new_state = hadamard_all(new_state)
+    collapsed = np.where(mask, state.amps, 0.0)
     record = MeasurementRecord(outcome=outcome, probability=probabilities[outcome])
-    return record, new_state
+    return record, StateVector._adopt(state.n, _divide(collapsed, _norm(collapsed)))
 
 
 def measure_pauli_observable(

@@ -106,6 +106,16 @@ class TestTransmitQubit:
             sigma = math.sqrt(n * max(p, 0.01) * (1 - max(p, 0.01)))
             assert abs(errors - n * p) <= 3 * sigma
 
+    @pytest.mark.parametrize("basis, bob_basis_draw", [(BASIS_Z, 0.0), (BASIS_X, 0.75)])
+    def test_zero_draw_at_zero_probability_flips_nothing(self, basis, bob_basis_draw):
+        # Draws: channel X, channel Z, Bob's basis, Bob's measurement. An X
+        # flip would show in the Z basis and a Z flip in the X basis.
+        class ScriptedDraws:
+            def random(self, shape):
+                return np.array([[0.0, 0.0, bob_basis_draw, 0.0]])
+
+        assert transmit_qubit(0, basis, QUIET, NO_EVE, ScriptedDraws()) == (basis, 0, False)
+
     def test_eve_learns_half(self):
         _, learned, trials = transmit_batch(4000, seed=5, eve=INTERCEPT)
         sigma = math.sqrt(trials * 0.25)
@@ -203,22 +213,6 @@ class TestRunStandard:
                 break
         else:
             pytest.fail("no aborting seed found")
-
-    def test_reconciler_hook_called(self):
-        calls = []
-
-        def fix_everything(alice_block, bob_block):
-            calls.append((alice_block, bob_block))
-            return alice_block
-
-        transcript = run_session(
-            SessionConfig(
-                n=10, seed=9, channel=ChannelModel(px=0.2), reconciler=fix_everything
-            )
-        )
-        if not transcript.aborted:
-            assert calls
-            assert transcript.reconciled_block == transcript.alice_block
 
     def test_pa_report_fields(self):
         transcript = run_session(SessionConfig(n=15, seed=10, shed_bits=5))

@@ -42,6 +42,12 @@ class TestDispatch:
         payload = json.loads(out)
         assert payload["output"]["d"] == 2
         assert payload["output"]["check"] == ["1111"]
+        assert 0 <= payload["elapsedMs"] < 10_000
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["qkdforge", "codes", "info", "parity4"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {"code": "parity4", "t": None}
 
     def test_code_from_matrix_file(self, capsys, tmp_path):
         matrix = tmp_path / "gen.txt"
@@ -566,8 +572,8 @@ def forty_bit_codes(tmp_path):
 
 
 class TestSizeBudgets:
-    """Tables that could not finish fail before any work: exit 1 with an
-    error line, well inside a second."""
+    """Tables and basis checks that could not finish fail before any work:
+    exit 1 with an error line, well inside a second."""
 
     @pytest.mark.parametrize("argv", [
         ["codes", "table", "{c2}"],
@@ -582,6 +588,19 @@ class TestSizeBudgets:
         )
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: a syndrome table") and "over the limit" in done.stderr
+        assert float(done.stdout) < 1.0
+
+    def test_oversized_css_verify_is_an_error(self, tmp_path):
+        # [14, 13] parity with its dual: 2^14 states and three 2^14 x 2^14
+        # complex matrices, 64 * 4^14 bytes (about 17 GB).
+        c1 = tmp_path / "parity14.txt"
+        c1.write_text("".join("0" * i + "1" + "0" * (12 - i) + "1\n" for i in range(13)))
+        done = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, "css", "verify", "--c1", str(c1), "--c2", "dual"],
+            env=source_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: verifying the basis of 14 qubits needs 17179869184")
         assert float(done.stdout) < 1.0
 
     def test_closed_pipe_prints_no_traceback(self, forty_bit_codes):

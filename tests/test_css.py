@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from qkdforge import css
 from qkdforge.codes import code_from_generator, key_from_coset, named_code
 from qkdforge.css import (
     CssParams,
@@ -384,10 +385,19 @@ class TestIdentify:
             hamming_pair.quotient, BV("0001011")
         )
 
+    def test_round_trip_every_coset_of_a_three_bit_key(self):
+        c1 = named_code("hamming74")
+        code = css_build(c1, code_from_generator(BitMatrix.from_strings(["1111111"])), 0)
+        assert code.k == 3
+        for m in range(8):
+            key = BitVector(m, 3)
+            v = code.quotient.representative(key)
+            assert css_identify(code, css_codeword(code, v)) == key
+
     def test_non_codeword_rejected(self, parity_pair):
         from qkdforge.qsim import basis_state
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="state does not match any codeword of this code"):
             css_identify(parity_pair, basis_state(BV("0001")))
 
 
@@ -404,8 +414,34 @@ class TestBasisIdentities:
         assert report.completeness_deviation <= 1e-9
 
     def test_wrong_x_count_rejected(self, parity_pair):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_set must contain 2 values"):
             verify_basis_identities(parity_pair, [BV("0000")], [BV("0000"), BV("0001")])
+
+    def test_wrong_z_count_rejected(self, parity_pair):
+        with pytest.raises(ValueError, match="z_set must contain 2 values"):
+            verify_basis_identities(parity_pair, [BV("0000"), BV("0001")], [BV("0000")])
+
+    def test_eleven_qubit_pair_checks_the_dual_codewords(self):
+        # Above 10 qubits the phase-branch rule is checked on z_set and the
+        # dual of C2's codewords, not on all 2^n patterns.
+        rows = ["0" * i + "1" + "0" * (9 - i) + "1" for i in range(10)]  # [11, 10] parity
+        c1 = code_from_generator(BitMatrix.from_strings(rows))
+        c2 = code_from_generator(BitMatrix.from_strings(["11" + "0" * 9]))
+        zero = BitVector.zeros(11)
+        report = verify_basis_identities(
+            css_build(c1, c2, 0), [zero, BitVector(1, 11)], [zero, BitVector(1 << 10, 11)]
+        )
+        assert report.states == 2**11
+        assert report.phase_branch_deviation <= 1e-9
+
+    def test_byte_budget_checked_first(self, parity_pair, monkeypatch):
+        # 2^4 states and three 16 x 16 complex matrices: 4 * 16 * 4^4 bytes.
+        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 16384)
+        x_set, z_set = [BV("0000"), BV("0001")], [BV("0000"), BV("0001")]
+        assert verify_basis_identities(parity_pair, x_set, z_set).states == 16
+        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 16383)
+        with pytest.raises(ValueError, match="needs 16384 bytes, over the limit 16383"):
+            verify_basis_identities(parity_pair, [], [])
 
     def test_same_coset_x_rejected(self, parity_pair):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import pytest
 
 from qkdforge.gf2 import BitVector
 from qkdforge.qec3 import (
-    ATOL,
     ArbitraryError,
     apply_error,
     bitflip_decode,
@@ -17,6 +16,7 @@ from qkdforge.qec3 import (
     shor_encode,
 )
 from qkdforge.qsim import (
+    ATOL,
     apply_gate,
     basis_state,
     fidelity,

@@ -76,10 +76,7 @@ class TestOwnership:
         rng = np.random.default_rng(21)
         psi = random_state(rng, 3)
         rest = frozenset(format(i, "03b") for i in range(1, 8))
-        split = {
-            basis: [BasisProjector(frozenset({"000"}), basis), BasisProjector(rest, basis)]
-            for basis in ("computational", "hadamard")
-        }
+        split = [BasisProjector(frozenset({"000"})), BasisProjector(rest)]
         outputs = [
             basis_state(BV("101")),
             apply_gate(psi, "H", 2),
@@ -87,8 +84,8 @@ class TestOwnership:
             apply_cnot(psi, 1, 3),
             apply_pauli_string(psi, PauliString("XYZ")),
             hadamard_all(psi),
-            measure_projective(psi, split["computational"], rng)[1],
-            measure_projective(psi, split["hadamard"], rng)[1],
+            measure_projective(psi, split, rng)[1],
+            hadamard_all(measure_projective(hadamard_all(psi), split, rng)[1]),
             measure_pauli_observable(psi, PauliString("ZZI"), rng)[1],
             measure_pauli_observable(psi, PauliString("III"), rng)[1],
             measure_all_z(psi, rng)[1],
@@ -310,16 +307,10 @@ def projector_matrix(projector, n):
     """Oracle: dense matrix of the projector via explicit outer products."""
     dim = 2**n
     mat = np.zeros((dim, dim), dtype=complex)
-    h = GATES["H"]
-    full_h = np.array([[1.0]])
-    for _ in range(n):
-        full_h = np.kron(full_h, h)
     for ket in projector.kets:
         e = np.zeros(dim)
         e[int(ket, 2)] = 1.0
         mat += np.outer(e, e)
-    if projector.basis == "hadamard":
-        mat = full_h @ mat @ full_h
     return mat
 
 
@@ -377,15 +368,10 @@ class TestMeasureProjective:
         rng = np.random.default_rng(9)
         # a|+-+> + b|-+->: phase flip on the second qubit.
         psi = apply_gate(hadamard_all(state_from({"000": 0.6, "111": 0.8})), "Z", 2)
-        sign_projectors = [
-            BasisProjector(kets=frozenset({"000", "111"}), basis="hadamard"),
-            BasisProjector(kets=frozenset({"100", "011"}), basis="hadamard"),
-            BasisProjector(kets=frozenset({"010", "101"}), basis="hadamard"),
-            BasisProjector(kets=frozenset({"001", "110"}), basis="hadamard"),
-        ]
-        record, out = measure_projective(psi, sign_projectors, rng)
+        # The sign projectors: the bit-flip ones conjugated by hadamard_all.
+        record, out = measure_projective(hadamard_all(psi), BITFLIP_PROJECTORS, rng)
         assert record.outcome == 2
-        assert fidelity(out, psi) == pytest.approx(1.0)
+        assert fidelity(hadamard_all(out), psi) == pytest.approx(1.0)
 
     def test_incomplete_set_rejected(self):
         rng = np.random.default_rng(10)
