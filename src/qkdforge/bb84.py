@@ -100,10 +100,9 @@ class SessionConfig:
             raise ValueError(f"n must be between 1 and {MAX_N}, got {self.n}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-        if self.raw_length > MAX_RAW_LENGTH:
-            raise ValueError(
-                f"raw block of {self.raw_length} qubits exceeds {MAX_RAW_LENGTH}; lower n or delta"
-            )
+        raw = (4 + self.delta) * self.n  # before raw_length's ceil, which fails on an inf
+        if raw > MAX_RAW_LENGTH:
+            raise ValueError(f"raw block of {raw} qubits exceeds {MAX_RAW_LENGTH}; lower n or delta")
         if self.mode not in ("standard", "shor_preskill"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.t_abort is None:

@@ -10,6 +10,7 @@ C2), and both families of observables commute on codeword states.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,8 +40,9 @@ from .qsim import (
 )
 
 IDENTIFY_TOLERANCE = 1e-6
-# Bytes verify_basis_identities holds: 2^n states and three 2^n x 2^n
-# complex matrices, 16 * 4^n bytes each (README, Conventions).
+# Bytes verify_basis_identities holds: the 2^n x 2^n complex state
+# matrix, its conj() and one product, 16 * 4^n bytes each, so n <= 12
+# passes (README, Conventions). tracemalloc saw 3.01 * 16 * 4^n at n = 10.
 BASIS_IDENTITY_LIMIT = 1 << 30
 
 
@@ -137,11 +139,11 @@ def css_codeword(
     # One write of +/-1 / sqrt(|C2|) per distinct codeword (README, Conventions).
     scale = 1.0 / np.sqrt(2**code.c2.k)
     words = code._c2_indices
-    amps = np.zeros(2**code.n, dtype=complex)
-    amps[words ^ (v + params.x).value] = np.where(
-        np.bitwise_count(words & params.z.value) & 1, -scale, scale
+    return StateVector._scatter(
+        code.n,
+        words ^ (v + params.x).value,
+        np.where(np.bitwise_count(words & params.z.value) & 1, -scale, scale),
     )
-    return StateVector._adopt(code.n, amps)
 
 
 @_kept_on_first_argument
@@ -270,6 +272,12 @@ class BasisIdentityReport:
     completeness_deviation: float
 
 
+def _identity_deviation(square: np.ndarray) -> float:
+    """max |square - I|, taken by subtracting 1 on the diagonal in place."""
+    square[np.diag_indices_from(square)] -= 1
+    return float(np.max(np.abs(square)))
+
+
 def verify_basis_identities(
     code: CssCode, x_set: list[BitVector], z_set: list[BitVector]
 ) -> BasisIdentityReport:
@@ -286,7 +294,7 @@ def verify_basis_identities(
     BASIS_IDENTITY_LIMIT.
     """
     n = code.n
-    needed = 4 * 16 * 4**n
+    needed = 3 * 16 * 4**n
     if needed > BASIS_IDENTITY_LIMIT:
         raise ValueError(
             f"verifying the basis of {n} qubits needs {needed} bytes, "
@@ -296,33 +304,22 @@ def verify_basis_identities(
         raise ValueError(f"x_set must contain {2 ** (n - code.c1.k)} values")
     if len(z_set) != 2**code.c2.k:
         raise ValueError(f"z_set must contain {2 ** code.c2.k} values")
-    for i, xi in enumerate(x_set):
-        for xj in x_set[i + 1 :]:
-            if code.c1.contains(xi + xj):
-                raise ValueError("x_set values must lie in distinct cosets of C1")
+    # Two words share a coset of a code exactly when they share its syndrome.
+    if len({code.c1.syndrome(x) for x in x_set}) != len(x_set):
+        raise ValueError("x_set values must lie in distinct cosets of C1")
     c2_dual = code.c2.dual()
-    for i, zi in enumerate(z_set):
-        for zj in z_set[i + 1 :]:
-            if c2_dual.contains(zi + zj):
-                raise ValueError(
-                    "z_set values must lie in distinct cosets of the dual of C2"
-                )
+    if len({c2_dual.syndrome(z) for z in z_set}) != len(z_set):
+        raise ValueError("z_set values must lie in distinct cosets of the dual of C2")
 
+    # The counts above make the (v, x, z) grid exactly 2^n rows; one
+    # codeword is alive at a time while its row is written.
     reps = [
         code.quotient.representative(BitVector(m, code.k)) for m in range(2**code.k)
     ]
-    states = [
-        css_codeword(code, v, CssParams(x=x, z=z))
-        for v in reps
-        for x in x_set
-        for z in z_set
-    ]
-    if len(states) != 2**n:
-        raise AssertionError("parameter grid does not span the full space")
-
-    matrix = np.array([s.amps for s in states])
-    gram = matrix.conj() @ matrix.T
-    ortho_dev = float(np.max(np.abs(gram - np.eye(len(states)))))
+    matrix = np.zeros((2**n, 2**n), dtype=complex)
+    for row, (v, x, z) in zip(matrix, itertools.product(reps, x_set, z_set)):
+        row[:] = css_codeword(code, v, CssParams(x=x, z=z)).amps
+    ortho_dev = _identity_deviation(matrix.conj() @ matrix.T)
     if ortho_dev > ATOL:
         raise ValueError(f"orthonormality violated: deviation {ortho_dev}")
 
@@ -341,13 +338,12 @@ def verify_basis_identities(
     if branch_dev > ATOL:
         raise ValueError(f"phase-branch overlap rule violated: deviation {branch_dev}")
 
-    resolution = matrix.T @ matrix.conj()
-    completeness_dev = float(np.max(np.abs(resolution - np.eye(2**n))))
+    completeness_dev = _identity_deviation(matrix.T @ matrix.conj())
     if completeness_dev > ATOL:
         raise ValueError(f"resolution of identity violated: deviation {completeness_dev}")
 
     return BasisIdentityReport(
-        states=len(states),
+        states=len(matrix),
         orthonormality_deviation=ortho_dev,
         phase_branch_deviation=branch_dev,
         completeness_deviation=completeness_dev,

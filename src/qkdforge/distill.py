@@ -38,9 +38,7 @@ class EprSession:
 def _epr_state(n: int) -> StateVector:
     """The n-pair state, built once per n: read-only, so sessions share it."""
     size = 2**n
-    amps = np.zeros(size * size, dtype=complex)
-    amps[:: size + 1] = 1.0 / np.sqrt(size)
-    return StateVector._adopt(2 * n, amps)
+    return StateVector._scatter(2 * n, slice(None, None, size + 1), 1.0 / np.sqrt(size))
 
 
 def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:

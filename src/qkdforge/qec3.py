@@ -83,11 +83,7 @@ def _check_normalized(a: complex, b: complex) -> None:
 def bitflip_encode(a: complex, b: complex) -> StateVector:
     """Encode a|0> + b|1> as a|000> + b|111> via two CNOTs on |s00>."""
     _check_normalized(a, b)
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = a
-    amps[0b100] = b
-    state = StateVector(n=3, amps=amps)
-    state = apply_cnot(state, 1, 2)
+    state = apply_cnot(StateVector._scatter(3, [0b000, 0b100], [a, b]), 1, 2)
     return apply_cnot(state, 2, 3)
 
 

@@ -32,6 +32,11 @@ GATES: dict[str, np.ndarray] = {
 }
 
 
+def _check_qubit_count(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+
+
 @dataclass(eq=False)
 class StateVector:
     """Normalized complex amplitudes over n qubits, copied and read-only."""
@@ -40,8 +45,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self, adopt: bool = False) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {self.n}")
+        _check_qubit_count(self.n)
         amps = self.amps if adopt else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
@@ -58,6 +62,14 @@ class StateVector:
         state.n, state.amps = n, amps
         state.__post_init__(adopt=True)
         return state
+
+    @classmethod
+    def _scatter(cls, n: int, index, values) -> "StateVector":
+        """amps[index] = values, zeros elsewhere; n is checked before allocating."""
+        _check_qubit_count(n)
+        amps = np.zeros(2**n, dtype=complex)
+        amps[index] = values
+        return cls._adopt(n, amps)
 
     def ket_label(self, index: int) -> str:
         return format(index, f"0{self.n}b")
@@ -102,10 +114,7 @@ def _divide(amps: np.ndarray, divisor: float) -> np.ndarray:
 
 def basis_state(bits: BitVector) -> StateVector:
     """The computational basis ket |bits>."""
-    n = len(bits)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[bits.value] = 1.0
-    return StateVector._adopt(n, amps)
+    return StateVector._scatter(len(bits), bits.value, 1.0)
 
 
 def _apply_single(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:

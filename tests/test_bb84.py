@@ -155,6 +155,8 @@ class TestConfig:
             SessionConfig(n=MAX_N, delta=2.0)
         with pytest.raises(ValueError, match="raw block"):
             SessionConfig(n=7, delta=MAX_RAW_LENGTH)
+        with pytest.raises(ValueError, match="raw block"):
+            SessionConfig(n=7, delta=1e308)  # (4 + delta) * n overflows to inf
 
     def test_shor_preskill_pair_checked_up_front(self):
         c1, c2 = hamming_setup()

@@ -298,6 +298,17 @@ class TestBoundaries:
     def test_bb84_non_finite_delta(self, capsys, delta):
         assert_domain_error(capsys, ["bb84", "run", f"--delta={delta}"], "delta must be finite")
 
+    @pytest.mark.parametrize("action", ["run", "sweep"])
+    def test_bb84_overflowing_delta(self, capsys, action):
+        # Finite, but (4 + delta) * n overflows to inf.
+        assert_domain_error(capsys, ["bb84", action, "--delta", "1e308"], "raw block")
+
+    def test_wrong_length_css_verify_entry(self, capsys):
+        assert_domain_error(
+            capsys, ["css", "verify", "--c1", "parity4", "--c2", "dual", "--x-set", "0000,001"],
+            "word length must be n=4, got 3",
+        )
+
     def test_bb84_size_limit(self, capsys):
         assert_domain_error(capsys, ["bb84", "run", "--n", "100000000"], "n must be between")
 
@@ -590,9 +601,25 @@ class TestSizeBudgets:
         assert done.stderr.startswith("error: a syndrome table") and "over the limit" in done.stderr
         assert float(done.stdout) < 1.0
 
+    @pytest.mark.parametrize("action", ["encode", "inject", "correct"])
+    def test_oversized_css_state_is_an_error(self, tmp_path, action):
+        # C1 = the 20 unit rows on 40 bits, C2 = its first 18: a codeword
+        # of 40 qubits would need 16 TiB of amplitudes.
+        rows = ["0" * i + "1" + "0" * (39 - i) + "\n" for i in range(20)]
+        c1, c2 = tmp_path / "unit20.txt", tmp_path / "unit18.txt"
+        c1.write_text("".join(rows))
+        c2.write_text("".join(rows[:18]))
+        done = subprocess.run(
+            [sys.executable, "-c", TIMED_MAIN, "css", action, "--c1", str(c1), "--c2", str(c2)],
+            env=source_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: qubit count must be in 1..20, got 40")
+        assert float(done.stdout) < 1.0
+
     def test_oversized_css_verify_is_an_error(self, tmp_path):
-        # [14, 13] parity with its dual: 2^14 states and three 2^14 x 2^14
-        # complex matrices, 64 * 4^14 bytes (about 17 GB).
+        # [14, 13] parity with its dual: three 2^14 x 2^14 complex
+        # matrices, 48 * 4^14 bytes (about 13 GB).
         c1 = tmp_path / "parity14.txt"
         c1.write_text("".join("0" * i + "1" + "0" * (12 - i) + "1\n" for i in range(13)))
         done = subprocess.run(
@@ -600,7 +627,7 @@ class TestSizeBudgets:
             env=source_env(), capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 1, done.stderr
-        assert done.stderr.startswith("error: verifying the basis of 14 qubits needs 17179869184")
+        assert done.stderr.startswith("error: verifying the basis of 14 qubits needs 12884901888")
         assert float(done.stdout) < 1.0
 
     def test_closed_pipe_prints_no_traceback(self, forty_bit_codes):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -435,21 +436,44 @@ class TestBasisIdentities:
         assert report.phase_branch_deviation <= 1e-9
 
     def test_byte_budget_checked_first(self, parity_pair, monkeypatch):
-        # 2^4 states and three 16 x 16 complex matrices: 4 * 16 * 4^4 bytes.
-        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 16384)
+        # Three 16 x 16 complex matrices: 3 * 16 * 4^4 bytes.
+        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 12288)
         x_set, z_set = [BV("0000"), BV("0001")], [BV("0000"), BV("0001")]
         assert verify_basis_identities(parity_pair, x_set, z_set).states == 16
-        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 16383)
-        with pytest.raises(ValueError, match="needs 16384 bytes, over the limit 16383"):
+        monkeypatch.setattr(css, "BASIS_IDENTITY_LIMIT", 12287)
+        with pytest.raises(ValueError, match="needs 12288 bytes, over the limit 12287"):
             verify_basis_identities(parity_pair, [], [])
 
     def test_same_coset_x_rejected(self, parity_pair):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_set values must lie in distinct cosets of C1"):
             verify_basis_identities(
                 parity_pair,
                 [BV("0000"), BV("0011")],  # 0011 is in C1
                 [BV("0000"), BV("0001")],
             )
+
+    def test_same_coset_z_rejected(self, parity_pair):
+        with pytest.raises(ValueError, match="distinct cosets of the dual of C2"):
+            verify_basis_identities(
+                parity_pair,
+                [BV("0000"), BV("0001")],
+                [BV("0001"), BV("1110")],  # 0001 + 1110 = 1111 is in the dual of C2
+            )
+
+    def test_peak_memory_is_three_matrices(self):
+        # The state matrix, its conj() and one product: at most 3.1 * 16 * 4^n
+        # bytes traced at n = 10, with no second copy of the codewords.
+        rows = ["0" * i + "1" + "0" * (8 - i) + "1" for i in range(9)]  # [10, 9] parity
+        c1 = code_from_generator(BitMatrix.from_strings(rows))
+        zero, one = BitVector.zeros(10), BitVector(1, 10)
+        code = css_build(c1, c1.dual(), 0)
+        tracemalloc.start()
+        try:
+            verify_basis_identities(code, [zero, one], [zero, one])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 16 * 4**10
 
     def test_overlap_branches(self, parity_pair):
         # z inside the dual of C2 leaves the state unchanged; outside it

@@ -43,6 +43,7 @@ README_EXAMPLES = (
     "css inject --c1 hamming74 --c2 dual --e1 0000100 --seed 4",
     "css correct --c1 hamming74 --c2 dual --e1 0001000 --e2 0100000 --seed 2",
     "css verify --c1 parity4 --c2 dual --x-set 0000,0001 --z-set 0000,0001",
+    "css verify",
     "distill --code hamming74 --e1 0010000 --e2 0000010 --seed 3",
     "bb84 run --mode shor-preskill --c1 hamming74 --c2 dual --n 7 --seed 7",
     "bb84 run --mode standard --n 50 --eve intercept --seed 1",

@@ -60,6 +60,11 @@ class TestBasisState:
         with pytest.raises(ValueError):
             StateVector(n=1, amps=np.array([1.0, 1.0]))
 
+    def test_qubit_count_checked_before_allocation(self):
+        # 2^40 amplitudes would need 16 TiB.
+        with pytest.raises(ValueError, match="qubit count must be in 1..20, got 40"):
+            basis_state(BitVector.zeros(40))
+
 
 class TestOwnership:
     """The public constructor copies what it is given; kernels hand their
