@@ -19,9 +19,9 @@ whole transcript.
 Every qubit on the wire is one of the four BB84 states, and the
 eavesdropper's measure-and-resend and the X/Z channel map that set onto
 itself up to a phase. Transport is therefore one comparison per
-measurement, of a uniform against a threshold from a small table of
-outcome distributions built once from the dense simulator: no state
-vector is made per qubit.
+measurement, of a uniform against one of 32 thresholds that the dense
+simulator's outcome distributions give, built once: no state vector is
+made per qubit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .codes import (
     quotient,
 )
 from .gf2 import BitVector
-from .qsim import StateVector, apply_gate, basis_state
+from .qsim import apply_gate, basis_state
 
 BASIS_Z = 0
 BASIS_X = 1
@@ -185,44 +185,27 @@ class SessionTranscript:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _prepare(bit: int, basis: int) -> StateVector:
-    state = basis_state(BitVector(bit, 1))
-    if basis == BASIS_X:
-        state = apply_gate(state, "H", 1)
-    return state
-
-
-@functools.cache
-def _outcome_table() -> np.ndarray:
-    """Outcome distributions of measuring every wire state:
-    table[value, basis, x_flip, z_flip, measured_basis] = (p0, p1) for the
-    qubit _prepare(value, basis) after the channel's X then Z flips,
-    measured in measured_basis. Built with the dense simulator so the
-    probabilities carry its exact float round-off."""
-    table = np.zeros((2, 2, 2, 2, 2, 2))
-    for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
-        state = _prepare(value, basis)
-        if x_flip:
-            state = apply_gate(state, "X", 1)
-        if z_flip:
-            state = apply_gate(state, "Z", 1)
-        if measured == BASIS_X:
-            state = apply_gate(state, "H", 1)
-        table[value, basis, x_flip, z_flip, measured] = np.abs(state.amps) ** 2
-    table.setflags(write=False)
-    return table
-
-
 @functools.cache
 def _thresholds() -> np.ndarray:
-    """_outcome_table() as one threshold per wire state and basis: a
-    measurement with uniform r gives 1 exactly when r >= p0 and p1 > 0,
-    which is qsim._draw_outcome's branch over (p0, p1) including the
-    fallback for a total that round-off left below 1. Entry
-    ((((value*2 + basis)*2 + x_flip)*2 + z_flip)*2 + measured_basis) is
-    p0 where p1 > 0, else +inf."""
-    rows = _outcome_table().reshape(-1, 2)
-    thresholds = np.where(rows[:, 1] > 0.0, rows[:, 0], np.inf)
+    """One threshold per wire state, channel flips and measured basis,
+    from the dense simulator so it carries its exact float round-off.
+    Entry ((((value*2 + basis)*2 + x_flip)*2 + z_flip)*2 + measured) is
+    p0 where p1 > 0, else +inf, for (p0, p1) the outcome distribution of
+    |value> (after H in the X basis) after the channel's X then Z flips,
+    measured in the measured basis. A measurement with uniform r gives 1
+    exactly when r >= the threshold: qsim._draw_outcome's branch over
+    (p0, p1), including the fallback for a total that round-off left
+    below 1."""
+    thresholds = np.empty(32)
+    cells = itertools.product((0, 1), repeat=5)
+    for cell, (value, basis, x_flip, z_flip, measured) in enumerate(cells):
+        state = basis_state(BitVector(value, 1))
+        gates = ("H", basis == BASIS_X), ("X", x_flip), ("Z", z_flip), ("H", measured == BASIS_X)
+        for gate, applies in gates:
+            if applies:
+                state = apply_gate(state, gate, 1)
+        p0, p1 = np.abs(state.amps) ** 2
+        thresholds[cell] = p0 if p1 > 0.0 else np.inf
     thresholds.setflags(write=False)
     return thresholds
 
@@ -246,7 +229,7 @@ def _transport(
     uniform = intercept and eve.basis_policy == "uniform_random"
     draws = iter(rng.random((len(d), 4 + intercept + uniform)).T)
     # The state on the wire after Eve: her resent eigenstate, which is
-    # _prepare(her outcome, her basis), or else Alice's own.
+    # her outcome prepared in her basis, or else Alice's own.
     value, basis = d, b
     eve_learned = np.zeros(len(d), dtype=bool)
     if intercept:

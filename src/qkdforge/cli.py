@@ -52,7 +52,7 @@ from .qec3 import (
     shor_encode,
     shor_correct,
 )
-from .qsim import apply_gate, apply_pauli_string, fidelity, pauli_row
+from .qsim import apply_gate, apply_pauli_string, fidelity, pauli_row, support
 from .verify import report_json, run_all_checks
 
 ENV_SEED = "QKDFORGE_SEED"
@@ -115,13 +115,12 @@ def _emit(command: str, config: dict, seed: Optional[int], output, started: floa
         "config": config,
         "seed": seed,
         "output": output,
-        "elapsedMs": round((time.time() - started) * 1000, 3),
+        "elapsedMs": round((time.perf_counter() - started) * 1000, 3),
     }
     print(json.dumps(report, sort_keys=True))
 
 
 def _cmd_codes(args: argparse.Namespace) -> int:
-    started = time.time()
     code = _resolve_code(args.code)
     if args.action == "info":
         d, u, t = code.weights
@@ -141,12 +140,11 @@ def _cmd_codes(args: argparse.Namespace) -> int:
             "tMax": t_max,
             "entries": {str(s): str(e) for s, e in table.entries.items()},
         }
-    _emit(f"codes {args.action}", {"code": args.code, "t": args.t}, None, output, started)
+    _emit(f"codes {args.action}", {"code": args.code, "t": args.t}, None, output, args.started)
     return 0
 
 
 def _cmd_qec(args: argparse.Namespace) -> int:
-    started = time.time()
     rng = np.random.default_rng(args.seed)
     a, b = 0.6, 0.8
     code_gate, encode, correct = {
@@ -182,7 +180,7 @@ def _cmd_qec(args: argparse.Namespace) -> int:
         }
     output["fidelity"] = fidelity(corrected, clean)
     config = {"code": args.code, "qubit": args.qubit, "error": error}
-    _emit("qec demo", config, args.seed, output, started)
+    _emit("qec demo", config, args.seed, output, args.started)
     return 0
 
 
@@ -210,7 +208,6 @@ def _coset_set(text: Optional[str], check: BitMatrix) -> list[BitVector]:
 
 
 def _cmd_css(args: argparse.Namespace) -> int:
-    started = time.time()
     code = css_build(*_code_pair(args), args.t)
     n = code.n
     config = {"c1": args.c1, "c2": args.c2, "t": code.t}
@@ -224,7 +221,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
             "bitTableSize": len(code.bit_table),
             "phaseTableSize": len(code.phase_table),
         }
-        _emit("css build", config, None, output, started)
+        _emit("css build", config, None, output, args.started)
         return 0
     if args.action == "verify":
         x_set = _coset_set(args.x_set, code.h1)
@@ -236,18 +233,14 @@ def _cmd_css(args: argparse.Namespace) -> int:
             "phaseBranchDeviation": report.phase_branch_deviation,
             "completenessDeviation": report.completeness_deviation,
         }
-        _emit("css verify", config, None, output, started)
+        _emit("css verify", config, None, output, args.started)
         return 0
     params = CssParams(x=_bits(args.x, n, "shift x"), z=_bits(args.z, n, "phase pattern z"))
     v = _bits(args.v, n, "coset representative v")
     if args.action == "encode":
-        state = css_codeword(code, v, params)
-        support = {
-            state.ket_label(i): [float(a.real), float(a.imag)]
-            for i, a in enumerate(state.amps)
-            if abs(a) > 1e-12
-        }
-        _emit("css encode", {**config, "v": str(v)}, None, {"amplitudes": support}, started)
+        kets = support(css_codeword(code, v, params))
+        amplitudes = {ket: [a.real, a.imag] for ket, a in kets.items()}
+        _emit("css encode", {**config, "v": str(v)}, None, {"amplitudes": amplitudes}, args.started)
         return 0
     # inject or correct
     rng = np.random.default_rng(args.seed)
@@ -264,7 +257,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
             "phaseSyndrome": str(phase_syndrome),
             "fidelityWithClean": fidelity(state, clean),
         }
-        _emit("css inject", config, args.seed, output, started)
+        _emit("css inject", config, args.seed, output, args.started)
         return 0
     result = css_correct(code, state, params, rng)
     output = {
@@ -275,12 +268,11 @@ def _cmd_css(args: argparse.Namespace) -> int:
         "zCorrection": str(result.z_correction) if result.z_correction else None,
         "fidelity": fidelity(result.state, clean),
     }
-    _emit("css correct", config, args.seed, output, started)
+    _emit("css correct", config, args.seed, output, args.started)
     return 0
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
-    started = time.time()
     c1 = _resolve_code(args.code)
     code = css_build(c1, c1.dual())
     e1, e2 = _bits(args.e1, code.n, "error vectors"), _bits(args.e2, code.n, "error vectors")
@@ -303,7 +295,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         "bobBits": str(report.bob_bits),
     }
     config = {"code": args.code, "e1": str(e1), "e2": str(e2)}
-    _emit("distill", config, args.seed, output, started)
+    _emit("distill", config, args.seed, output, args.started)
     return 0
 
 
@@ -324,7 +316,6 @@ def _session_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def _cmd_bb84(args: argparse.Namespace) -> int:
-    started = time.time()
     config_echo = {"tAbort": args.t_abort, "eveBasis": args.eve_basis} | {
         key: getattr(args, key) for key in ("mode", "n", "delta", "eve", "px", "pz", "c1", "c2")
     }
@@ -337,7 +328,7 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
     config = _session_config(args)
     if args.action == "run":
         transcript = run_session(config)
-        _emit("bb84 run", config_echo, args.seed, transcript.to_dict(), started)
+        _emit("bb84 run", config_echo, args.seed, transcript.to_dict(), args.started)
         return 0
     # sweep
     rows = ["seed,qber,sifted_len,aborted,key,keys_match"]
@@ -495,6 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except argparse.ArgumentTypeError as exc:
             build_parser().error(str(exc))
     try:
+        args.started = time.perf_counter()  # every report's elapsedMs counts from here
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -285,13 +285,13 @@ def verify_basis_identities(
     of the full 2^n space.
 
     Verifies (i) pairwise orthonormality of all 2^n states built from the
-    coset representatives crossed with x_set and z_set, (ii) the overlap
-    of a z-parameterized codeword with its z = 0 partner is 1 exactly
-    when z is in the dual of C2 and 0 otherwise, and (iii) the resolution
-    of identity: summing |state><state| over the basis reproduces every
-    computational ket. Raises ValueError if any identity is violated
-    beyond 1e-9, and before any work if its bytes exceed
-    BASIS_IDENTITY_LIMIT.
+    coset representatives crossed with x_set and z_set, (ii) for each of
+    the 2^n values of z, the overlap of a z-parameterized codeword with
+    its z = 0 partner is 1 exactly when z is in the dual of C2 and 0
+    otherwise, and (iii) the resolution of identity: summing
+    |state><state| over the basis reproduces every computational ket.
+    Raises ValueError if any identity is violated beyond 1e-9, and
+    before any work if its bytes exceed BASIS_IDENTITY_LIMIT.
     """
     n = code.n
     needed = 3 * 16 * 4**n
@@ -325,13 +325,9 @@ def verify_basis_identities(
 
     # Overlap with the z = 0 partner: 1 iff z is in the dual of C2.
     branch_dev = 0.0
-    if n <= 10:
-        z_values = [BitVector(m, n) for m in range(2**n)]
-    else:
-        z_values = list(z_set) + [c for c in c2_dual.codewords()]
     v0, x0 = reps[0], x_set[0]
     base = css_codeword(code, v0, CssParams(x=x0, z=BitVector.zeros(n)))
-    for z in z_values:
+    for z in (BitVector(m, n) for m in range(2**n)):
         value = overlap(css_codeword(code, v0, CssParams(x=x0, z=z)), base)
         expected = 1.0 if c2_dual.contains(z) else 0.0
         branch_dev = max(branch_dev, abs(value - expected))

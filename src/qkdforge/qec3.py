@@ -26,8 +26,6 @@ from .qsim import (
 )
 
 _IDENTITY = np.eye(2, dtype=complex)
-# np.allclose(gram, I, atol=ATOL) as one comparison: |gram - I| <= ATOL + 1e-5 |I|.
-_UNITARY_TOLERANCE = ATOL + 1e-5 * np.abs(_IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class ArbitraryError:
 
     def __post_init__(self) -> None:
         m = self.t * _IDENTITY + self.u * GATES["X"] + self.v * GATES["Y"] + self.w * GATES["Z"]
-        if not (np.abs(m.conj().T @ m - _IDENTITY) <= _UNITARY_TOLERANCE).all():
+        if not np.allclose(m.conj().T @ m, _IDENTITY, atol=ATOL):
             raise ValueError("coefficients do not form a unitary matrix")
         m.setflags(write=False)
         object.__setattr__(self, "_matrix", m)

@@ -131,13 +131,13 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 
 
 def apply_gate(state: StateVector, gate: str, qubit: int) -> StateVector:
-    """Apply a named single-qubit gate (X, Y, Z, or H) to one qubit."""
-    _check_qubit(state, qubit)
+    """Apply a named single-qubit gate (X, Y, Z, or H) to one qubit; the
+    name is checked before the qubit."""
     try:
         matrix = GATES[gate]
     except KeyError:
         raise ValueError(f"unknown gate {gate!r}; expected one of {sorted(GATES)}") from None
-    return StateVector._adopt(state.n, _apply_single(state.amps, state.n, qubit, matrix))
+    return apply_matrix(state, matrix, qubit)
 
 
 def apply_matrix(state: StateVector, matrix: np.ndarray, qubit: int) -> StateVector:
@@ -411,12 +411,16 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(overlap(a, b))
 
 
+def support(state: StateVector, threshold: float = 1e-12) -> dict[str, complex]:
+    """{ket label: amplitude} for every amplitude with magnitude above the
+    threshold, in index order."""
+    return {
+        state.ket_label(i): complex(state.amps[i])
+        for i in np.flatnonzero(np.abs(state.amps) > threshold)
+    }
+
+
 def amplitudes_json(state: StateVector, threshold: float = 1e-12) -> str:
     """Debug dump: JSON array of [basis string, re, im] for every
     amplitude with magnitude above the threshold."""
-    entries = [
-        [state.ket_label(i), float(a.real), float(a.imag)]
-        for i, a in enumerate(state.amps)
-        if abs(a) > threshold
-    ]
-    return json.dumps(entries)
+    return json.dumps([[ket, a.real, a.imag] for ket, a in support(state, threshold).items()])

@@ -30,7 +30,7 @@ from .css import css_build, css_codeword, css_correct, verify_basis_identities
 from .distill import create_epr, inject_bob_errors, run_distillation
 from .gf2 import BitVector
 from .qec3 import bitflip_encode, bitflip_syndrome_and_correct
-from .qsim import PauliString, apply_gate, apply_pauli_string, fidelity
+from .qsim import PauliString, apply_gate, apply_pauli_string, fidelity, support
 from .qsim import overlap as state_overlap
 
 BV = BitVector.from_string
@@ -175,13 +175,10 @@ def _check_css_parity_codewords(codes: dict) -> tuple[bool, str]:
     code = css_build(par, par.dual(), 0)
     amp = 1 / np.sqrt(2)
     for v_str, kets in PARITY4_QUANTUM_WORDS.items():
-        state = css_codeword(code, BV(v_str))
-        support = {
-            state.ket_label(i): a for i, a in enumerate(state.amps) if abs(a) > 1e-12
-        }
-        if set(support) != kets:
-            return False, f"v={v_str}: support {sorted(support)}"
-        if any(abs(a - amp) > 1e-9 for a in support.values()):
+        kets_amps = support(css_codeword(code, BV(v_str)))
+        if set(kets_amps) != kets:
+            return False, f"v={v_str}: support {sorted(kets_amps)}"
+        if any(abs(a - amp) > 1e-9 for a in kets_amps.values()):
             return False, f"v={v_str}: wrong amplitudes"
     states = [css_codeword(code, BV(v)) for v in PARITY4_QUANTUM_WORDS]
     for i in range(len(states)):
@@ -197,10 +194,9 @@ def _check_css_hamming_codewords(codes: dict) -> tuple[bool, str]:
     amp = 1 / np.sqrt(8)
     q1 = css_codeword(code, BV("0000000"))
     q2 = css_codeword(code, BV("0001011"))
-    s1 = {q1.ket_label(i) for i, a in enumerate(q1.amps) if abs(a) > 1e-12}
-    s2 = {q2.ket_label(i) for i, a in enumerate(q2.amps) if abs(a) > 1e-12}
-    ok = s1 == HAMMING74_DUAL_WORDS and s2 == HAMMING_QUANTUM_WORD_V2
-    ok = ok and all(abs(a - amp) < 1e-9 for a in q1.amps if abs(a) > 1e-12)
+    s1, s2 = support(q1), support(q2)
+    ok = set(s1) == HAMMING74_DUAL_WORDS and set(s2) == HAMMING_QUANTUM_WORD_V2
+    ok = ok and all(abs(a - amp) < 1e-9 for a in s1.values())
     ok = ok and abs(state_overlap(q1, q2)) < 1e-9
     return ok, "2 codewords, 8 kets each, orthogonal"
 

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -43,6 +44,14 @@ class TestDispatch:
         assert payload["output"]["d"] == 2
         assert payload["output"]["check"] == ["1111"]
         assert 0 <= payload["elapsedMs"] < 10_000
+
+    def test_elapsed_ms_ignores_a_wall_clock_step(self, capsys, monkeypatch):
+        # The wall clock steps back 990 s mid-command (NTP, a manual change).
+        readings = iter([1000.0, 10.0])
+        monkeypatch.setattr(time, "time", lambda: next(readings, 10.0))
+        code, out, _ = run_cli(capsys, ["codes", "info", "parity4"])
+        assert code == 0
+        assert 0 <= json.loads(out)["elapsedMs"] < 10_000
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["qkdforge", "codes", "info", "parity4"])

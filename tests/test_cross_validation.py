@@ -41,7 +41,6 @@ from qkdforge.bb84 import (
     ChannelModel,
     EveStrategy,
     SessionConfig,
-    _outcome_table,
     _thresholds,
     _transport,
     run_session,
@@ -308,6 +307,24 @@ def dense_transmit_qubit(bit, basis, channel, eve, rng):
     return bob_basis, bob_bit, eve_learned
 
 
+def dense_outcome_rows():
+    """(p0, p1) of every transport cell from the dense simulator, row
+    ((((value*2 + basis)*2 + x_flip)*2 + z_flip)*2 + measured): the
+    prepared qubit after the channel's X then Z flips, rotated into the
+    measured basis, as |amplitude|^2."""
+    rows = []
+    for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
+        state = dense_prepare(value, basis)
+        if x_flip:
+            state = apply_gate(state, "X", 1)
+        if z_flip:
+            state = apply_gate(state, "Z", 1)
+        if measured == BASIS_X:
+            state = apply_gate(state, "H", 1)
+        rows.append(np.abs(state.amps) ** 2)
+    return np.array(rows)
+
+
 def dense_transport(d, b, channel, eve, rng):
     rows = [dense_transmit_qubit(int(x), int(y), channel, eve, rng) for x, y in zip(d, b)]
     bases, bits, learned = zip(*rows)
@@ -324,10 +341,10 @@ DRAWS_PER_QUBIT = {"none": 4, "uniform_random": 6, "always_Z": 5, "always_X": 5}
 CHANNELS = [ChannelModel(), ChannelModel(0.1, 0.15), ChannelModel(0.5, 0.5), ChannelModel(1.0, 1.0)]
 
 # Every uniform that can decide a measurement differently from its
-# neighbours: 0, each cumulative sum of a table row (where r < acc flips),
-# and the largest double below 1, which lies past every row whose
+# neighbours: 0, each cumulative sum of an outcome row (where r < acc
+# flips), and the largest double below 1, which lies past every row whose
 # round-off-short total sends the draw to the fallback branch.
-_ROWS = _outcome_table().reshape(-1, 2)
+_ROWS = dense_outcome_rows()
 EDGE_DRAWS = sorted(
     {0.0, float(np.nextafter(1.0, 0.0))}
     | {float(acc) for acc in np.cumsum(_ROWS, axis=1).ravel() if acc < 1.0}
@@ -372,27 +389,11 @@ class CountingRng:
 
 
 class TestTransportOracle:
-    def test_table_matches_dense_measurement(self):
-        # The table is the dense path's own |amplitude|^2, entry for entry.
-        table = _outcome_table()
-        for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
-            state = dense_prepare(value, basis)
-            if x_flip:
-                state = apply_gate(state, "X", 1)
-            if z_flip:
-                state = apply_gate(state, "Z", 1)
-            if measured == BASIS_X:
-                state = apply_gate(state, "H", 1)
-            expected = np.abs(state.amps) ** 2
-            assert np.array_equal(table[value, basis, x_flip, z_flip, measured], expected)
-
-    def test_thresholds_are_the_flat_table_rows(self):
-        table, thresholds = _outcome_table(), _thresholds()
+    def test_thresholds_are_the_dense_outcome_rows(self):
+        # p0 of the dense path's own |amplitude|^2 where p1 > 0, else +inf.
+        thresholds = _thresholds()
         assert thresholds.shape == (32,) and not thresholds.flags.writeable
-        for value, basis, x_flip, z_flip, measured in itertools.product((0, 1), repeat=5):
-            cell = (((value * 2 + basis) * 2 + x_flip) * 2 + z_flip) * 2 + measured
-            p0, p1 = table[value, basis, x_flip, z_flip, measured]
-            assert thresholds[cell] == (p0 if p1 > 0.0 else np.inf)
+        assert np.array_equal(thresholds, np.where(_ROWS[:, 1] > 0.0, _ROWS[:, 0], np.inf))
 
     def test_outcome_rule_matches_draw_outcome_branch_for_branch(self):
         # r >= threshold against the two-np.where rule it replaced and the

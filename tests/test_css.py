@@ -422,18 +422,22 @@ class TestBasisIdentities:
         with pytest.raises(ValueError, match="z_set must contain 2 values"):
             verify_basis_identities(parity_pair, [BV("0000"), BV("0001")], [BV("0000")])
 
-    def test_eleven_qubit_pair_checks_the_dual_codewords(self):
-        # Above 10 qubits the phase-branch rule is checked on z_set and the
-        # dual of C2's codewords, not on all 2^n patterns.
+    def test_eleven_qubit_pair_checks_the_dual_codewords(self, monkeypatch):
+        # At 11 qubits, as at every size, the phase-branch rule is checked
+        # on all 2^n patterns of z, the dual of C2's codewords among them:
+        # one codeword per basis row, the z = 0 base, and one per z.
         rows = ["0" * i + "1" + "0" * (9 - i) + "1" for i in range(10)]  # [11, 10] parity
         c1 = code_from_generator(BitMatrix.from_strings(rows))
         c2 = code_from_generator(BitMatrix.from_strings(["11" + "0" * 9]))
         zero = BitVector.zeros(11)
+        built = []
+        monkeypatch.setattr(css, "css_codeword", lambda *a: built.append(a) or css_codeword(*a))
         report = verify_basis_identities(
             css_build(c1, c2, 0), [zero, BitVector(1, 11)], [zero, BitVector(1 << 10, 11)]
         )
         assert report.states == 2**11
         assert report.phase_branch_deviation <= 1e-9
+        assert len(built) == 2**11 + 1 + 2**11
 
     def test_byte_budget_checked_first(self, parity_pair, monkeypatch):
         # Three 16 x 16 complex matrices: 3 * 16 * 4^4 bytes.

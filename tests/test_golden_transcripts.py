@@ -48,6 +48,7 @@ README_EXAMPLES = (
     "bb84 run --mode shor-preskill --c1 hamming74 --c2 dual --n 7 --seed 7",
     "bb84 run --mode standard --n 50 --eve intercept --seed 1",
     "bb84 sweep --mode shor-preskill --c1 hamming74 --runs 20 --format csv",
+    "verify",
 )
 
 _ELAPSED = re.compile(r'"elapsedMs": [-+0-9.eE]+(, )?')

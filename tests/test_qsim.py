@@ -24,6 +24,7 @@ from qkdforge.qsim import (
     measure_projective,
     overlap,
     pauli_row,
+    support,
 )
 
 BV = BitVector.from_string
@@ -162,6 +163,13 @@ class TestSingleQubitGates:
             apply_gate(basis_state(BV("00")), "X", 3)
         with pytest.raises(ValueError):
             apply_gate(basis_state(BV("00")), "Q", 1)
+
+    def test_bad_name_reported_before_bad_qubit(self):
+        # The name is looked up first; apply_matrix then checks the qubit.
+        with pytest.raises(ValueError, match="unknown gate 'Q'"):
+            apply_gate(basis_state(BV("00")), "Q", 3)
+        with pytest.raises(ValueError, match="qubit index 3 out of range 1..2"):
+            apply_gate(basis_state(BV("00")), "X", 3)
 
 
 class TestCnot:
@@ -529,6 +537,16 @@ class TestOverlap:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             overlap(basis_state(BV("0")), basis_state(BV("00")))
+
+
+def test_support_is_index_ordered_complex_and_cut_at_1e_12():
+    amps = np.zeros(8, dtype=complex)
+    amps[[6, 1, 3, 5]] = [0.6j, -0.8, 1e-12, 2e-12]  # |1e-12| is not above the cut
+    kets = support(StateVector(n=3, amps=amps))
+    assert list(kets) == ["001", "101", "110"]
+    assert kets == {"001": -0.8 + 0j, "101": 2e-12 + 0j, "110": 0.6j}
+    assert all(type(a) is complex for a in kets.values())
+    assert list(support(StateVector(n=3, amps=amps), threshold=1e-3)) == ["001", "110"]
 
 
 def test_amplitudes_json():
