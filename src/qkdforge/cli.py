@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import errno
 import functools
 import json
 import os
 import sys
 import time
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -81,9 +81,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
+CODE_FILE_LIMIT = 1 << 24  # bytes in a code file; README Conventions has the arithmetic
+
+
 @functools.lru_cache(maxsize=8)
 def _code_from_text(text: str) -> LinearCode:
     return code_from_generator(parse_matrix_text(text))
+
+
+def _read_code_file(path: str) -> Optional[str]:
+    """The file's UTF-8 text, or None if the path names no file: one
+    os.open, then plain reads of at most CODE_FILE_LIMIT + 1 bytes."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            return None
+        raise
+    except ValueError:  # a NUL byte names no file
+        return None
+    chunks, size = [], 0
+    try:
+        while chunk := os.read(fd, min(1 << 16, CODE_FILE_LIMIT + 1 - size)):
+            chunks.append(chunk)
+            size += len(chunk)
+    finally:
+        os.close(fd)
+    if size > CODE_FILE_LIMIT:
+        raise ValueError(f"code file {path!r} is over the {CODE_FILE_LIMIT}-byte limit")
+    return b"".join(chunks).decode("utf-8")
 
 
 def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -> LinearCode:
@@ -96,12 +122,11 @@ def _resolve_code(name_or_path: str, relative_to: Optional[LinearCode] = None) -
         return relative_to.dual()
     if name_or_path in NAMED_CODE_NAMES:
         return named_code(name_or_path)
-    path = Path(name_or_path)
-    if name_or_path and path.exists():  # Path('') is the working directory
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read code file {name_or_path!r}: {exc.strerror}") from None
+    try:
+        text = _read_code_file(name_or_path)  # '' opens no file: ENOENT
+    except OSError as exc:
+        raise ValueError(f"cannot read code file {name_or_path!r}: {exc.strerror}") from None
+    if text is not None:
         return _code_from_text(text)
     raise ValueError(
         f"unknown code {name_or_path!r}: expected one of {list(NAMED_CODE_NAMES)}, "

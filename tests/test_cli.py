@@ -132,16 +132,16 @@ class TestDispatch:
         matrix = tmp_path / "gen.txt"
         matrix.write_text("\n".join(str(r) for r in named_code("hamming74").G.rows) + "\n")
         reads = []
-        read_text = Path.read_text
+        read_code_file = cli._read_code_file
 
-        def counting(self, *args, **kwargs):
-            reads.append(self)
-            return read_text(self, *args, **kwargs)
+        def counting(path):
+            reads.append(path)
+            return read_code_file(path)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(cli, "_read_code_file", counting)
         common = ["--mode", "shor-preskill", "--c1", str(matrix), "--px", "0.05"]
         code, out, _ = run_cli(capsys, ["bb84", "sweep", *common, "--seed", "3", "--runs", "4"])
-        assert code == 0 and reads == [matrix]
+        assert code == 0 and reads == [str(matrix)]
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4
         for seed, row in zip(range(3, 7), rows):
@@ -374,16 +374,52 @@ class TestBoundaries:
         assert_domain_error(capsys, ["codes", action, str(tmp_path)], "cannot read code file")
 
     def test_unreadable_code_file(self, capsys, tmp_path, monkeypatch):
-        # Permission bits do not stop a superuser, so the read itself fails.
+        # Permission bits do not stop a superuser, so the open itself fails.
         matrix = tmp_path / "gen.txt"
         matrix.write_text("111\n")
+        os_open = os.open
 
-        def denied(self, *args, **kwargs):
-            raise PermissionError(13, "Permission denied", str(self))
+        def denied(path, *args, **kwargs):
+            if path == str(matrix):
+                raise PermissionError(13, "Permission denied", path)
+            return os_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr(cli.os, "open", denied)
         argv = ["bb84", "run", "--mode", "shor-preskill", "--c1", str(matrix)]
         assert_domain_error(capsys, argv, "Permission denied")
+
+    def test_name_the_os_refuses_is_a_domain_error(self, capsys):
+        # ENAMETOOLONG names no missing file: the open failed, so it is unreadable.
+        name = "a" * 300
+        message = f"cannot read code file {name!r}: File name too long"
+        assert_domain_error(capsys, ["codes", "info", name], message)
+
+    @pytest.mark.parametrize("name", ["{missing}", "{file}/gen.txt", "{loop}", "a\0b"])
+    def test_paths_that_name_no_file_are_unknown_codes(self, capsys, tmp_path, name):
+        (tmp_path / "file").write_text("111\n")
+        os.symlink(tmp_path / "loop", tmp_path / "loop")
+        name = name.format(missing=tmp_path / "nosuch", file=tmp_path / "file", loop=tmp_path / "loop")
+        assert_domain_error(capsys, ["codes", "info", name], f"unknown code {name!r}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_code_file_stops_at_the_limit(self):
+        """A code file is read up to cli.CODE_FILE_LIMIT + 1 bytes, so
+        /dev/zero ends in an error line, not a MemoryError traceback, even
+        with the address space capped at 1 GiB."""
+        import resource  # Unix only, as /dev/zero is
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "qkdforge.cli", "codes", "info", "/dev/zero"],
+            env=source_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == (
+            f"error: code file '/dev/zero' is over the {cli.CODE_FILE_LIMIT}-byte limit\n"
+        )
 
     @pytest.mark.parametrize("runs", ["-1", "0"])
     def test_sweep_runs_must_be_positive(self, capsys, runs):
@@ -489,6 +525,30 @@ class TestInProcessReuse:
         output = json.loads(second)["output"]
         assert (output["n"], output["k"], output["d"]) == (4, 3, 2)
         assert output["generator"] == ["1001", "0101", "0011"]
+
+    def test_same_size_rewrite_is_read_again(self, capsys, tmp_path):
+        # Written within one timestamp tick: a cache keyed by size and
+        # mtime would miss the second text.
+        matrix = tmp_path / "gen.txt"
+        matrix.write_text("111\n")
+        _, first, _ = run_cli(capsys, ["codes", "info", str(matrix)])
+        matrix.write_text("110\n")
+        code, second, _ = run_cli(capsys, ["codes", "info", str(matrix)])
+        assert code == 0
+        assert json.loads(first)["output"]["generator"] == ["111"]
+        assert json.loads(second)["output"]["generator"] == ["110"]
+
+    def test_crlf_file_is_the_same_code_as_its_lf_twin(self, capsys, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"1001\n0101\n0011\n")
+        crlf.write_bytes(b"1001\r\n0101\r\n0011\r\n")
+        outputs = []
+        for matrix in (lf, crlf):
+            code, out, _ = run_cli(capsys, ["codes", "info", str(matrix)])
+            assert code == 0
+            outputs.append(json.loads(out)["output"])
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["generator"] == ["1001", "0101", "0011"]
 
     def test_seed_variable_is_read_on_every_call(self, capsys, monkeypatch):
         reports = []
