@@ -32,14 +32,11 @@ from .qsim import (
     PauliString,
     StateVector,
     apply_pauli_string,
-    fidelity,
-    hadamard_all,
     measure_pauli_observable,
     overlap,
     pauli_row,
 )
 
-IDENTIFY_TOLERANCE = 1e-6
 # Bytes verify_basis_identities holds: the 2^n x 2^n complex state
 # matrix, its conj() and one product, 16 * 4^n bytes each, so n <= 12
 # passes (README, Conventions). tracemalloc saw 3.01 * 16 * 4^n at n = 10.
@@ -190,17 +187,6 @@ def css_phase_syndrome(
     return _measure_rows(code.h2, "X", state, rng, offset)
 
 
-def css_phase_syndrome_hadamard(
-    code: CssCode, state: StateVector, rng: np.random.Generator
-) -> tuple[BitVector, StateVector]:
-    """Cross-validation path: transform with Hadamards on every qubit,
-    read the phase syndrome as Z-strings of H2, transform back. Produces
-    the same outcomes as css_phase_syndrome."""
-    transformed = hadamard_all(state)
-    syndrome, transformed = _measure_rows(code.h2, "Z", transformed, rng)
-    return syndrome, hadamard_all(transformed)
-
-
 @dataclass(eq=False)
 class CssCorrection:
     """Outcome of css_correct: the final state, the raw measured
@@ -249,19 +235,6 @@ def css_correct(
     state = apply_pauli_string(state, pauli_row(e2, "Z", state.n, offset))
 
     return CssCorrection(state, bit_syndrome, phase_syndrome, e1, e2)
-
-
-def css_identify(
-    code: CssCode, state: StateVector, params: Optional[CssParams] = None
-) -> BitVector:
-    """Classify a clean codeword state: returns the key string of the
-    coset whose codeword overlaps the state with modulus 1."""
-    for m in range(2**code.k):
-        key = BitVector(m, code.k)
-        reference = css_codeword(code, code.quotient.representative(key), params)
-        if fidelity(reference, state) >= 1.0 - IDENTIFY_TOLERANCE:
-            return key
-    raise ValueError("state does not match any codeword of this code")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ measurement so seeded runs are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -282,37 +281,6 @@ def hadamard_all(state: StateVector) -> StateVector:
     return StateVector._adopt(state.n, _divide(amps, np.sqrt(amps.size)))
 
 
-@dataclass(frozen=True)
-class BasisProjector:
-    """Projector onto the span of the given computational-basis kets; a
-    Hadamard-basis projector is this one conjugated by hadamard_all."""
-
-    kets: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.kets:
-            raise ValueError("projector needs at least one ket")
-
-    def indices(self, n: int) -> np.ndarray:
-        """The kets' basis-state indices, validated for n qubits, in the
-        iteration order of the frozenset of the kets' ints."""
-        for ket in self.kets:
-            if len(ket) != n or any(c not in "01" for c in ket):
-                raise ValueError(f"bad ket {ket!r} for n={n}")
-        ints = frozenset(int(k, 2) for k in self.kets)
-        return np.fromiter(ints, dtype=np.intp, count=len(ints))
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    outcome: int
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0 + ATOL:
-            raise ValueError(f"probability out of range: {self.probability}")
-
-
 def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> int:
     """One uniform draw r, mapped through the cumulative distribution: the
     first outcome whose running total, summed in order, exceeds r."""
@@ -327,37 +295,6 @@ def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> i
     if nonzero.size == 0:
         raise ValueError("all outcome probabilities are zero")
     return int(nonzero[-1])
-
-
-def measure_projective(
-    state: StateVector,
-    projectors: Sequence[BasisProjector],
-    rng: np.random.Generator,
-) -> tuple[MeasurementRecord, StateVector]:
-    """Projective measurement over a complete orthogonal projector set.
-
-    The projectors' kets must partition the full computational basis.
-    Outcome i is sampled with probability <psi|P_i|psi> and the state
-    collapses to P_i|psi> renormalized. To measure in the Hadamard basis,
-    measure hadamard_all(state) and apply hadamard_all to the collapsed
-    state (README, Conventions).
-    """
-    if not projectors:
-        raise ValueError("need at least one projector")
-    index_sets = [p.indices(state.n) for p in projectors]
-    if (np.bincount(np.concatenate(index_sets), minlength=2**state.n) != 1).any():
-        raise ValueError("projector kets must partition the full basis")
-
-    weights = np.abs(state.amps) ** 2
-    # accumulate adds strictly in index order; np.sum would pair terms up.
-    probabilities = [float(np.add.accumulate(weights[index])[-1]) for index in index_sets]
-
-    outcome = _draw_outcome(rng, probabilities)
-    mask = np.zeros_like(state.amps, dtype=bool)
-    mask[index_sets[outcome]] = True
-    collapsed = np.where(mask, state.amps, 0.0)
-    record = MeasurementRecord(outcome=outcome, probability=probabilities[outcome])
-    return record, StateVector._adopt(state.n, _divide(collapsed, _norm(collapsed)))
 
 
 def measure_pauli_observable(
@@ -411,16 +348,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(overlap(a, b))
 
 
-def support(state: StateVector, threshold: float = 1e-12) -> dict[str, complex]:
-    """{ket label: amplitude} for every amplitude with magnitude above the
-    threshold, in index order."""
+def support(state: StateVector) -> dict[str, complex]:
+    """{ket label: amplitude} for every amplitude with magnitude above
+    1e-12, in index order."""
     return {
         state.ket_label(i): complex(state.amps[i])
-        for i in np.flatnonzero(np.abs(state.amps) > threshold)
+        for i in np.flatnonzero(np.abs(state.amps) > 1e-12)
     }
-
-
-def amplitudes_json(state: StateVector, threshold: float = 1e-12) -> str:
-    """Debug dump: JSON array of [basis string, re, im] for every
-    amplitude with magnitude above the threshold."""
-    return json.dumps([[ket, a.real, a.imag] for ket, a in support(state, threshold).items()])

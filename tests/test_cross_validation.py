@@ -9,8 +9,7 @@ gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
 norm, the mask kernel that rebuilt its index and signs on every call,
 the gather through a full 2^n index that the half-grid takes replaced,
-the projective measurement that re-parsed its kets on every call, the
-Pauli kernel that worked out its gathers and tables on every call, the
+the Pauli kernel that worked out its gathers and tables on every call, the
 dense cumulative draw of measure_all_z, the loop-built CSS codeword,
 the EPR state built per session), the
 closed-form batched BB84 transport against the per-qubit state-vector
@@ -59,7 +58,6 @@ from qkdforge.distill import (
 from qkdforge.gf2 import BitVector, mat_apply
 from qkdforge.qec3 import random_error, rotation_error, shor_correct, shor_encode
 from qkdforge.qsim import (
-    BasisProjector,
     GATES,
     PauliString,
     StateVector,
@@ -72,7 +70,6 @@ from qkdforge.qsim import (
     hadamard_all,
     measure_all_z,
     measure_pauli_observable,
-    measure_projective,
 )
 from qkdforge.qsim import (
     _divide,
@@ -835,37 +832,20 @@ def copying_hadamard_all(amps):
     return amps
 
 
-def generator_measure_projective(state, projectors, rng):
-    """The projective measurement without index arrays: every ket
-    validated and parsed, and each probability a generator sum over a
-    frozenset of ints. Returns the outcome, the probabilities and the
-    collapsed state."""
-    index_sets = []
-    for projector in projectors:
-        for ket in projector.kets:
-            if len(ket) != state.n or any(c not in "01" for c in ket):
-                raise ValueError(f"bad ket {ket!r}")
-        index_sets.append(frozenset(int(k, 2) for k in projector.kets))
+def parity_projectors(state, mask):
+    """Oracle for a Z-string observable with mask z: its two projectors,
+    onto the kets of even |j & z| (eigenvalue +1) and of odd, with
+    p_plus a generator sum of |amplitude|^2 over the even kets."""
+    odd = np.array([bin(j & mask).count("1") % 2 for j in range(2**state.n)], dtype=bool)
     weights = np.abs(state.amps) ** 2
-    probabilities = [float(sum(weights[i] for i in s)) for s in index_sets]
-    outcome = _draw_outcome(rng, probabilities)
-    mask = np.zeros_like(state.amps, dtype=bool)
-    mask[list(index_sets[outcome])] = True
-    collapsed = np.where(mask, state.amps, 0.0)
-    return outcome, probabilities, StateVector(state.n, _divide(collapsed, _norm(collapsed)))
+    p_plus = float(sum(w for w, o in zip(weights, odd) if not o))
+    return p_plus, odd
 
 
-def projector_partitions(rng, n):
-    """Kets split three ways by index mod 3, and split at random into
-    parts of uneven size, so the frozensets iterate in a scrambled order."""
-    kets = [format(i, f"0{n}b") for i in range(2**n)]
-    yield [BasisProjector(frozenset(kets[r::3])) for r in range(3)]
-    labels = rng.integers(0, 4, size=2**n)
-    labels[:4] = range(4)  # no part is empty
-    yield [
-        BasisProjector(frozenset(k for k, label in zip(kets, labels) if label == part))
-        for part in range(4)
-    ]
+def projected(state, odd, eigenvalue):
+    """The state projected onto one parity class, divided by its norm."""
+    kept = np.where(odd == (eigenvalue == -1), state.amps, 0.0)
+    return kept / np.linalg.norm(kept)
 
 
 def assert_same_nonzero_bits(got, want):
@@ -1176,42 +1156,44 @@ class TestKernelOracles:
         assert fallbacks > 0  # some draws land past a round-off-short total
 
     @pytest.mark.parametrize("basis", ("computational", "hadamard"))
-    @pytest.mark.parametrize("n", (3, 9, 14))
-    def test_projective_measurement_matches_generator_sums_bit_for_bit(self, n, basis):
+    @pytest.mark.parametrize("n", (1, 3, 9, 14))
+    def test_css_row_observables_match_parity_projectors(self, n, basis):
+        # CSS syndromes measure Z-strings of H1 rows and X-strings of H2
+        # rows; an X-string on psi is the Z-string on hadamard_all(psi).
         rng = np.random.default_rng(410 + n)
-        psi = random_state(rng, n)
-        # The Hadamard basis is the composition hadamard_all, measure, hadamard_all.
-        work = hadamard_all(psi) if basis == "hadamard" else psi
-        finish = hadamard_all if basis == "hadamard" else (lambda state: state)
-        for projectors in projector_partitions(rng, n):
-            _, probabilities, _ = generator_measure_projective(work, projectors, ScriptedRng([0.0]))
-            acc = np.add.accumulate(probabilities)
-            draws = {0.0, 0.5, float(np.nextafter(1.0, 0.0))}
-            draws |= {float(a) for a in acc[:-1]} | {float(np.nextafter(a, 0.0)) for a in acc}
-            outcomes = set()
-            for r in sorted(draws):
-                want_outcome, want_probabilities, want_state = generator_measure_projective(
-                    work, projectors, ScriptedRng([r])
-                )
-                record, collapsed = measure_projective(work, projectors, ScriptedRng([r]))
-                assert record.outcome == want_outcome, r
-                assert scalar_bytes(record.probability) == scalar_bytes(
-                    want_probabilities[want_outcome]
-                )
-                assert finish(collapsed).amps.tobytes() == finish(want_state).amps.tobytes()
-                outcomes.add(record.outcome)
-            assert outcomes == set(range(len(projectors)))  # every probability compared
-            for projector in projectors:
-                ints = frozenset(int(k, 2) for k in projector.kets)
-                assert projector.indices(n).tolist() == list(ints)
+        kind, frame = ("Z", lambda state: state) if basis == "computational" else ("X", hadamard_all)
+        masks = sorted({1, 2**n - 1} | {int(m) for m in rng.integers(1, 2**n, size=4)})
+        outcomes = set()
+        for psi in kernel_states(rng, n):
+            work = frame(psi)
+            for mask in masks:
+                pauli = pauli_row(BitVector(mask, n), kind)
+                p_plus, odd = parity_projectors(work, mask)
+                # Draws 1e-9 either side of the oracle's p_plus pin the
+                # kernel's p_plus to within 1e-9.
+                draws = (p_plus - 1e-9, p_plus + 1e-9, float(rng.random()))
+                for r in (d for d in draws if 0.0 <= d < 1.0):
+                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    assert value == (1 if r < p_plus else -1), (mask, r)
+                    want = projected(work, odd, value)
+                    np.testing.assert_allclose(frame(collapsed).amps, want, rtol=0, atol=1e-12)
+                    outcomes.add(value)
+        assert outcomes == {1, -1}
 
-    def test_bad_kets_raise_on_every_call(self):
-        psi = random_state(np.random.default_rng(420), 2)
-        for kets in ({"0a", "00", "01", "10", "11"}, {"000", "01", "10", "11"}):
-            projectors = [BasisProjector(frozenset(kets))]
-            for _ in range(2):
-                with pytest.raises(ValueError, match="bad ket"):
-                    measure_projective(psi, projectors, ScriptedRng([0.5]))
+    def test_short_strings_raise_on_every_call(self):
+        # "ZZ" has the masks of "IZZ": on a 3-qubit state, with the plan for
+        # those masks cached, only the length check keeps it out.
+        psi = random_state(np.random.default_rng(420), 3)
+        short, full = PauliString("ZZ"), PauliString("IZZ")
+        assert (short.x, short.z) == (full.x, full.z)
+        _pauli_plan.cache_clear()
+        measure_pauli_observable(psi, full, ScriptedRng([0.5]))
+        assert _pauli_plan.cache_info().currsize == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="length 2 != n=3"):
+                measure_pauli_observable(psi, short, ScriptedRng([0.5]))
+            with pytest.raises(ValueError, match="length 2 != n=3"):
+                apply_pauli_string(psi, short)
 
     def test_draw_outcome_without_mass_raises(self):
         for row in ([0.0], [0.0, 0.0, 0.0], []):
@@ -1227,8 +1209,9 @@ def scalar_bytes(value):
 
 # One fixed script over 13-16 qubits: dense random states normalized by
 # numpy's own pairwise sum (no BLAS call), Pauli measurements, fidelity, a
-# projective measurement at 14 qubits and `distill --code hamming74`. It
-# prints a sha256 of the amplitudes and outcomes and one of the stdout.
+# Hadamard transform and a measurement of every qubit at 14 qubits, and
+# `distill --code hamming74`. It prints a sha256 of the amplitudes and
+# outcomes and one of the stdout.
 THREAD_SCRIPT = """
 import hashlib, io, json
 from contextlib import redirect_stdout
@@ -1248,11 +1231,8 @@ for n in (13, 14, 15, 16):
         digest.update(bytes([value + 1]) + psi.amps.tobytes())
     digest.update(np.float64(qsim.fidelity(start, psi)).tobytes())
     if n == 14:
-        kets = [format(i, "014b") for i in range(2**14)]
-        projectors = [qsim.BasisProjector(frozenset(kets[r::3])) for r in range(3)]
-        record, psi = qsim.measure_projective(qsim.hadamard_all(psi), projectors, rng)
-        psi = qsim.hadamard_all(psi)
-        digest.update(repr(record).encode() + psi.amps.tobytes())
+        bits, psi = qsim.measure_all_z(qsim.hadamard_all(psi), rng)
+        digest.update(str(bits).encode() + psi.amps.tobytes())
 out = io.StringIO()
 with redirect_stdout(out):
     main(["distill", "--code", "hamming74", "--seed", "5"])

@@ -12,9 +12,7 @@ from qkdforge.css import (
     css_build,
     css_codeword,
     css_correct,
-    css_identify,
     css_phase_syndrome,
-    css_phase_syndrome_hadamard,
     pauli_row,
     verify_basis_identities,
 )
@@ -24,6 +22,7 @@ from qkdforge.qsim import (
     apply_gate,
     apply_pauli_string,
     fidelity,
+    hadamard_all,
     measure_all_z,
     overlap,
 )
@@ -272,9 +271,11 @@ class TestSyndromes:
             s_direct, _ = css_phase_syndrome(
                 hamming_pair, corrupted, np.random.default_rng(7)
             )
-            s_hadamard, after = css_phase_syndrome_hadamard(
-                hamming_pair, corrupted, np.random.default_rng(7)
+            # The Hadamard frame: X-strings of H2 read as Z-strings.
+            s_hadamard, after = css._measure_rows(
+                hamming_pair.h2, "Z", hadamard_all(corrupted), np.random.default_rng(7)
             )
+            after = hadamard_all(after)
             assert s_direct == s_hadamard
             assert fidelity(after, corrupted) == pytest.approx(1.0, abs=1e-9)
 
@@ -366,25 +367,39 @@ class TestCorrect:
         assert result.x_correction is None
 
 
-class TestIdentify:
+def measured_keys(code, state, seed, draws=8):
+    """The keys read as the protocol reads them: every qubit measured in
+    the computational basis, then the coset label of the word."""
+    rng = np.random.default_rng(seed)
+    return {key_from_coset(code.quotient, measure_all_z(state, rng)[0]) for _ in range(draws)}
+
+
+class TestKeyReadout:
     def test_round_trip_all_cosets(self, parity_pair):
         for m in range(4):
             key = BV(format(m, "02b"))
             v = parity_pair.quotient.representative(key)
-            assert css_identify(parity_pair, css_codeword(parity_pair, v)) == key
+            assert measured_keys(parity_pair, css_codeword(parity_pair, v), m) == {key}
 
     def test_known_coset(self, hamming_pair):
-        q2 = css_codeword(hamming_pair, BV("0001011"))
-        expected = key_from_coset(hamming_pair.quotient, BV("0001011"))
-        assert css_identify(hamming_pair, q2) == expected
+        v = BV("0001011")
+        state = css_codeword(hamming_pair, v)
+        rng = np.random.default_rng(4)
+        words = {measure_all_z(state, rng)[0] for _ in range(64)}
+        assert words == hamming_pair.c2.coset(v)  # every word of v + C2 seen
+        expected = key_from_coset(hamming_pair.quotient, v)
+        assert measured_keys(hamming_pair, state, 5) == {expected}
 
     def test_corrected_state_identified(self, hamming_pair):
         rng = np.random.default_rng(13)
         clean = css_codeword(hamming_pair, BV("0001011"))
-        result = css_correct(hamming_pair, apply_gate(clean, "X", 7), None, rng)
-        assert css_identify(hamming_pair, result.state) == key_from_coset(
-            hamming_pair.quotient, BV("0001011")
-        )
+        corrupted = apply_gate(clean, "X", 7)
+        with pytest.raises(ValueError, match="is not a codeword of C1"):
+            measured_keys(hamming_pair, corrupted, 14, draws=1)
+        result = css_correct(hamming_pair, corrupted, None, rng)
+        assert measured_keys(hamming_pair, result.state, 15) == {
+            key_from_coset(hamming_pair.quotient, BV("0001011"))
+        }
 
     def test_round_trip_every_coset_of_a_three_bit_key(self):
         c1 = named_code("hamming74")
@@ -393,13 +408,16 @@ class TestIdentify:
         for m in range(8):
             key = BitVector(m, 3)
             v = code.quotient.representative(key)
-            assert css_identify(code, css_codeword(code, v)) == key
+            assert measured_keys(code, css_codeword(code, v), 20 + m) == {key}
 
-    def test_non_codeword_rejected(self, parity_pair):
-        from qkdforge.qsim import basis_state
-
-        with pytest.raises(ValueError, match="state does not match any codeword of this code"):
-            css_identify(parity_pair, basis_state(BV("0001")))
+    def test_phase_flips_leave_the_key(self, hamming_pair):
+        # A Z error changes signs only: the measured words, and so the key,
+        # stay in the coset without any correction.
+        v = BV("0001011")
+        expected = key_from_coset(hamming_pair.quotient, v)
+        clean = css_codeword(hamming_pair, v)
+        for qubit in range(1, 8):
+            assert measured_keys(hamming_pair, apply_gate(clean, "Z", qubit), qubit) == {expected}
 
 
 class TestBasisIdentities:

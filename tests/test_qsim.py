@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,10 +6,8 @@ from qkdforge.gf2 import BitVector
 from qkdforge.qsim import (
     ATOL,
     GATES,
-    BasisProjector,
     PauliString,
     StateVector,
-    amplitudes_json,
     apply_cnot,
     apply_gate,
     apply_matrix,
@@ -21,7 +17,6 @@ from qkdforge.qsim import (
     hadamard_all,
     measure_all_z,
     measure_pauli_observable,
-    measure_projective,
     overlap,
     pauli_row,
     support,
@@ -81,8 +76,6 @@ class TestOwnership:
     def test_every_kernel_output_is_read_only(self):
         rng = np.random.default_rng(21)
         psi = random_state(rng, 3)
-        rest = frozenset(format(i, "03b") for i in range(1, 8))
-        split = [BasisProjector(frozenset({"000"})), BasisProjector(rest)]
         outputs = [
             basis_state(BV("101")),
             apply_gate(psi, "H", 2),
@@ -90,8 +83,6 @@ class TestOwnership:
             apply_cnot(psi, 1, 3),
             apply_pauli_string(psi, PauliString("XYZ")),
             hadamard_all(psi),
-            measure_projective(psi, split, rng)[1],
-            hadamard_all(measure_projective(hadamard_all(psi), split, rng)[1]),
             measure_pauli_observable(psi, PauliString("ZZI"), rng)[1],
             measure_pauli_observable(psi, PauliString("III"), rng)[1],
             measure_all_z(psi, rng)[1],
@@ -307,100 +298,18 @@ class TestHadamardAll:
             else:
                 assert amp == pytest.approx(0.0, abs=1e-12)
 
-
-BITFLIP_PROJECTORS = [
-    BasisProjector(kets=frozenset({"000", "111"})),
-    BasisProjector(kets=frozenset({"100", "011"})),
-    BasisProjector(kets=frozenset({"010", "101"})),
-    BasisProjector(kets=frozenset({"001", "110"})),
-]
-
-
-def projector_matrix(projector, n):
-    """Oracle: dense matrix of the projector via explicit outer products."""
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for ket in projector.kets:
-        e = np.zeros(dim)
-        e[int(ket, 2)] = 1.0
-        mat += np.outer(e, e)
-    return mat
-
-
-class TestMeasureProjective:
-    def test_definite_outcome_state_undisturbed(self):
-        rng = np.random.default_rng(6)
-        psi = state_from({"100": 0.6, "011": 0.8})
-        record, out = measure_projective(psi, BITFLIP_PROJECTORS, rng)
-        assert record.outcome == 1
-        assert record.probability == pytest.approx(1.0)
-        assert fidelity(out, psi) == pytest.approx(1.0)
-
-    def test_rotation_probabilities(self):
-        theta = np.pi / 6
-        a, b = 0.6, 0.8
-        psi = state_from(
-            {
-                "000": a * np.cos(theta),
-                "001": a * 1j * np.sin(theta),
-                "111": b * np.cos(theta),
-                "110": b * 1j * np.sin(theta),
-            }
-        )
-        # Exact probabilities from the dense projector oracle.
-        p = [
-            float(np.real(psi.amps.conj() @ projector_matrix(proj, 3) @ psi.amps))
-            for proj in BITFLIP_PROJECTORS
-        ]
-        assert p[0] == pytest.approx(np.cos(theta) ** 2)
-        assert p[3] == pytest.approx(np.sin(theta) ** 2)
-        assert p[1] == pytest.approx(0.0) and p[2] == pytest.approx(0.0)
-        counts = [0, 0, 0, 0]
-        trials = 10_000
-        rng = np.random.default_rng(7)
-        for _ in range(trials):
-            record, _ = measure_projective(psi, BITFLIP_PROJECTORS, rng)
-            counts[record.outcome] += 1
-        for i in range(4):
-            sigma = np.sqrt(trials * p[i] * (1 - p[i]))
-            assert abs(counts[i] - trials * p[i]) <= 3 * sigma + 1e-9
-
-    def test_epr_parity_projector(self):
-        rng = np.random.default_rng(8)
-        epr = state_from({"00": 1.0, "11": 1.0})
-        projectors = [
-            BasisProjector(kets=frozenset({"00", "11"})),
-            BasisProjector(kets=frozenset({"01", "10"})),
-        ]
-        record, out = measure_projective(epr, projectors, rng)
-        assert record.outcome == 0
-        assert record.probability == pytest.approx(1.0)
-        assert fidelity(out, epr) == pytest.approx(1.0)
-
     def test_hadamard_basis_detects_phase_flip(self):
-        rng = np.random.default_rng(9)
         # a|+-+> + b|-+->: phase flip on the second qubit.
         psi = apply_gate(hadamard_all(state_from({"000": 0.6, "111": 0.8})), "Z", 2)
-        # The sign projectors: the bit-flip ones conjugated by hadamard_all.
-        record, out = measure_projective(hadamard_all(psi), BITFLIP_PROJECTORS, rng)
-        assert record.outcome == 2
+        # The sign projector: the bit-flip projector onto {010, 101}
+        # conjugated by hadamard_all.
+        frame = hadamard_all(psi)
+        flipped = [0b010, 0b101]
+        assert np.sum(np.abs(frame.amps[flipped]) ** 2) == pytest.approx(1.0)
+        projected = np.zeros(8, dtype=complex)
+        projected[flipped] = frame.amps[flipped]
+        out = StateVector(n=3, amps=projected / np.linalg.norm(projected))
         assert fidelity(hadamard_all(out), psi) == pytest.approx(1.0)
-
-    def test_incomplete_set_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
-            measure_projective(basis_state(BV("00")), [
-                BasisProjector(kets=frozenset({"00"})),
-                BasisProjector(kets=frozenset({"01"})),
-            ], rng)
-
-    def test_overlapping_set_rejected(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            measure_projective(basis_state(BV("0")), [
-                BasisProjector(kets=frozenset({"0", "1"})),
-                BasisProjector(kets=frozenset({"1"})),
-            ], rng)
 
 
 class FixedDraw:
@@ -490,6 +399,83 @@ class TestMeasurePauliObservable:
             )
 
 
+def observable_projector(factors, eigenvalue):
+    """Oracle: the dense projector (I +/- P)/2 from Kronecker products."""
+    pauli = np.array([[1.0]], dtype=complex)
+    for f in factors:
+        pauli = np.kron(pauli, GATES.get(f, np.eye(2)))
+    return (np.eye(len(pauli)) + eigenvalue * pauli) / 2
+
+
+class TestSyndromeObservables:
+    """The 3-qubit syndromes read as Pauli observables: Z1Z2 and Z2Z3
+    for bit flips, X1X2 and X2X3 for phase flips."""
+
+    def test_definite_outcome_state_undisturbed(self):
+        rng = np.random.default_rng(6)
+        psi = state_from({"100": 0.6, "011": 0.8})
+        g1, out = measure_pauli_observable(psi, PauliString("ZZI"), rng)
+        g2, out = measure_pauli_observable(out, PauliString("IZZ"), rng)
+        assert (g1, g2) == (-1, 1)  # the first qubit flipped
+        assert fidelity(out, psi) == pytest.approx(1.0)
+
+    def test_rotation_probabilities(self):
+        theta = np.pi / 6
+        a, b = 0.6, 0.8
+        psi = state_from(
+            {
+                "000": a * np.cos(theta),
+                "001": a * 1j * np.sin(theta),
+                "111": b * np.cos(theta),
+                "110": b * 1j * np.sin(theta),
+            }
+        )
+        # Exact joint probabilities from the dense projector oracle.
+        p = {
+            (g1, g2): float(np.real(
+                psi.amps.conj()
+                @ observable_projector("IZZ", g2)
+                @ observable_projector("ZZI", g1)
+                @ psi.amps
+            ))
+            for g1 in (1, -1)
+            for g2 in (1, -1)
+        }
+        assert p[1, 1] == pytest.approx(np.cos(theta) ** 2)
+        assert p[1, -1] == pytest.approx(np.sin(theta) ** 2)
+        assert p[-1, 1] == pytest.approx(0.0) and p[-1, -1] == pytest.approx(0.0)
+        flipped = state_from({"001": a, "110": b})
+        counts = dict.fromkeys(p, 0)
+        trials = 10_000
+        rng = np.random.default_rng(7)
+        for _ in range(trials):
+            g1, out = measure_pauli_observable(psi, PauliString("ZZI"), rng)
+            g2, out = measure_pauli_observable(out, PauliString("IZZ"), rng)
+            counts[g1, g2] += 1
+            if (g1, g2) == (1, -1):
+                assert fidelity(out, flipped) == pytest.approx(1.0)
+        for key, prob in p.items():
+            sigma = np.sqrt(trials * prob * (1 - prob))
+            assert abs(counts[key] - trials * prob) <= 3 * sigma + 1e-9
+
+    def test_epr_parity_observables(self):
+        rng = np.random.default_rng(8)
+        epr = state_from({"00": 1.0, "11": 1.0})
+        for factors in ("ZZ", "XX", "ZZ"):
+            value, out = measure_pauli_observable(epr, PauliString(factors), rng)
+            assert value == 1
+            assert fidelity(out, epr) == pytest.approx(1.0)
+
+    def test_phase_flip_located_by_x_observables(self):
+        rng = np.random.default_rng(9)
+        # a|+-+> + b|-+->: phase flip on the second qubit.
+        psi = apply_gate(hadamard_all(state_from({"000": 0.6, "111": 0.8})), "Z", 2)
+        g1, out = measure_pauli_observable(psi, PauliString("XXI"), rng)
+        g2, out = measure_pauli_observable(out, PauliString("IXX"), rng)
+        assert (g1, g2) == (-1, -1)
+        assert fidelity(out, psi) == pytest.approx(1.0)
+
+
 class TestMeasureAllZ:
     def test_basis_state_is_certain(self):
         rng = np.random.default_rng(16)
@@ -546,10 +532,4 @@ def test_support_is_index_ordered_complex_and_cut_at_1e_12():
     assert list(kets) == ["001", "101", "110"]
     assert kets == {"001": -0.8 + 0j, "101": 2e-12 + 0j, "110": 0.6j}
     assert all(type(a) is complex for a in kets.values())
-    assert list(support(StateVector(n=3, amps=amps), threshold=1e-3)) == ["001", "110"]
 
-
-def test_amplitudes_json():
-    psi = state_from({"00": 1.0, "11": -1.0})
-    entries = json.loads(amplitudes_json(psi))
-    assert entries == [["00", SQRT_HALF, 0.0], ["11", -SQRT_HALF, 0.0]]
