@@ -12,9 +12,9 @@ classical tail:
   table, and both sides map to the key through the coset label of u.
 
 Every random decision flows through one seeded generator in a documented
-order (raw bits, basis bits, per-qubit transport draws, codeword draw in
-shor_preskill mode, subset selections), so a (config, seed) pair pins the
-whole transcript.
+order (raw bits, basis bits, transport draws qubit by qubit in the order
+_transport states, codeword draw in shor_preskill mode, subset
+selections), so a (config, seed) pair pins the whole transcript.
 
 Every qubit on the wire is one of the four BB84 states, and the
 eavesdropper's measure-and-resend and the X/Z channel map that set onto
@@ -217,12 +217,14 @@ def _transport(
     eve: EveStrategy,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """transmit_qubit for every (d[i], b[i]) at once, returning arrays.
-
-    One rng.random((len(d), k)) call holds every draw, row i being qubit
-    i's draws in transmit_qubit's order: k is 6 with a uniform_random
-    eavesdropper, 5 with a fixed-basis one and 4 with none, and the
-    channel columns are drawn even when px or pz is 0.
+    """Send qubit d[i], prepared in basis b[i], past Eve and the channel to
+    Bob's random measurement for every i at once; eve_learned[i] is True
+    exactly when Eve measured in the preparation basis. One
+    rng.random((len(d), k)) call fills row by row, qubit i's row in the
+    order Eve's basis (uniform_random policy only), Eve's measurement,
+    channel X, channel Z, Bob's basis, Bob's measurement: k is 6, 5 with a
+    fixed-basis eavesdropper and 4 with none, and the channel columns are
+    drawn even when px or pz is 0.
     """
     thresholds = _thresholds()
     intercept = eve.kind == "intercept_resend"
@@ -247,29 +249,6 @@ def _transport(
     cell = (((value * 2 + basis) * 2 + x_flip) * 2 + z_flip) * 2 + bob_bases
     bob_bits = (next(draws) >= thresholds[cell]).astype(np.intp)
     return bob_bases, bob_bits, eve_learned
-
-
-def transmit_qubit(
-    bit: int,
-    basis: int,
-    channel: ChannelModel,
-    eve: EveStrategy,
-    rng: np.random.Generator,
-) -> tuple[int, int, bool]:
-    """Send one encoded qubit through the eavesdropper and the channel to
-    Bob's randomly chosen measurement.
-
-    Draw order: Eve's basis (uniform policy only), Eve's measurement,
-    channel X, channel Z, Bob's basis, Bob's measurement. Returns
-    (bob_basis, bob_bit, eve_learned) where eve_learned is True exactly
-    when Eve measured in the preparation basis.
-    """
-    if bit not in (0, 1) or basis not in (BASIS_Z, BASIS_X):
-        raise ValueError(f"bit and basis must be 0 or 1, got {bit} and {basis}")
-    bob_bases, bob_bits, eve_learned = _transport(
-        np.array([bit]), np.array([basis]), channel, eve, rng
-    )
-    return int(bob_bases[0]), int(bob_bits[0]), bool(eve_learned[0])
 
 
 def bennett_bound(s: int) -> float:

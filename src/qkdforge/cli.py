@@ -163,7 +163,7 @@ def _cmd_codes(args: argparse.Namespace) -> int:
         table = build_syndrome_table(code, t_max)
         output = {
             "tMax": t_max,
-            "entries": {str(s): str(e) for s, e in table.entries.items()},
+            "entries": {str(s): str(e) for s, e in table.items()},
         }
     _emit(f"codes {args.action}", {"code": args.code, "t": args.t}, None, output, args.started)
     return 0

@@ -168,24 +168,6 @@ def code_from_parts(G: BitMatrix, H: BitMatrix) -> LinearCode:
     return LinearCode(n=n, k=k, G=G, H=H)
 
 
-@dataclass(eq=False, frozen=True)
-class SyndromeTable:
-    """Injective, read-only map from syndrome to the unique error of weight
-    <= t_max producing it. Always contains zero syndrome -> zero error."""
-
-    t_max: int
-    entries: Mapping[BitVector, BitVector]
-
-    def __contains__(self, syndrome: BitVector) -> bool:
-        return syndrome in self.entries
-
-    def __getitem__(self, syndrome: BitVector) -> BitVector:
-        return self.entries[syndrome]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def check_table_budget(n: int, t_max: int) -> None:
     """Raise ValueError if sum_{w <= t_max} C(n, w), the errors a table
     holds, exceeds SYNDROME_TABLE_LIMIT; the sum stops once it does."""
@@ -201,8 +183,8 @@ def check_table_budget(n: int, t_max: int) -> None:
 
 
 @_kept_on_first_argument
-def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
-    """Tabulate H.e^T for every error e of weight <= t_max, once per H.
+def syndrome_table_from_check(H: BitMatrix, t_max: int) -> Mapping[BitVector, BitVector]:
+    """Map H.e^T to e, read-only, for every error e of weight <= t_max, once per H.
 
     Raises ValueError for a negative t_max or a table over
     SYNDROME_TABLE_LIMIT entries, both before any work, and if two
@@ -224,10 +206,10 @@ def syndrome_table_from_check(H: BitMatrix, t_max: int) -> SyndromeTable:
                     f"and {error}: t_max={t_max} exceeds the code's capacity"
                 )
             entries[syndrome] = error
-    return SyndromeTable(t_max=t_max, entries=MappingProxyType(entries))
+    return MappingProxyType(entries)
 
 
-def build_syndrome_table(code: LinearCode, t_max: int) -> SyndromeTable:
+def build_syndrome_table(code: LinearCode, t_max: int) -> Mapping[BitVector, BitVector]:
     """Syndrome/error table for all errors of weight <= t_max."""
     if t_max > code.corrects:
         raise ValueError(
@@ -243,7 +225,9 @@ class DecodeResult:
     status: str  # "ok" | "detected_uncorrectable"
 
 
-def decode(code: LinearCode, table: SyndromeTable, received: BitVector) -> DecodeResult:
+def decode(
+    code: LinearCode, table: Mapping[BitVector, BitVector], received: BitVector
+) -> DecodeResult:
     """Syndrome-table decoding.
 
     If the syndrome is in the table the matched error is removed and the

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .codes import (
     CosetQuotient,
     _kept_on_first_argument,
     LinearCode,
-    SyndromeTable,
     check_nested,
     quotient,
     syndrome_table_from_check,
@@ -68,8 +67,8 @@ class CssCode:
     h1: BitMatrix
     h2: BitMatrix
     t: int
-    bit_table: SyndromeTable
-    phase_table: SyndromeTable
+    bit_table: Mapping[BitVector, BitVector]
+    phase_table: Mapping[BitVector, BitVector]
 
     @property
     def n(self) -> int:

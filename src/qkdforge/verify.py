@@ -17,7 +17,7 @@ from .bb84 import (
     bennett_bound,
     run_session,
     shor_preskill_keys,
-    transmit_qubit,
+    _transport,
 )
 from .codes import (
     LinearCode,
@@ -101,13 +101,13 @@ def _check_hamming_tables(codes: dict) -> tuple[bool, str]:
 def _check_hamming_syndrome_table(codes: dict) -> tuple[bool, str]:
     ham = codes["hamming74"]
     table = build_syndrome_table(ham, 1)
-    got = {str(s): str(e) for s, e in table.entries.items()}
+    got = {str(s): str(e) for s, e in table.items()}
     return got == HAMMING74_TABLE, f"{len(got)} entries"
 
 
 def _check_rep3_syndrome_table(codes: dict) -> tuple[bool, str]:
     table = build_syndrome_table(codes["rep3"], 1)
-    got = {str(s): str(e) for s, e in table.entries.items()}
+    got = {str(s): str(e) for s, e in table.items()}
     return got == REP3_TABLE, f"{len(got)} entries"
 
 
@@ -305,14 +305,12 @@ def _check_intercept_stats(codes: dict) -> tuple[bool, str]:
     eve = EveStrategy(kind="intercept_resend")
     channel = ChannelModel()
     trials = 4000
-    sifted = errors = 0
     bits = rng.integers(0, 2, size=trials)
     bases = rng.integers(0, 2, size=trials)
-    for i in range(trials):
-        basis, bob_bit, _ = transmit_qubit(int(bits[i]), int(bases[i]), channel, eve, rng)
-        if basis == bases[i]:
-            sifted += 1
-            errors += int(bob_bit != bits[i])
+    bob_bases, bob_bits, _ = _transport(bits, bases, channel, eve, rng)
+    matched = bob_bases == bases
+    sifted = np.count_nonzero(matched)
+    errors = np.count_nonzero(bob_bits[matched] != bits[matched])
     qber = errors / sifted
     sigma = 3 * np.sqrt(0.25 * 0.75 / sifted)
     return abs(qber - 0.25) <= sigma, f"qber {qber:.4f} over {sifted} sifted bits"

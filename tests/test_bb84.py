@@ -18,7 +18,7 @@ from qkdforge.bb84 import (
     replay_bob,
     run_session,
     shor_preskill_keys,
-    transmit_qubit,
+    _transport,
 )
 from qkdforge.codes import code_from_generator, named_code
 from qkdforge.gf2 import BitMatrix, BitVector
@@ -36,35 +36,29 @@ def hamming_setup():
 
 
 def transmit_batch(trials, seed, channel=QUIET, eve=NO_EVE, fixed_basis=None):
-    """Drive the single-qubit channel and bucket results by basis match."""
+    """Send trials qubits through one batched transport and keep the
+    (sent, received) bits where Bob's basis matches Alice's."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=trials)
     if fixed_basis is None:
         bases = rng.integers(0, 2, size=trials)
     else:
         bases = np.full(trials, fixed_basis)
-    matched = []
-    learned_total = 0
-    for i in range(trials):
-        bob_basis, bob_bit, learned = transmit_qubit(
-            int(bits[i]), int(bases[i]), channel, eve, rng
-        )
-        learned_total += learned
-        if bob_basis == bases[i]:
-            matched.append((int(bits[i]), bob_bit, learned, int(bases[i])))
-    return matched, learned_total, trials
+    bob_bases, bob_bits, learned = _transport(bits, bases, channel, eve, rng)
+    matched = bob_bases == bases
+    return bits[matched], bob_bits[matched], np.count_nonzero(learned), trials
 
 
 class TestTransmitQubit:
     def test_clean_channel_matched_bases_always_agree(self):
-        matched, _, _ = transmit_batch(2000, seed=0)
-        assert matched  # basis matching happens about half the time
-        assert all(sent == received for sent, received, _, _ in matched)
+        sent, received, _, _ = transmit_batch(2000, seed=0)
+        assert len(sent)  # basis matching happens about half the time
+        assert np.array_equal(sent, received)
 
     def test_intercept_resend_quarter_error_rate(self):
-        matched, _, _ = transmit_batch(8000, seed=1, eve=INTERCEPT)
-        errors = sum(sent != received for sent, received, _, _ in matched)
-        p, n = 0.25, len(matched)
+        sent, received, _, _ = transmit_batch(8000, seed=1, eve=INTERCEPT)
+        errors = np.count_nonzero(sent != received)
+        p, n = 0.25, len(sent)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(errors - n * p) <= 3 * sigma
 
@@ -72,22 +66,22 @@ class TestTransmitQubit:
         # Alice always prepares Z; Eve always measures X; errors appear on
         # half of Bob's basis-matched bits.
         eve = EveStrategy(kind="intercept_resend", basis_policy="always_X")
-        matched, learned, _ = transmit_batch(
+        sent, received, learned, _ = transmit_batch(
             4000, seed=2, eve=eve, fixed_basis=BASIS_Z
         )
         assert learned == 0
-        errors = sum(sent != received for sent, received, _, _ in matched)
-        n = len(matched)
+        errors = np.count_nonzero(sent != received)
+        n = len(sent)
         sigma = math.sqrt(n * 0.25)
         assert abs(errors - n / 2) <= 3 * sigma
 
     def test_matching_basis_eavesdropper_invisible(self):
         eve = EveStrategy(kind="intercept_resend", basis_policy="always_Z")
-        matched, learned, trials = transmit_batch(
+        sent, received, learned, trials = transmit_batch(
             1000, seed=3, eve=eve, fixed_basis=BASIS_Z
         )
         assert learned == trials  # she always measures in the right basis
-        assert all(sent == received for sent, received, _, _ in matched)
+        assert np.array_equal(sent, received)
 
     def test_channel_flip_rates_by_basis(self):
         # X errors flip Z-basis bits and leave X-basis bits alone; Z errors
@@ -98,11 +92,11 @@ class TestTransmitQubit:
             (BASIS_X, ChannelModel(pz=0.1), 0.1),
             (BASIS_Z, ChannelModel(pz=0.1), 0.0),
         ):
-            matched, _, _ = transmit_batch(
+            sent, received, _, _ = transmit_batch(
                 4000, seed=4, channel=channel, fixed_basis=basis
             )
-            errors = sum(sent != received for sent, received, _, _ in matched)
-            n = len(matched)
+            errors = np.count_nonzero(sent != received)
+            n = len(sent)
             sigma = math.sqrt(n * max(p, 0.01) * (1 - max(p, 0.01)))
             assert abs(errors - n * p) <= 3 * sigma
 
@@ -114,10 +108,13 @@ class TestTransmitQubit:
             def random(self, shape):
                 return np.array([[0.0, 0.0, bob_basis_draw, 0.0]])
 
-        assert transmit_qubit(0, basis, QUIET, NO_EVE, ScriptedDraws()) == (basis, 0, False)
+        bob_bases, bob_bits, learned = _transport(
+            np.array([0]), np.array([basis]), QUIET, NO_EVE, ScriptedDraws()
+        )
+        assert (bob_bases.tolist(), bob_bits.tolist(), learned.tolist()) == ([basis], [0], [False])
 
     def test_eve_learns_half(self):
-        _, learned, trials = transmit_batch(4000, seed=5, eve=INTERCEPT)
+        _, _, learned, trials = transmit_batch(4000, seed=5, eve=INTERCEPT)
         sigma = math.sqrt(trials * 0.25)
         assert abs(learned - trials / 2) <= 3 * sigma
 
@@ -174,12 +171,6 @@ class TestConfig:
         c2 = code_from_generator(BitMatrix.from_strings(["1" * 40]))
         with pytest.raises(ValueError, match="syndrome table for t_max=9 on 40 bits"):
             SessionConfig(n=40, mode="shor_preskill", codes=(c1, c2))
-
-    def test_transmit_qubit_rejects_non_bits(self):
-        rng = np.random.default_rng(0)
-        for bit, basis in ((2, BASIS_Z), (-1, BASIS_Z), (0, 2)):
-            with pytest.raises(ValueError):
-                transmit_qubit(bit, basis, QUIET, NO_EVE, rng)
 
 
 class TestRunStandard:
@@ -405,7 +396,7 @@ class TestEveEstimate:
         # Alice prepares only in Z, Eve measures only in Z: she learns
         # every bit without leaving a trace.
         eve = EveStrategy(kind="intercept_resend", basis_policy="always_Z")
-        _, learned, trials = transmit_batch(500, seed=20, eve=eve, fixed_basis=BASIS_Z)
+        _, _, learned, trials = transmit_batch(500, seed=20, eve=eve, fixed_basis=BASIS_Z)
         assert learned == trials
 
 

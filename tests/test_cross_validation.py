@@ -43,7 +43,6 @@ from qkdforge.bb84 import (
     _thresholds,
     _transport,
     run_session,
-    transmit_qubit,
 )
 from qkdforge.codes import key_from_coset, named_code
 from qkdforge.cli import main
@@ -410,15 +409,16 @@ class TestTransportOracle:
 
     @pytest.mark.parametrize("eve", list(EVES))
     def test_batched_equals_dense_on_seeded_draws(self, eve):
-        for seed, channel in itertools.product(range(4), CHANNELS):
+        # A block of one qubit is a single-row draw; 60 holds every input.
+        for size, seed, channel in itertools.product((1, 60), range(4), CHANNELS):
             inputs = np.random.default_rng([seed, 1])
-            d, b = inputs.integers(0, 2, size=(2, 60))
+            d, b = inputs.integers(0, 2, size=(2, size))
             batched_rng = np.random.default_rng(seed)
             dense_rng = np.random.default_rng(seed)
             batched = _transport(d, b, channel, EVES[eve], batched_rng)
             dense = dense_transport(d, b, channel, EVES[eve], dense_rng)
             for got, want in zip(batched, dense):
-                assert np.array_equal(got, want), (seed, channel)
+                assert np.array_equal(got, want), (size, seed, channel)
             assert batched_rng.bit_generator.state == dense_rng.bit_generator.state
 
     @pytest.mark.parametrize("eve", list(EVES))
@@ -450,15 +450,15 @@ class TestTransportOracle:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("eve", list(EVES))
-    def test_transmit_qubit_equals_dense(self, eve):
+    def test_one_qubit_transports_equal_dense(self, eve):
+        # One-row calls in sequence on one generator, every (bit, basis).
         for channel in CHANNELS:
             rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
             for bit, basis in itertools.product((0, 1), repeat=2):
                 for _ in range(5):
-                    got = transmit_qubit(bit, basis, channel, EVES[eve], rng)
+                    got = _transport(np.array([bit]), np.array([basis]), channel, EVES[eve], rng)
                     want = dense_transmit_qubit(bit, basis, channel, EVES[eve], dense_rng)
-                    assert got == want
-                    assert [type(v) for v in got] == [int, int, bool]
+                    assert tuple(v.item() for v in got) == want
             assert rng.bit_generator.state == dense_rng.bit_generator.state
 
     @pytest.mark.parametrize("eve", list(EVES))
@@ -474,7 +474,7 @@ class TestTransportOracle:
             assert counting.uniforms == dense.uniforms == 50 * k
             assert counting.generator.bit_generator.state == dense.generator.bit_generator.state
             single = CountingRng(3)
-            transmit_qubit(1, BASIS_X, channel, EVES[eve], single)
+            _transport(np.array([1]), np.array([BASIS_X]), channel, EVES[eve], single)
             assert single.uniforms == k
 
 

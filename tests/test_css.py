@@ -107,8 +107,8 @@ class TestBuild:
         assert min(c1.corrects, c2.dual().corrects) == t
         default, explicit = css_build(c1, c2), css_build(c1, c2, t)
         assert default.t == explicit.t == t
-        assert default.bit_table.entries == explicit.bit_table.entries
-        assert default.phase_table.entries == explicit.phase_table.entries
+        assert default.bit_table == explicit.bit_table
+        assert default.phase_table == explicit.phase_table
 
 
     def test_built_once_per_pair_and_t(self):

@@ -1,8 +1,10 @@
-"""Every top-level name in src/qkdforge is read somewhere in src/.
+"""Every top-level name in src/qkdforge is read somewhere in src/, and
+every dataclass field somewhere in src/ or tests/.
 
 A function, class or constant that no module reads is reached by no
 command, check or criterion; it is either deleted or named below with
-the reason it stays.
+the reason it stays. A field that nothing reads is state written and
+never used.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 import qkdforge
 
 SRC = Path(qkdforge.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 KEPT_UNREAD = {
     "__all__": "the public names that `from qkdforge import *` binds",
@@ -49,3 +52,32 @@ def test_every_top_level_name_in_src_is_read_or_kept_for_a_reason():
         if name not in read and name not in KEPT_UNREAD
     )
     assert not unread, f"top-level names nothing in src/ reads: {unread}"
+
+
+def dataclass_fields(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_in_src_is_read_as_an_attribute():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{path.name}:{cls}.{field}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls, field in dataclass_fields(tree)
+        if field not in loaded
+    )
+    assert not unread, f"dataclass fields nothing in src/ or tests/ reads: {unread}"
