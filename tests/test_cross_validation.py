@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import qkdforge
-from qkdforge import bb84
+from qkdforge import bb84, css
 from qkdforge.bb84 import (
     BASIS_X,
     BASIS_Z,
@@ -43,10 +43,11 @@ from qkdforge.bb84 import (
     _thresholds,
     _transport,
     run_session,
+    shor_preskill_keys,
 )
 from qkdforge.codes import key_from_coset, named_code
 from qkdforge.cli import main
-from qkdforge.css import CssParams, css_build, css_codeword, pauli_row
+from qkdforge.css import CssParams, css_build, css_codeword, css_correct, pauli_row
 from qkdforge.distill import (
     DistillationReport,
     create_epr,
@@ -662,6 +663,117 @@ class TestDistillationOracle:
                     assert got_state == want_state, case
                 outcomes.add(isinstance(want, str))
         assert outcomes == ({False, True} if name == "parity4" else {False})
+
+
+# --- Support-carrying states: the dense kernel as the oracle -----------------
+
+LAST_DRAW = float(np.nextafter(1.0, 0.0))
+
+
+def support_copy(state):
+    """The state rebuilt by StateVector._scatter from its nonzero amplitudes."""
+    kets = np.flatnonzero(state.amps != 0)
+    return StateVector._scatter(state.n, kets, state.amps[kets])
+
+
+def folded_bits(amps):
+    """The amplitudes' float components as int64 bits, -0.0 read as 0.0."""
+    return (amps.view(np.float64) + 0.0).view(np.int64)
+
+
+class TestSupportKernelOracle:
+    # Every state a distillation round measures, collapsed onto both
+    # eigenvalues (draws 0 and the largest below 1) by the dense kernel and
+    # by the kernel on the state's support: every (e1, e2) on parity4, and
+    # every e1 with every third e2 on hamming74.
+    @pytest.mark.parametrize("name, e2_step", [("parity4", 1), ("hamming74", 3)])
+    def test_forced_branches_match_dense_kernel(self, name, e2_step, monkeypatch):
+        c1 = named_code(name)
+        code = css_build(c1, c1.dual())
+        n = code.n
+        taken = set()
+
+        def measure_both_branches(state, pauli, rng):
+            dense, sparse = StateVector(state.n, state.amps), support_copy(state)
+            for draw in (0.0, LAST_DRAW):
+                want_value, want = measure_pauli_observable(dense, pauli, ScriptedRng([draw]))
+                got_value, got = measure_pauli_observable(sparse, pauli, ScriptedRng([draw]))
+                assert got_value == want_value, (str(pauli), draw)
+                assert np.array_equal(folded_bits(got.amps), folded_bits(want.amps))
+                taken.add(got_value)
+            return measure_pauli_observable(state, pauli, rng)
+
+        monkeypatch.setattr(css, "measure_pauli_observable", measure_both_branches)
+        for e1, e2 in itertools.product(range(2**n), range(0, 2**n, e2_step)):
+            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            try:
+                run_distillation(session, np.random.default_rng(e1 << n | e2))
+            except ValueError as exc:  # parity4 corrects nothing: some rounds stop
+                assert "uncorrectable" in str(exc)
+        assert taken == {1, -1}
+
+
+# --- The paper's reduction: distillation against BB84's Shor-Preskill tail ---
+
+
+def outcome_weights(state, label):
+    """{label(ket): total |amplitude|^2} over the kets that carry weight."""
+    weights = np.abs(state.amps) ** 2
+    totals = {}
+    for ket in np.flatnonzero(weights):
+        key = label(int(ket))
+        totals[key] = totals.get(key, 0.0) + weights[ket]
+    return totals
+
+
+# A fixed handful of phase errors per code; on parity4 (t = 0) each nonzero
+# one stops css_correct's phase round whenever the bit round passes.
+REDUCTION_E2 = {"parity4": (0b0000, 0b0001, 0b0110), "hamming74": (0, 0b0000001, 0b0110000)}
+
+
+class TestShorPreskillReduction:
+    """Shor and Preskill's reduction (PRL 85, 441 (2000)): after Alice's
+    round leaves x announced, reading Alice's block a and Bob's block b in
+    the Z basis and running BB84's tail shor_preskill_keys(a, a + x, b)
+    gives the same distribution of (Alice key, decode status, Bob key) as
+    css_correct on Bob's qubits followed by keying (a + x, b + x). Z
+    outcomes do not see phase errors, so where css_correct stops on a
+    phase syndrome its bit round alone is compared."""
+
+    @pytest.mark.parametrize("name", ("parity4", "hamming74"))
+    def test_bb84_tail_matches_distillation(self, name):
+        c1 = named_code(name)
+        code = css_build(c1, c1.dual())
+        n = code.n
+        statuses = set()
+        for e1, e2 in itertools.product(range(2**n), REDUCTION_E2[name]):
+            case = (name, e1, e2)
+            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
+
+            def bb84_tail(ket):
+                a, b = BitVector(ket >> n, n), BitVector(ket, 2 * n)[n:]
+                keys = shor_preskill_keys(code.c1, code.c2, a, a + x, b)
+                return keys.alice_key, keys.decode_status, keys.bob_key
+
+            def distilled(ket):
+                a, b = BitVector(ket >> n, n), BitVector(ket, 2 * n)[n:]
+                return (key_from_coset(code.quotient, a + x), "ok",
+                        key_from_coset(code.quotient, b + x))
+
+            want = outcome_weights(session.joint, bb84_tail)
+            # Bob's syndromes are fixed by Alice's, so any draws serve.
+            bob = css_correct(code, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+            if bob.phase_syndrome is None:  # the bit round stopped
+                assert all(status != "ok" for _, status, _ in want), case
+                statuses.add("bit stop")
+                continue
+            statuses.add(bob.status)
+            got = outcome_weights(bob.state, distilled)
+            for key in want.keys() | got.keys():
+                assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-9, (case, key)
+        assert statuses == ({"ok", "detected_uncorrectable", "bit stop"}
+                            if name == "parity4" else {"ok"})
 
 
 # --- Exact oracles for the simulator kernels ---------------------------------
