@@ -290,7 +290,8 @@ def verify_basis_identities(
     ]
     matrix = np.zeros((2**n, 2**n), dtype=complex)
     for row, (v, x, z) in zip(matrix, itertools.product(reps, x_set, z_set)):
-        row[:] = css_codeword(code, v, CssParams(x=x, z=z)).amps
+        codeword = css_codeword(code, v, CssParams(x=x, z=z))
+        row[codeword._index] = codeword._values
     ortho_dev = _identity_deviation(matrix.conj() @ matrix.T)
     if ortho_dev > ATOL:
         raise ValueError(f"orthonormality violated: deviation {ortho_dev}")

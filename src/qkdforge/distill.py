@@ -38,7 +38,7 @@ class EprSession:
 def _epr_state(n: int) -> StateVector:
     """The n-pair state, built once per n: read-only, so sessions share it."""
     size = 2**n
-    return StateVector._scatter(2 * n, slice(None, None, size + 1), 1.0 / np.sqrt(size))
+    return StateVector._scatter(2 * n, np.arange(size) * (size + 1), 1.0 / np.sqrt(size))
 
 
 def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:

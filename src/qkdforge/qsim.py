@@ -1,10 +1,14 @@
-"""Dense state-vector simulator for small qubit registers.
+"""State-vector simulator for small qubit registers.
 
 Basis kets are indexed with qubit 1 as the leftmost (most significant)
-bit: |j1 j2 ... jn> sits at index sum(j_i * 2^(n-i)). All operations are
-pure and return new StateVector values; randomness enters only through an
-explicitly passed numpy Generator, with exactly one uniform draw per
-measurement so seeded runs are bit-reproducible.
+bit: |j1 j2 ... jn> sits at index sum(j_i * 2^(n-i)). A state holds either
+all 2^n amplitudes or, when built from a known support (basis states,
+CSS codewords, EPR pairs), only its nonzero ones; the Pauli kernels keep
+such a state on its support and do the dense path's float operations on
+those amplitudes alone. All operations are pure and return new StateVector
+values; randomness enters only through an explicitly passed numpy
+Generator, with exactly one uniform draw per measurement so seeded runs
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,37 +42,61 @@ def _check_qubit_count(n: int) -> None:
 
 @dataclass(eq=False)
 class StateVector:
-    """Normalized complex amplitudes over n qubits, copied and read-only."""
+    """Normalized complex amplitudes over n qubits, read-only: the 2^n
+    amps, copied, or a support, the sorted basis indices _index with their
+    amplitudes _values, outside of which every amplitude is 0. A support's
+    amps are built on their first read."""
 
     n: int
     amps: np.ndarray
+    _index = None  # no support: amps is the state
 
     def __post_init__(self, adopt: bool = False) -> None:
         _check_qubit_count(self.n)
-        amps = self.amps if adopt else np.array(self.amps, dtype=complex)
-        if amps.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
+        if self._index is None:
+            self.amps = amps = self.amps if adopt else np.array(self.amps, dtype=complex)
+            if amps.shape != (2**self.n,):
+                raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
+        else:  # the support's values are the nonzero amplitudes: same norm
+            amps = self._values
+            self._index.setflags(write=False)
         norm = math.sqrt(_vdot(amps, amps).real)
         if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         amps.setflags(write=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a support's amps.
+        if name != "amps" or self._index is None:
+            raise AttributeError(name)
+        amps = np.zeros(2**self.n, dtype=complex)
+        amps[self._index] = self._values
+        amps.setflags(write=False)
         self.amps = amps
+        return amps
 
     @classmethod
-    def _adopt(cls, n: int, amps: np.ndarray) -> "StateVector":
-        """StateVector(n, amps) without the copy, for a kernel's fresh array."""
+    def _adopt(cls, n: int, amps: np.ndarray, index: Optional[np.ndarray] = None) -> "StateVector":
+        """StateVector(n, amps) without the copy, for a kernel's fresh array;
+        with an index, amps are the values on that sorted support."""
         state = cls.__new__(cls)
-        state.n, state.amps = n, amps
+        state.n = n
+        if index is None:
+            state.amps = amps
+        else:
+            state._index, state._values = index, amps
         state.__post_init__(adopt=True)
         return state
 
     @classmethod
     def _scatter(cls, n: int, index, values) -> "StateVector":
-        """amps[index] = values, zeros elsewhere; n is checked before allocating."""
+        """The state with amplitudes values at the distinct basis indices
+        index, zeros elsewhere, kept as that support; n is checked first."""
         _check_qubit_count(n)
-        amps = np.zeros(2**n, dtype=complex)
-        amps[index] = values
-        return cls._adopt(n, amps)
+        index = np.asarray(index, dtype=np.int64).reshape(-1)
+        order = np.argsort(index)  # css_codeword's words ^ (v + x) are unordered
+        values = np.broadcast_to(np.asarray(values, dtype=complex), index.shape)
+        return cls._adopt(n, values[order], index[order])
 
     def ket_label(self, index: int) -> str:
         return format(index, f"0{self.n}b")
@@ -264,9 +292,31 @@ def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
     return grid.reshape(-1)
 
 
+def _support_pauli(state: StateVector, pauli: PauliString) -> tuple:
+    """_pauli_amps for a state on a support: (index ^ x sorted, values
+    times the phase and the sign of each new index), or the state's own
+    (index, values) for the identity. Each factor is +/-1 or +/-i, so the
+    nonzero components are the dense kernel's bits."""
+    if len(pauli) != state.n:
+        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
+    index, values, x, z = state._index, state._values, pauli.x, pauli.z
+    if x:
+        index = index ^ x
+    if z:
+        phase = complex((1, -1j, -1, 1j)[(x & z).bit_count() & 3])
+        values = values * np.where(np.bitwise_count(index & z) & 1, -phase, phase)
+    if not x:
+        return index, values
+    order = np.argsort(index)
+    return index[order], values[order]
+
+
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply a Pauli string with its phases (including the i's from Y)
     tracked exactly. An all-identity string returns the state itself."""
+    if state._index is not None:
+        index, values = _support_pauli(state, pauli)
+        return state if values is state._values else StateVector._adopt(state.n, values, index)
     amps = _pauli_amps(state, pauli)
     return state if amps is state.amps else StateVector._adopt(state.n, amps)
 
@@ -302,23 +352,44 @@ def measure_pauli_observable(
 ) -> tuple[int, StateVector]:
     """Measure a +/-1 Pauli observable via the projectors (I +/- P)/2.
 
-    Returns the sampled eigenvalue and the collapsed state.
+    Returns the sampled eigenvalue and the collapsed state. A state on a
+    support is collapsed on support | (support ^ x) alone, and the exact
+    zeros of the collapse leave its support.
     """
-    applied = _pauli_amps(state, pauli)
-    expectation = float(np.real(_vdot(state.amps, applied)))
+    if state._index is None:
+        index, amps, applied = None, state.amps, _pauli_amps(state, pauli)
+    else:
+        index, applied = _support_pauli(state, pauli)
+        amps = state._values
+        if index is not state._index and not np.array_equal(index, state._index):
+            union = np.union1d(state._index, index)  # pair the two on it
+            amps, applied = _spread(union, state._index, amps), _spread(union, index, applied)
+            index = union
+    expectation = float(np.real(_vdot(amps, applied)))
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
-    out = None if applied is state.amps else applied  # a fresh product: collapse in it
-    collapsed = (np.add if eigenvalue == 1 else np.subtract)(state.amps, applied, out=out)
+    out = None if applied is amps else applied  # a fresh product: collapse in it
+    collapsed = (np.add if eigenvalue == 1 else np.subtract)(amps, applied, out=out)
     norm = _norm(collapsed)
     if norm == 0.0:
         # Round-off left the drawn branch a sliver of probability and no
         # amplitude: applied was -/+amps exactly, so the other branch,
         # the one with all the mass, is amps + amps.
         eigenvalue = -eigenvalue
-        collapsed = np.add(state.amps, state.amps, out=collapsed)
+        collapsed = np.add(amps, amps, out=collapsed)
         norm = _norm(collapsed)
-    return eigenvalue, StateVector._adopt(state.n, _divide(collapsed, norm))
+    collapsed = _divide(collapsed, norm)
+    if index is None:
+        return eigenvalue, StateVector._adopt(state.n, collapsed)
+    kept = collapsed != 0
+    return eigenvalue, StateVector._adopt(state.n, collapsed[kept], index[kept])
+
+
+def _spread(union: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values placed at the positions of index within the sorted union, 0 elsewhere."""
+    out = np.zeros(union.size, dtype=complex)
+    out[np.searchsorted(union, index)] = values
+    return out
 
 
 def measure_all_z(
@@ -329,10 +400,12 @@ def measure_all_z(
     Samples a basis string with probability |amplitude|^2 (one draw) and
     collapses to that ket.
     """
-    weights = np.abs(state.amps) ** 2
+    on_support = state._index is not None
+    weights = np.abs(state._values if on_support else state.amps) ** 2
     # Zero weights skipped: adding +0.0 changes no sum (README, Conventions).
     support = np.flatnonzero(weights != 0.0)
-    bits = BitVector(int(support[_draw_outcome(rng, weights[support])]), state.n)
+    ket = support[_draw_outcome(rng, weights[support])]
+    bits = BitVector(int(state._index[ket] if on_support else ket), state.n)
     return bits, basis_state(bits)
 
 
@@ -351,7 +424,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def support(state: StateVector) -> dict[str, complex]:
     """{ket label: amplitude} for every amplitude with magnitude above
     1e-12, in index order."""
-    return {
-        state.ket_label(i): complex(state.amps[i])
-        for i in np.flatnonzero(np.abs(state.amps) > 1e-12)
-    }
+    amps = state.amps if state._index is None else state._values
+    kept = np.flatnonzero(np.abs(amps) > 1e-12)
+    kets = kept if state._index is None else state._index[kept]
+    return {state.ket_label(ket): complex(amps[i]) for ket, i in zip(kets, kept)}

@@ -46,7 +46,7 @@ from qkdforge.bb84 import (
     shor_preskill_keys,
 )
 from qkdforge.codes import key_from_coset, named_code
-from qkdforge.cli import main
+from qkdforge.cli import _keep_heap_resident, main
 from qkdforge.css import CssParams, css_build, css_codeword, css_correct, pauli_row
 from qkdforge.distill import (
     DistillationReport,
@@ -625,6 +625,13 @@ def inline_run_distillation(session, rng):
     )
 
 
+def dense_run_distillation(session, rng):
+    """run_distillation from a dense copy of the joint state, so that every
+    kernel of the round takes the dense path."""
+    session.joint = StateVector(session.joint.n, session.joint.amps)
+    return run_distillation(session, rng)
+
+
 def distillation_patterns(n):
     """No error, every weight-1 error and one weight-2 error."""
     return [0] + [1 << i for i in range(n)] + [0b11 << (n - 2)]
@@ -657,6 +664,8 @@ class TestDistillationOracle:
                 got, got_state = distill_or_error(run_distillation, code, e1, e2, seed)
                 case = (name, e1, e2, seed)
                 assert got == want, case
+                assert distill_or_error(dense_run_distillation, code, e1, e2, seed) == (
+                    got, got_state), case
                 # An uncorrectable bit syndrome now stops before Bob's phase
                 # rows draw, so only completed rounds compare generator states.
                 if want_state is not None:
@@ -670,36 +679,29 @@ class TestDistillationOracle:
 LAST_DRAW = float(np.nextafter(1.0, 0.0))
 
 
-def support_copy(state):
-    """The state rebuilt by StateVector._scatter from its nonzero amplitudes."""
-    kets = np.flatnonzero(state.amps != 0)
-    return StateVector._scatter(state.n, kets, state.amps[kets])
-
-
-def folded_bits(amps):
-    """The amplitudes' float components as int64 bits, -0.0 read as 0.0."""
-    return (amps.view(np.float64) + 0.0).view(np.int64)
-
-
 class TestSupportKernelOracle:
-    # Every state a distillation round measures, collapsed onto both
-    # eigenvalues (draws 0 and the largest below 1) by the dense kernel and
-    # by the kernel on the state's support: every (e1, e2) on parity4, and
-    # every e1 with every third e2 on hamming74.
+    # Every state a distillation round measures, which carries its support,
+    # collapsed onto both eigenvalues (draws 0 and the largest below 1) on
+    # that support and by the dense kernel on a dense copy: every (e1, e2)
+    # on parity4, and every e1 with every third e2 on hamming74.
     @pytest.mark.parametrize("name, e2_step", [("parity4", 1), ("hamming74", 3)])
     def test_forced_branches_match_dense_kernel(self, name, e2_step, monkeypatch):
+        # The dense kernel allocates 256 KB arrays: keep them off mmap, as
+        # the CLI does, or every call faults its pages in.
+        _keep_heap_resident()
         c1 = named_code(name)
         code = css_build(c1, c1.dual())
         n = code.n
         taken = set()
 
         def measure_both_branches(state, pauli, rng):
-            dense, sparse = StateVector(state.n, state.amps), support_copy(state)
+            dense = StateVector(state.n, state.amps)
             for draw in (0.0, LAST_DRAW):
                 want_value, want = measure_pauli_observable(dense, pauli, ScriptedRng([draw]))
-                got_value, got = measure_pauli_observable(sparse, pauli, ScriptedRng([draw]))
+                got_value, got = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
                 assert got_value == want_value, (str(pauli), draw)
-                assert np.array_equal(folded_bits(got.amps), folded_bits(want.amps))
+                # Equal finite floats have equal bits unless both are zero.
+                assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64))
                 taken.add(got_value)
             return measure_pauli_observable(state, pauli, rng)
 
@@ -1215,6 +1217,7 @@ class TestKernelOracles:
         joint = create_epr(7).joint
         assert create_epr(7, css_build(named_code("hamming74"), named_code("hamming74").dual())).joint is joint
         before = joint.amps.tobytes()
+        support_before = joint._index.tobytes(), joint._values.tobytes()
         assert not joint.amps.flags.writeable
         with pytest.raises(ValueError):
             joint.amps[0] = 0.0
@@ -1227,6 +1230,7 @@ class TestKernelOracles:
             assert main(["distill", "--code", "hamming74", "--seed", "4"]) == 0
         assert create_epr(7).joint is joint
         assert joint.amps.tobytes() == before
+        assert (joint._index.tobytes(), joint._values.tobytes()) == support_before
 
     def test_cached_tables_are_read_only(self):
         pauli = PauliString("XYZIXYZIY")

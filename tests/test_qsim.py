@@ -87,11 +87,18 @@ class TestOwnership:
             measure_pauli_observable(psi, PauliString("III"), rng)[1],
             measure_all_z(psi, rng)[1],
             create_epr(2).joint,
+            apply_pauli_string(create_epr(2).joint, PauliString("XYZI")),
+            measure_pauli_observable(create_epr(2).joint, PauliString("ZIZI"), rng)[1],
+            measure_pauli_observable(create_epr(2).joint, PauliString("XIII"), rng)[1],
         ]
+        on_support = [out for out in outputs if out._index is not None]
+        assert len(on_support) == 6  # basis states, the EPR state and its Pauli outputs
         for out in outputs:
-            assert not out.amps.flags.writeable
-            with pytest.raises(ValueError):
-                out.amps[0] = 0.0
+            arrays = [out.amps] if out._index is None else [out._index, out._values, out.amps]
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
     def test_adopt_checks_like_the_constructor(self):
         good = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
@@ -105,6 +112,9 @@ class TestOwnership:
                 StateVector(n=n, amps=amps)
             with pytest.raises(ValueError):
                 StateVector._adopt(n, amps)
+        for values in ([1.0, 1.0], [np.nan, 0.0]):  # a support is checked on its values
+            with pytest.raises(ValueError):
+                StateVector._scatter(2, [0, 3], values)
 
 
 class TestSingleQubitGates:
