@@ -14,8 +14,11 @@ dense cumulative draw of measure_all_z, the loop-built CSS codeword,
 the EPR state built per session), the
 closed-form batched BB84 transport against the per-qubit state-vector
 transport, draw for draw, the session's index arrays against the
-tuple stages they replaced, and distillation's css_correct round
-against the inline Bob half it replaced. The oracles reduce over whole
+tuple stages they replaced, distillation's css_correct round
+against the inline Bob half it replaced and against the same round on
+dense states, the kernels on a state's support against the dense
+kernels on both branches of every measurement a round makes, and BB84's
+Shor-Preskill tail against distillation. The oracles reduce over whole
 states in 2^13-amplitude blocks, as the simulator does, so that they
 agree bit for bit under any BLAS thread count. Slow and memory-hungry
 by design; sizes stay small.
@@ -746,7 +749,7 @@ class TestShorPreskillReduction:
     def test_bb84_tail_matches_distillation(self, name):
         c1 = named_code(name)
         code = css_build(c1, c1.dual())
-        n = code.n
+        n, mask = code.n, (1 << code.n) - 1
         statuses = set()
         for e1, e2 in itertools.product(range(2**n), REDUCTION_E2[name]):
             case = (name, e1, e2)
@@ -754,12 +757,12 @@ class TestShorPreskillReduction:
             x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
 
             def bb84_tail(ket):
-                a, b = BitVector(ket >> n, n), BitVector(ket, 2 * n)[n:]
+                a, b = BitVector(ket >> n, n), BitVector(ket & mask, n)
                 keys = shor_preskill_keys(code.c1, code.c2, a, a + x, b)
                 return keys.alice_key, keys.decode_status, keys.bob_key
 
             def distilled(ket):
-                a, b = BitVector(ket >> n, n), BitVector(ket, 2 * n)[n:]
+                a, b = BitVector(ket >> n, n), BitVector(ket & mask, n)
                 return (key_from_coset(code.quotient, a + x), "ok",
                         key_from_coset(code.quotient, b + x))
 
