@@ -57,7 +57,7 @@ class StateVector:
             self.amps = amps = self.amps if adopt else np.array(self.amps, dtype=complex)
             if amps.shape != (2**self.n,):
                 raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
-        else:  # the support's values are the nonzero amplitudes: same norm
+        else:  # the support holds every nonzero amplitude: the same norm
             amps = self._values
             self._index.setflags(write=False)
         norm = math.sqrt(_vdot(amps, amps).real)
