@@ -641,6 +641,22 @@ sys.exit(code)
 """
 
 
+def assert_closed_pipe_exits_quietly(argv):
+    """argv in a fresh process whose stdout is a pipe with its read end
+    closed: exit 1 within 30 s and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qkdforge.cli", *argv],
+            env=source_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
 @pytest.fixture
 def forty_bit_codes(tmp_path):
     """[40, 2] with two disjoint weight-20 rows (d = 20, t = 9), and the
@@ -700,17 +716,12 @@ class TestSizeBudgets:
         assert float(done.stdout) < 1.0
 
     def test_closed_pipe_prints_no_traceback(self, forty_bit_codes):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "qkdforge.cli", "codes", "info", forty_bit_codes[0]],
-                env=source_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
-            )
-        finally:
-            os.close(write_end)
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+        assert_closed_pipe_exits_quietly(["codes", "info", forty_bit_codes[0]])
+
+    def test_closed_pipe_stops_an_endless_sweep(self):
+        # A sweep writes each row as its session ends, so the first full
+        # stdout buffer meets the closed pipe, long before 10^8 sessions.
+        assert_closed_pipe_exits_quietly(["bb84", "sweep", "--runs", "100000000"])
 
 
 def test_qec_demo_without_qubit_injects_no_error(capsys):

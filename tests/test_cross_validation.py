@@ -682,6 +682,24 @@ class TestDistillationOracle:
 LAST_DRAW = float(np.nextafter(1.0, 0.0))
 
 
+def forced_branches_match_dense(state, pauli):
+    """Collapse a state on its support onto both eigenvalues (draws 0 and
+    the largest below 1), and a dense copy of it by the dense kernel: the
+    same outcome and the same bits on every nonzero component. Returns
+    the two outcomes."""
+    dense = StateVector(state.n, state.amps)
+    outcomes = []
+    for draw in (0.0, LAST_DRAW):
+        want_value, want = measure_pauli_observable(dense, pauli, ScriptedRng([draw]))
+        got_value, got = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
+        assert got_value == want_value, (str(pauli), draw)
+        assert got._index is not None, str(pauli)
+        # Equal finite floats have equal bits unless both are zero.
+        assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64))
+        outcomes.append(got_value)
+    return outcomes
+
+
 class TestSupportKernelOracle:
     # Every state a distillation round measures, which carries its support,
     # collapsed onto both eigenvalues (draws 0 and the largest below 1) on
@@ -698,14 +716,7 @@ class TestSupportKernelOracle:
         taken = set()
 
         def measure_both_branches(state, pauli, rng):
-            dense = StateVector(state.n, state.amps)
-            for draw in (0.0, LAST_DRAW):
-                want_value, want = measure_pauli_observable(dense, pauli, ScriptedRng([draw]))
-                got_value, got = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
-                assert got_value == want_value, (str(pauli), draw)
-                # Equal finite floats have equal bits unless both are zero.
-                assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64))
-                taken.add(got_value)
+            taken.update(forced_branches_match_dense(state, pauli))
             return measure_pauli_observable(state, pauli, rng)
 
         monkeypatch.setattr(css, "measure_pauli_observable", measure_both_branches)
@@ -1298,6 +1309,34 @@ class TestKernelOracles:
                     np.testing.assert_allclose(frame(collapsed).amps, want, rtol=0, atol=1e-12)
                     outcomes.add(value)
         assert outcomes == {1, -1}
+
+    @pytest.mark.parametrize("n", (1, 3, 7, 14))
+    def test_basis_state_collapse_matches_dense_kernel(self, n):
+        # Every X or Y string maps a basis ket off itself: p_plus is 1/2
+        # and the collapse is the ket and its image, merged.
+        rng = np.random.default_rng(460 + n)
+        ket = basis_state(BitVector(int(rng.integers(0, 2**n)), n))
+        strings = ["X" * n, "Y" * n, ("XIYZ" * n)[:n], ("ZY" * n)[:n]]
+        strings += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
+        for factors in strings:
+            if factors.strip("IZ"):
+                assert forced_branches_match_dense(ket, PauliString(factors)) == [1, -1], factors
+
+    def test_unequal_magnitude_collapse_matches_dense_kernel(self):
+        # An affine two-ket support {000, 111} that is no stabilizer state:
+        # each string maps it off itself but XXX and YXY, which map it onto
+        # itself with p_plus 0.98 and 0.02.
+        pair = StateVector._scatter(3, [0b000, 0b111], [0.6, 0.8])
+        for factors in ("XII", "IXI", "IIX", "XXI", "XIX", "IXX", "XYZ", "YYI", "XXX", "YXY"):
+            assert forced_branches_match_dense(pair, PauliString(factors)) == [1, -1], factors
+
+    def test_support_that_is_not_affine_raises(self):
+        # {00, 01, 10} ^ 01 = {01, 00, 11} meets the support in two kets:
+        # no stabilizer state has such a support.
+        skew = StateVector._scatter(2, [0, 1, 2], np.full(3, 1 / np.sqrt(3)))
+        for draw in (0.0, LAST_DRAW):
+            with pytest.raises(AssertionError, match="affine"):
+                measure_pauli_observable(skew, PauliString("IX"), ScriptedRng([draw]))
 
     def test_short_strings_raise_on_every_call(self):
         # "ZZ" has the masks of "IZZ": on a 3-qubit state, with the plan for
