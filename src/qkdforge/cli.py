@@ -355,8 +355,7 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
         transcript = run_session(config)
         _emit("bb84 run", config_echo, args.seed, transcript.to_dict(), args.started)
         return 0
-    # sweep
-    rows = ["seed,qber,sifted_len,aborted,key,keys_match"]
+    print("seed,qber,sifted_len,aborted,key,keys_match")  # sweep: a row as each session ends
     for seed in range(args.seed, args.seed + args.runs):
         transcript = run_session(dataclasses.replace(config, seed=seed))
         qber = (
@@ -366,11 +365,8 @@ def _cmd_bb84(args: argparse.Namespace) -> int:
         )
         key = str(transcript.alice_key) if transcript.alice_key is not None else ""
         match = "" if transcript.keys_match is None else str(transcript.keys_match).lower()
-        rows.append(
-            f"{seed},{qber},{len(transcript.sifted)},"
-            f"{str(transcript.aborted).lower()},{key},{match}"
-        )
-    print("\n".join(rows))
+        print(f"{seed},{qber},{len(transcript.sifted)},"
+              f"{str(transcript.aborted).lower()},{key},{match}")
     return 0
 
 

@@ -28,6 +28,7 @@ from qkdforge.codes import (
     build_syndrome_table,
     code_from_generator,
     decode,
+    key_from_coset,
     named_code,
     quotient,
 )
@@ -51,7 +52,7 @@ from qkdforge.qec3 import (
     shor_correct,
     shor_encode,
 )
-from qkdforge.qsim import StateVector, apply_gate, fidelity, overlap
+from qkdforge.qsim import StateVector, apply_gate, fidelity, overlap, support
 
 BV = BitVector.from_string
 
@@ -412,3 +413,47 @@ def test_criterion_12_determinism():
     assert shor_run() == shor_run()
     assert standard_run() == standard_run()
     assert shor_run().encode() == shor_run().encode()  # byte equality
+
+
+@criterion(13, "Shor-Preskill reduction: BB84's decode and distillation give one key distribution")
+def test_criterion_13_shor_preskill_reduction():
+    # Shor and Preskill, PRL 85, 441 (2000). Once Alice's round has fixed
+    # the announced shift x, reading her block a and Bob's block b in the
+    # Z basis and running BB84's tail on (a, u = a + x, b) gives the
+    # (Alice key, decode status, Bob key) distribution of Bob correcting
+    # his qubits and both keying the cosets of a + x and b + x: for every
+    # bit error on hamming74 (t = 1), beyond capacity too, and no phase error.
+    hamming = named_code("hamming74")
+    pair = css_build(hamming, hamming.dual(), 1)
+    n, mask = 7, 2**7 - 1
+    coset_key = functools.cache(lambda word: key_from_coset(pair.quotient, word))
+
+    def key_weights(state, keys):
+        totals = {}
+        for label, amplitude in support(state).items():
+            ket = int(label, 2)
+            key = keys(BitVector(ket >> n, n), BitVector(ket & mask, n))
+            totals[key] = totals.get(key, 0.0) + abs(amplitude) ** 2
+        return totals
+
+    disagreeing = 0
+    for e1 in range(2**n):
+        session = inject_bob_errors(create_epr(n, pair), BitVector(e1, n), BitVector.zeros(n))
+        x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(1300 + e1))
+
+        def bb84_tail(a, b):
+            keys = shor_preskill_keys(hamming, pair.c2, a, a + x, b)
+            return keys.alice_key, keys.decode_status, keys.bob_key
+
+        def distilled(a, b):
+            return coset_key(a + x), "ok", coset_key(b + x)
+
+        want = key_weights(session.joint, bb84_tail)
+        bob = css_correct(pair, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+        assert bob.status == "ok"
+        got = key_weights(bob.state, distilled)
+        assert abs(sum(want.values()) - 1.0) <= 1e-9
+        for key in want.keys() | got.keys():
+            assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-9, (e1, key)
+        disagreeing += any(alice != bob for alice, _, bob in want)
+    assert disagreeing > 0  # errors beyond capacity leave the two keys apart
