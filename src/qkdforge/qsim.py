@@ -3,9 +3,9 @@
 Basis kets are indexed with qubit 1 as the leftmost (most significant)
 bit: |j1 j2 ... jn> sits at index sum(j_i * 2^(n-i)). A state holds either
 all 2^n amplitudes or, when built from a known support (basis states,
-CSS codewords, EPR pairs), only its nonzero ones; the Pauli kernels keep
-such a state on its support and do the dense path's float operations on
-those amplitudes alone. All operations are pure and return new StateVector
+CSS codewords, EPR pairs), only its nonzero ones; the Pauli kernel and
+the measurements keep such a state on its support and work on those
+amplitudes alone. All operations are pure and return new StateVector
 values; randomness enters only through an explicitly passed numpy
 Generator, with exactly one uniform draw per measurement so seeded runs
 are bit-reproducible.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,10 +41,10 @@ def _check_qubit_count(n: int) -> None:
 
 @dataclass(eq=False)
 class StateVector:
-    """Normalized complex amplitudes over n qubits, read-only: the 2^n
-    amps, copied, or a support, the sorted basis indices _index with their
-    amplitudes _values, outside of which every amplitude is 0. A support's
-    amps are built on their first read."""
+    """Normalized complex amplitudes over n qubits, read-only, held in
+    _values: the 2^n amps, copied (_index is None), or a support, the
+    amplitudes at the sorted basis indices _index, outside of which every
+    amplitude is 0. A support's amps are built on their first read."""
 
     n: int
     amps: np.ndarray
@@ -54,7 +53,7 @@ class StateVector:
     def __post_init__(self, adopt: bool = False) -> None:
         _check_qubit_count(self.n)
         if self._index is None:
-            self.amps = amps = self.amps if adopt else np.array(self.amps, dtype=complex)
+            self.amps = self._values = amps = self.amps if adopt else np.array(self.amps, dtype=complex)
             if amps.shape != (2**self.n,):
                 raise ValueError(f"expected {2**self.n} amplitudes for n={self.n}, got {amps.shape}")
         else:  # the support holds every nonzero amplitude: the same norm
@@ -236,91 +235,41 @@ def pauli_row(
     return pauli
 
 
-def _signs(bits: int, mask: int) -> np.ndarray:
-    """(-1)^{|j&mask|} for j < 2^bits, a read-only complex table."""
-    j = np.arange(1 << bits)
-    signs = np.where(np.bitwise_count(j & mask) & 1, -1.0 + 0j, 1.0 + 0j)
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=256)
-def _pauli_plan(n: int, x: int, z: int) -> tuple:
-    """What _pauli_amps needs for the masks (x, z) on n qubits, built once:
-    the grid's row length, the read-only row and column gathers (None for
-    a zero half of x), the scalar phase and the sign tables."""
-    low = n // 2
-    low_mask = (1 << low) - 1
-    tables = []
-    if z_high := z >> low:
-        tables.append(_signs(n - low, z_high)[:, np.newaxis])
-    if z_low := z & low_mask:
-        tables.append(_signs(low, z_low))
-    rows = np.arange(1 << (n - low)) ^ (x >> low) if x >> low else None
-    cols = np.arange(1 << low) ^ (x & low_mask) if x & low_mask else None
-    for index in (rows, cols):
-        if index is not None:
-            index.setflags(write=False)
-    phase = _PHASES[(x & z).bit_count() & 3]
-    return 1 << low, rows, cols, phase, tuple(tables)
-
-
-def _pauli_amps(state: StateVector, pauli: PauliString) -> np.ndarray:
-    """The amplitudes of pauli applied to state, as a raw array:
+def _pauli_image(state: StateVector, pauli: PauliString) -> tuple:
+    """pauli applied to state as (index, values), in the state's form:
     out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
-           = (-i)^{|x&z|} (-1)^{|j_hi&z_hi|} (-1)^{|j_lo&z_lo|} amps[j^x],
-    a gather of rows then of columns of the amplitudes viewed as a grid
-    over the high and the low half of j, the scalar phase, and +/-1
-    tables over the two halves, all from the cached plan for (n, x, z).
-    Every nonzero amplitude is exact; the identity gives state.amps."""
-    if len(pauli) != state.n:
-        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
-    if not pauli.x | pauli.z:
-        return state.amps
-    width, rows, cols, phase, tables = _pauli_plan(state.n, pauli.x, pauli.z)
-    grid = state.amps.reshape(-1, width)  # grid[j_hi, j_lo] = amps[j]
-    if pauli.x:  # each take builds a new grid
-        if rows is not None:
-            grid = grid.take(rows, axis=0)
-        if cols is not None:
-            grid = grid.take(cols, axis=1)
-        if phase != 1:
-            grid *= phase
-    else:  # no gather, no phase: the first sign table writes the new grid
-        grid = grid * tables[0]
-        tables = tables[1:]
-    for table in tables:
-        grid *= table
-    return grid.reshape(-1)
-
-
-def _support_pauli(state: StateVector, pauli: PauliString) -> tuple:
-    """_pauli_amps for a state on a support: (index ^ x sorted, values
-    times the phase and the sign of each new index), or the state's own
-    (index, values) for the identity. Each factor is +/-1 or +/-i, so the
-    nonzero components are the dense kernel's bits."""
+           = (-i)^{|x&z|} (-1)^{|j&z|} amps[j^x].
+    A dense state (index None: every j, in order) gathers amps[j^x]; a
+    support's image index ^ x is a few sorted runs, which one stable sort
+    merges. The values are then multiplied once by the phase and the sign
+    of each new index. Each factor is +/-1 or +/-i, so every nonzero
+    component is exact. The identity gives the state's own (index, values)."""
     if len(pauli) != state.n:
         raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
     index, values, x, z = state._index, state._values, pauli.x, pauli.z
-    if x:
-        index = index ^ x
+    if not x | z:
+        return index, values
+    if index is None:
+        image = np.arange(values.size)
+        if x:
+            values = values[image ^ x]
+    elif x:
+        image = index ^ x
+        order = image.argsort(kind="stable")
+        image, values = image[order], values[order]
+    else:
+        image = index
     if z:
         phase = _PHASES[(x & z).bit_count() & 3]
-        values = values * np.where(np.bitwise_count(index & z) & 1, -phase, phase)
-    if not x:
-        return index, values
-    order = np.argsort(index)
-    return index[order], values[order]
+        values = values * np.where(np.bitwise_count(image & z) & 1, -phase, phase)
+    return (None if index is None else image), values
 
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply a Pauli string with its phases (including the i's from Y)
     tracked exactly. An all-identity string returns the state itself."""
-    if state._index is not None:
-        index, values = _support_pauli(state, pauli)
-        return state if values is state._values else StateVector._adopt(state.n, values, index)
-    amps = _pauli_amps(state, pauli)
-    return state if amps is state.amps else StateVector._adopt(state.n, amps)
+    index, values = _pauli_image(state, pauli)
+    return state if values is state._values else StateVector._adopt(state.n, values, index)
 
 
 def hadamard_all(state: StateVector) -> StateVector:
@@ -358,24 +307,21 @@ def measure_pauli_observable(
     support stays on it, or on the support merged with its image under
     the Pauli, and the exact zeros of the collapse leave its support.
     """
-    if state._index is None:
-        index, amps, applied = None, state.amps, _pauli_amps(state, pauli)
-    else:
-        index, applied = _support_pauli(state, pauli)
-        amps = state._values
-        if index is not state._index and not np.array_equal(index, state._index):
-            # Every state on a support is a stabilizer state, whose support is
-            # affine: the image misses it, each term of the dense <amps|applied>
-            # has a zero factor, and p_plus is exactly 1/2 (README, Conventions).
-            both = np.concatenate((state._index, index))
-            order = both.argsort(kind="stable")  # two sorted runs: one merge
-            index = both[order]
-            if np.count_nonzero(index[1:] == index[:-1]):
-                raise AssertionError("a support must be affine: its Pauli image meets it in part")
-            eigenvalue = +1 if rng.random() < 0.5 else -1
-            collapsed = np.concatenate((amps, applied if eigenvalue == 1 else -applied))[order]
-            collapsed = _divide(collapsed, _norm(collapsed))
-            return eigenvalue, StateVector._adopt(state.n, collapsed, index)
+    index, applied = _pauli_image(state, pauli)
+    amps = state._values
+    if index is not state._index and not np.array_equal(index, state._index):
+        # Every state on a support is a stabilizer state, whose support is
+        # affine: the image misses it, each term of the dense <amps|applied>
+        # has a zero factor, and p_plus is exactly 1/2 (README, Conventions).
+        both = np.concatenate((state._index, index))
+        order = both.argsort(kind="stable")  # two sorted runs: one merge
+        index = both[order]
+        if np.count_nonzero(index[1:] == index[:-1]):
+            raise AssertionError("a support must be affine: its Pauli image meets it in part")
+        eigenvalue = +1 if rng.random() < 0.5 else -1
+        collapsed = np.concatenate((amps, applied if eigenvalue == 1 else -applied))[order]
+        collapsed = _divide(collapsed, _norm(collapsed))
+        return eigenvalue, StateVector._adopt(state.n, collapsed, index)
     expectation = _vdot(amps, applied).real
     p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
     eigenvalue = +1 if rng.random() < p_plus else -1
@@ -404,12 +350,11 @@ def measure_all_z(
     Samples a basis string with probability |amplitude|^2 (one draw) and
     collapses to that ket.
     """
-    on_support = state._index is not None
-    weights = np.abs(state._values if on_support else state.amps) ** 2
+    weights = np.abs(state._values) ** 2
     # Zero weights skipped: adding +0.0 changes no sum (README, Conventions).
     support = np.flatnonzero(weights != 0.0)
     ket = support[_draw_outcome(rng, weights[support])]
-    bits = BitVector(int(state._index[ket] if on_support else ket), state.n)
+    bits = BitVector(int(ket if state._index is None else state._index[ket]), state.n)
     return bits, basis_state(bits)
 
 
@@ -428,7 +373,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def support(state: StateVector) -> dict[str, complex]:
     """{ket label: amplitude} for every amplitude with magnitude above
     1e-12, in index order."""
-    amps = state.amps if state._index is None else state._values
+    amps = state._values
     kept = np.flatnonzero(np.abs(amps) > 1e-12)
     kets = kept if state._index is None else state._index[kept]
     return {state.ket_label(ket): complex(amps[i]) for ket, i in zip(kets, kept)}

@@ -7,17 +7,15 @@ with kron products, on random states. The simulator's kernels are also
 checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
-norm, the mask kernel that rebuilt its index and signs on every call,
-the gather through a full 2^n index that the half-grid takes replaced,
-the Pauli kernel that worked out its gathers and tables on every call, the
-dense cumulative draw of measure_all_z, the loop-built CSS codeword,
-the EPR state built per session), the
+norm, the dense cumulative draw of measure_all_z, the loop-built CSS
+codeword, the EPR state built per session), the one Pauli kernel on
+dense and support states against a per-call mask formula, the
 closed-form batched BB84 transport against the per-qubit state-vector
 transport, draw for draw, the session's index arrays against the
 tuple stages they replaced, distillation's css_correct round
 against the inline Bob half it replaced and against the same round on
-dense states, the kernels on a state's support against the dense
-kernels on both branches of every measurement a round makes, and BB84's
+dense states, the kernels on a state's support against that per-call
+formula on both branches of every measurement a round makes, and BB84's
 Shor-Preskill tail against distillation. The oracles reduce over whole
 states in 2^13-amplitude blocks, as the simulator does, so that they
 agree bit for bit under any BLAS thread count. Slow and memory-hungry
@@ -74,15 +72,7 @@ from qkdforge.qsim import (
     measure_all_z,
     measure_pauli_observable,
 )
-from qkdforge.qsim import (
-    _divide,
-    _draw_outcome,
-    _norm,
-    _pauli_amps,
-    _pauli_plan,
-    _signs,
-    _vdot,
-)
+from qkdforge.qsim import _draw_outcome, _norm, _vdot
 
 from test_codes import hamming15
 
@@ -684,18 +674,19 @@ LAST_DRAW = float(np.nextafter(1.0, 0.0))
 
 def forced_branches_match_dense(state, pauli):
     """Collapse a state on its support onto both eigenvalues (draws 0 and
-    the largest below 1), and a dense copy of it by the dense kernel: the
-    same outcome and the same bits on every nonzero component. Returns
-    the two outcomes."""
-    dense = StateVector(state.n, state.amps)
+    the largest below 1), and its dense amplitudes by the per-call mask
+    formula and the branch rule written out here: the same outcome and
+    the same bits on every nonzero component. Returns the two outcomes."""
+    amps = state.amps
+    applied = per_call_pauli_amps(amps, pauli.x, pauli.z)
     outcomes = []
     for draw in (0.0, LAST_DRAW):
-        want_value, want = measure_pauli_observable(dense, pauli, ScriptedRng([draw]))
+        want_value, want = per_call_collapse(amps, applied, draw)
         got_value, got = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
         assert got_value == want_value, (str(pauli), draw)
         assert got._index is not None, str(pauli)
         # Equal finite floats have equal bits unless both are zero.
-        assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64))
+        assert np.array_equal(got.amps.view(np.float64), want.view(np.float64))
         outcomes.append(got_value)
     return outcomes
 
@@ -703,11 +694,11 @@ def forced_branches_match_dense(state, pauli):
 class TestSupportKernelOracle:
     # Every state a distillation round measures, which carries its support,
     # collapsed onto both eigenvalues (draws 0 and the largest below 1) on
-    # that support and by the dense kernel on a dense copy: every (e1, e2)
-    # on parity4, and every e1 with every third e2 on hamming74.
+    # that support and by the per-call formula on its dense amplitudes:
+    # every (e1, e2) on parity4, and every e1 with every third e2 on hamming74.
     @pytest.mark.parametrize("name, e2_step", [("parity4", 1), ("hamming74", 3)])
     def test_forced_branches_match_dense_kernel(self, name, e2_step, monkeypatch):
-        # The dense kernel allocates 256 KB arrays: keep them off mmap, as
+        # The dense oracle allocates 256 KB arrays: keep them off mmap, as
         # the CLI does, or every call faults its pages in.
         _keep_heap_resident()
         c1 = named_code(name)
@@ -873,8 +864,9 @@ def dividing_measure_pauli_observable(state, pauli, rng):
 
 
 def per_call_pauli_amps(amps, x, z):
-    """The mask kernel that the cached half-width sign tables replaced: a
-    fresh index, parity and complex sign over all 2^n entries per call."""
+    """out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x] as first written: a
+    fresh index, parity and complex sign over all 2^n entries per call,
+    with its own phase table and the sign of the source index j^x."""
     source = np.arange(amps.size) ^ x
     out = amps[source]
     if z:
@@ -883,41 +875,33 @@ def per_call_pauli_amps(amps, x, z):
     return out
 
 
+def per_call_collapse(amps, applied, r):
+    """The branch rule on a dense product applied = P amps, written out:
+    p_plus from the blocked <amps|applied>, +1 when r < p_plus, the
+    collapse amps +/- applied, or amps + amps, the other branch, when
+    round-off left the drawn one no amplitude, then divided by its norm
+    as the float64 view times the reciprocal (README, Conventions)."""
+    p_plus = min(max((1.0 + float(np.real(block_vdot(amps, applied)))) / 2.0, 0.0), 1.0)
+    eigenvalue = +1 if r < p_plus else -1
+    collapsed = amps + applied if eigenvalue == 1 else amps - applied
+    norm = block_norm(collapsed)
+    if norm == 0.0:
+        eigenvalue, collapsed = -eigenvalue, amps + amps
+        norm = block_norm(collapsed)
+    floats = collapsed.view(np.float64)
+    floats *= 1.0 / norm
+    return eigenvalue, collapsed
+
+
 def per_call_measure_pauli_observable(state, x, z, rng):
-    """Observable measurement on the per-call kernel's product, with the
-    same branch rule and a collapse divided by its norm."""
-    applied = per_call_pauli_amps(state.amps, x, z)
-    expectation = float(np.real(block_vdot(state.amps, applied)))
-    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-    eigenvalue = +1 if rng.random() < p_plus else -1
-    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
-    return eigenvalue, collapsed / block_norm(collapsed)
+    """Observable measurement on the per-call kernel's product."""
+    return per_call_collapse(state.amps, per_call_pauli_amps(state.amps, x, z), rng.random())
 
 
-def full_index_pauli_amps(amps, n, x, z):
-    """The Pauli kernel before its gather became row and column takes on
-    the half-index grid: amps[arange(2^n) ^ x], a 2^n index per call,
-    then the same phase and cached half-width sign tables."""
-    low = n // 2
-    grid = amps[np.arange(2**n) ^ x].reshape(-1, 1 << low)
-    phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
-    if phase != 1:
-        grid *= phase
-    if z >> low:
-        grid *= _signs(n - low, z >> low)[:, np.newaxis]
-    if z & (1 << low) - 1:
-        grid *= _signs(low, z & (1 << low) - 1)
-    return grid.reshape(-1)
-
-
-def full_index_measure_pauli_observable(state, x, z, rng):
-    """measure_pauli_observable on the full-index kernel's product."""
-    applied = full_index_pauli_amps(state.amps, state.n, x, z)
-    expectation = float(np.real(_vdot(state.amps, applied)))
-    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-    eigenvalue = +1 if rng.random() < p_plus else -1
-    collapsed = state.amps + applied if eigenvalue == 1 else state.amps - applied
-    return eigenvalue, _divide(collapsed, _norm(collapsed))
+def support_copy(psi):
+    """psi kept as the support of its nonzero amplitudes."""
+    kets = np.flatnonzero(psi.amps)
+    return StateVector._scatter(psi.n, kets, psi.amps[kets])
 
 
 def pauli_from_masks(n, x, z):
@@ -1014,35 +998,6 @@ def loop_css_codeword(code, v, params):
     return StateVector(n=code.n, amps=amps).amps
 
 
-def inline_pauli_amps(state, pauli):
-    """_pauli_amps before the per-(n, x, z) plan: both half gathers, the
-    phase and the sign tables worked out on every call."""
-    n, x, z = state.n, pauli.x, pauli.z
-    if not x | z:
-        return state.amps
-    low = n // 2
-    low_mask = (1 << low) - 1
-    tables = []
-    if z >> low:
-        tables.append(_signs(n - low, z >> low)[:, np.newaxis])
-    if z & low_mask:
-        tables.append(_signs(low, z & low_mask))
-    grid = state.amps.reshape(-1, 1 << low)
-    if x:
-        if x >> low:
-            grid = grid.take(np.arange(1 << (n - low)) ^ (x >> low), axis=0)
-        if x & low_mask:
-            grid = grid.take(np.arange(1 << low) ^ (x & low_mask), axis=1)
-        phase = (1, -1j, -1, 1j)[(x & z).bit_count() & 3]
-        if phase != 1:
-            grid *= phase
-    else:
-        grid = grid * tables.pop(0)
-    for table in tables:
-        grid *= table
-    return grid.reshape(-1)
-
-
 KERNEL_SIZES = (1, 2, 3, 7, 9, 14)
 
 
@@ -1136,9 +1091,10 @@ class TestKernelOracles:
                 kinds = {(bool(x), bool(z)) for x, z in pairs if not (x | z) & ~region}
                 assert {(True, False), (False, True), (True, True)} <= kinds
         for psi in kernel_states(rng, n):
-            for x, z in pairs:
-                got = _pauli_amps(psi, pauli_from_masks(n, x, z))
-                assert_same_nonzero_bits(got, per_call_pauli_amps(psi.amps, x, z))
+            for state in (psi, support_copy(psi)):
+                for x, z in pairs:
+                    got = apply_pauli_string(state, pauli_from_masks(n, x, z)).amps
+                    assert_same_nonzero_bits(got, per_call_pauli_amps(psi.amps, x, z))
 
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 8, 9, 14))
     def test_pauli_measurement_matches_per_call_kernel_bit_for_bit(self, n):
@@ -1155,25 +1111,6 @@ class TestKernelOracles:
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
         assert outcomes == {1, -1}
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_grid_gather_matches_full_index_gather_bit_for_bit(self, n):
-        rng = np.random.default_rng(395 + n)
-        pairs = [(x, z) for x, z in mask_pairs(rng, n) if x]
-        low = (1 << n // 2) - 1
-        regions = {(bool(x & ~low), bool(x & low)) for x, _ in pairs}
-        assert regions == ({(True, False)} if n == 1 else {(True, False), (False, True), (True, True)})
-        assert any(x & z for x, z in pairs)  # Y factors
-        for psi in kernel_states(rng, n):
-            for i, (x, z) in enumerate(pairs):
-                pauli = pauli_from_masks(n, x, z)
-                want = full_index_pauli_amps(psi.amps, n, x, z)
-                assert apply_pauli_string(psi, pauli).amps.tobytes() == want.tobytes(), (x, z)
-                r = (1e-6, 1.0 - 1e-6, float(rng.random()))[i % 3]
-                want_value, want = full_index_measure_pauli_observable(psi, x, z, ScriptedRng([r]))
-                value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
-                assert value == want_value, (x, z, r)
-                assert collapsed.amps.tobytes() == want.tobytes(), (x, z, r)
 
     def test_sparse_draw_matches_dense_accumulate_at_every_boundary(self):
         rng = np.random.default_rng(430)
@@ -1214,19 +1151,6 @@ class TestKernelOracles:
                 assert np.array_equal(got, want), (str(v), p)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n", (1, 2, 7, 9, 14))
-    def test_planned_pauli_amps_match_inline_form_cold_and_warm(self, n):
-        rng = np.random.default_rng(450 + n)
-        pairs = mask_pairs(rng, n)
-        for psi in kernel_states(rng, n):
-            _pauli_plan.cache_clear()
-            for _ in ("cold", "warm"):
-                for x, z in pairs:
-                    pauli = pauli_from_masks(n, x, z)
-                    want = inline_pauli_amps(psi, pauli)
-                    assert _pauli_amps(psi, pauli).tobytes() == want.tobytes(), (x, z)
-            assert _pauli_plan.cache_info().hits >= len(set(pairs) - {(0, 0)})
-
     def test_shared_epr_state_is_read_only_and_unchanged_by_distill(self):
         joint = create_epr(7).joint
         assert create_epr(7, css_build(named_code("hamming74"), named_code("hamming74").dual())).joint is joint
@@ -1245,15 +1169,6 @@ class TestKernelOracles:
         assert create_epr(7).joint is joint
         assert joint.amps.tobytes() == before
         assert (joint._index.tobytes(), joint._values.tobytes()) == support_before
-
-    def test_cached_tables_are_read_only(self):
-        pauli = PauliString("XYZIXYZIY")
-        apply_pauli_string(random_state(np.random.default_rng(390), 9), pauli)
-        _, rows, cols, _, tables = _pauli_plan(9, pauli.x, pauli.z)
-        for table in (rows, cols, *tables, _signs(5, pauli.z >> 4), _signs(4, pauli.z & 0b1111)):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_hadamard_all_matches_dividing_transform_bit_for_bit(self, n):
@@ -1339,19 +1254,21 @@ class TestKernelOracles:
                 measure_pauli_observable(skew, PauliString("IX"), ScriptedRng([draw]))
 
     def test_short_strings_raise_on_every_call(self):
-        # "ZZ" has the masks of "IZZ": on a 3-qubit state, with the plan for
-        # those masks cached, only the length check keeps it out.
+        # "ZZ" and "XX" have the masks of "IZZ" and "IXX": on a 3-qubit
+        # state, dense or on a support, only the length check keeps them out,
+        # also after the full strings have been measured and applied.
         psi = random_state(np.random.default_rng(420), 3)
-        short, full = PauliString("ZZ"), PauliString("IZZ")
-        assert (short.x, short.z) == (full.x, full.z)
-        _pauli_plan.cache_clear()
-        measure_pauli_observable(psi, full, ScriptedRng([0.5]))
-        assert _pauli_plan.cache_info().currsize == 1
-        for _ in range(2):
-            with pytest.raises(ValueError, match="length 2 != n=3"):
-                measure_pauli_observable(psi, short, ScriptedRng([0.5]))
-            with pytest.raises(ValueError, match="length 2 != n=3"):
-                apply_pauli_string(psi, short)
+        for short, full in ((PauliString("ZZ"), PauliString("IZZ")),
+                            (PauliString("XX"), PauliString("IXX"))):
+            assert (short.x, short.z) == (full.x, full.z)
+            for state in (psi, support_copy(psi), basis_state(BV("101"))):
+                measure_pauli_observable(state, full, ScriptedRng([0.5]))
+                apply_pauli_string(state, full)
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="length 2 != n=3"):
+                        measure_pauli_observable(state, short, ScriptedRng([0.5]))
+                    with pytest.raises(ValueError, match="length 2 != n=3"):
+                        apply_pauli_string(state, short)
 
     def test_draw_outcome_without_mass_raises(self):
         for row in ([0.0], [0.0, 0.0, 0.0], []):
