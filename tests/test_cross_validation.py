@@ -904,6 +904,25 @@ def support_copy(psi):
     return StateVector._scatter(psi.n, kets, psi.amps[kets])
 
 
+def random_support(rng, n, size):
+    """size distinct random kets of n qubits with random complex
+    amplitudes of unequal magnitude, kept as that support."""
+    kets = rng.choice(2**n, size=size, replace=False)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return StateVector._scatter(n, kets, values / np.linalg.norm(values))
+
+
+def random_stabilizer_state(rng, n, measurements):
+    """A random basis ket collapsed by random Pauli strings at random
+    draws: a stabilizer state on an affine support, the kind of support
+    every kernel builds."""
+    state = basis_state(BitVector(int(rng.integers(0, 2**n)), n))
+    for _ in range(measurements):
+        factors = "".join(rng.choice(list("IXYZ"), size=n))
+        state = measure_pauli_observable(state, PauliString(factors), rng)[1]
+    return state
+
+
 def pauli_from_masks(n, x, z):
     factors = "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n - 1, -1, -1))
     pauli = PauliString(factors)
@@ -1111,6 +1130,67 @@ class TestKernelOracles:
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
         assert outcomes == {1, -1}
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_support_image_is_sorted_and_matches_per_call_kernel(self, n):
+        # x flips only high index bits (index ^ x is a few long sorted
+        # runs), only low ones (many short runs) or both; the reordered
+        # image is strictly increasing, on the kets index ^ x, and every
+        # value is the per-call formula's, on supports of one ket up to
+        # all 2^n, with unequal magnitudes.
+        rng = np.random.default_rng(395 + n)
+        pairs = mask_pairs(rng, n)
+        low = (1 << n // 2) - 1
+        regions = {(bool(x & ~low), bool(x & low)) for x, _ in pairs if x}
+        assert regions == ({(True, False)} if n == 1 else {(True, False), (False, True), (True, True)})
+        assert any(x & z for x, z in pairs)  # Y factors
+        for size in sorted({1, 2, max(1, 2**n // 3), 2**n}):
+            state = random_support(rng, n, size)
+            for x, z in pairs:
+                got = apply_pauli_string(state, pauli_from_masks(n, x, z))
+                assert np.array_equal(got._index, np.sort(state._index ^ x)), (x, z)
+                assert np.all(got._index[1:] > got._index[:-1])
+                assert_same_nonzero_bits(got.amps, per_call_pauli_amps(state.amps, x, z))
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 9, 14))
+    def test_stabilizer_collapse_matches_per_call_kernel(self, n):
+        # Random stabilizer states, from a basis ket up to 2^6 kets,
+        # collapsed on their support onto both eigenvalues by strings whose
+        # image equals the support or misses it, against the per-call
+        # formula and branch rule on their dense amplitudes.
+        rng = np.random.default_rng(450 + n)
+        pairs = mask_pairs(rng, n)
+        pairs = pairs[:: max(1, len(pairs) // 12)]
+        images = set()
+        for measurements in range(7):
+            state = random_stabilizer_state(rng, n, measurements)
+            assert state._index is not None
+            for x, z in pairs:
+                forced_branches_match_dense(state, pauli_from_masks(n, x, z))
+                images.add(np.array_equal(np.sort(state._index ^ x), state._index))
+        assert images == {True, False}
+
+    def test_pauli_kernels_leave_their_input_unchanged(self):
+        # Dense, on a full support, on one ket and on a stabilizer support:
+        # applying and measuring every 3-qubit string writes nothing of the
+        # state's arrays, and the identity returns the state itself, or
+        # measures +1 and keeps the state's support.
+        rng = np.random.default_rng(390)
+        psi = random_state(rng, 3)
+        states = (psi, support_copy(psi), basis_state(BV("101")), random_stabilizer_state(rng, 3, 3))
+        for state in states:
+            arrays = (state.amps, state._values) + (() if state._index is None else (state._index,))
+            before = [array.tobytes() for array in arrays]
+            for x, z in itertools.product(range(8), repeat=2):
+                pauli = pauli_from_masks(3, x, z)
+                applied = apply_pauli_string(state, pauli)
+                assert (applied is state) == (not x | z)
+                for draw in (0.0, LAST_DRAW):
+                    value, collapsed = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
+                    if not x | z:
+                        assert value == 1
+                        assert np.array_equal(collapsed._index, state._index)
+            assert [array.tobytes() for array in arrays] == before
 
     def test_sparse_draw_matches_dense_accumulate_at_every_boundary(self):
         rng = np.random.default_rng(430)
