@@ -11,7 +11,6 @@ stderr. Exit codes: 0 success, 1 domain error or failed verification,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import errno
 import functools
@@ -481,24 +480,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-@functools.cache
-def _keep_heap_resident() -> bool:
-    """Keep freed heap memory resident under glibc: by default it handed a
-    distill call's 256 KB arrays back to the OS and the next call faulted
-    them in again, about 450 minor faults per call. Setting either value
-    ends glibc's dynamic threshold, so both are set, the mmap threshold
-    first. Only main, which owns its process, calls this."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # no glibc malloc: leave the allocator alone
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    _keep_heap_resident()
     args = _parse(sys.argv[1:] if argv is None else argv)
     draws = args.action in CSS_SEEDED_ACTIONS if args.subcommand == "css" else "seed" in args
     if draws and args.seed is None:

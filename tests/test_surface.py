@@ -1,10 +1,12 @@
 """Every top-level name in src/qkdforge is read somewhere in src/, and
-every dataclass field somewhere in src/ or tests/.
+every dataclass field somewhere in src/ or tests/; no module imports
+ctypes.
 
 A function, class or constant that no module reads is reached by no
 command, check or criterion; it is either deleted or named below with
 the reason it stays. A field that nothing reads is state written and
-never used.
+never used. ctypes would reach past Python into process-wide settings
+such as the C allocator's, which a library must leave to its host.
 """
 
 import ast
@@ -81,3 +83,18 @@ def test_every_dataclass_field_in_src_is_read_as_an_attribute():
         if field not in loaded
     )
     assert not unread, f"dataclass fields nothing in src/ or tests/ reads: {unread}"
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_in_src_imports_ctypes():
+    importers = sorted(
+        path.name for path in SRC.glob("*.py") if "ctypes" in imported_modules(ast.parse(path.read_text()))
+    )
+    assert not importers, f"modules that import ctypes: {importers}"
