@@ -8,8 +8,9 @@ classical tail:
   with the exponential information bound; reconciliation is not run.
 - shor_preskill: a nested code pair does the work classically. Alice
   draws a random codeword u of C1, announces x - u over the classical
-  channel, Bob shifts his block to u + e1 and decodes with C1's syndrome
-  table, and both sides map to the key through the coset label of u.
+  channel, Bob shifts his block to u + e1 and decodes it with the bit
+  table of css_build(C1, C2), at the t that distillation uses, and both
+  sides map to the key through the coset label of u.
 
 Every random decision flows through one seeded generator in a documented
 order (raw bits, basis bits, transport draws qubit by qubit in the order
@@ -35,15 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .codes import (
-    LinearCode,
-    build_syndrome_table,
-    check_nested,
-    check_table_budget,
-    decode,
-    key_from_coset,
-    quotient,
-)
+from .codes import LinearCode, decode, key_from_coset
+from .css import CssCode, css_build
 from .gf2 import BitVector
 from .qsim import apply_gate, basis_state
 
@@ -116,8 +110,7 @@ class SessionConfig:
                 raise ValueError(
                     f"block size n={self.n} must equal the code length {self.codes[0].n}"
                 )
-            check_nested(*self.codes)
-            check_table_budget(self.n, self.codes[0].corrects)  # Bob's table
+            css_build(*self.codes)  # the nesting, both capacities and both tables
 
     @property
     def raw_length(self) -> int:
@@ -281,27 +274,28 @@ class KeyDerivation:
 
 
 def _bob_keys(
-    c1: LinearCode, c2: LinearCode, bob_block: BitVector, x_minus_u: BitVector
+    code: CssCode, bob_block: BitVector, x_minus_u: BitVector
 ) -> tuple[str, Optional[BitVector], Optional[BitVector]]:
     """Bob's half of the shor_preskill tail: shift his block by the
-    announcement to u + e1, decode it with C1's table up to its capacity,
-    and key off the coset of the decoded word in C1/C2 only when decoding
-    succeeded. Returns (decode status, u_hat, bob_key)."""
-    result = decode(c1, build_syndrome_table(c1, c1.corrects), bob_block + x_minus_u)
+    announcement to u + e1, decode it with the CSS code's bit table, up to
+    its t as css_correct does, and key off the coset of the decoded word
+    only when decoding succeeded. Returns (decode status, u_hat, bob_key)."""
+    result = decode(code.c1, code.bit_table, bob_block + x_minus_u)
     if result.status != "ok":
         return result.status, None, None
-    return result.status, result.word, key_from_coset(quotient(c1, c2), result.word)
+    return result.status, result.word, key_from_coset(code.quotient, result.word)
 
 
 def shor_preskill_keys(
     c1: LinearCode, c2: LinearCode, x: BitVector, u: BitVector, bob_block: BitVector
 ) -> KeyDerivation:
     """Steps from the announcement onward: Alice announces x - u, Bob
-    forms (x + e1) + (x - u) = u + e1 and decodes it with C1; both sides
-    key off the coset of their codeword in C1/C2."""
+    forms (x + e1) + (x - u) = u + e1 and decodes it, and both sides key
+    off the coset of their codeword, all with the code css_build(c1, c2)."""
+    code = css_build(c1, c2)
     x_minus_u = x + u
-    status, u_hat, bob_key = _bob_keys(c1, c2, bob_block, x_minus_u)
-    return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(quotient(c1, c2), u), bob_key)
+    status, u_hat, bob_key = _bob_keys(code, bob_block, x_minus_u)
+    return KeyDerivation(x_minus_u, u_hat, status, key_from_coset(code.quotient, u), bob_key)
 
 
 def _sift(b: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
@@ -341,8 +335,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     block selection, the check-bit estimate and key-block extraction.
 
     The standard tail reports privacy amplification; the shor_preskill
-    tail announces x - u, decodes Bob's block with C1 and keys both sides
-    off coset labels.
+    tail announces x - u, decodes Bob's block with css_build's bit table
+    and keys both sides off coset labels.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
@@ -425,6 +419,6 @@ def replay_bob(
         if c1 is None or c2 is None:
             raise ValueError("replaying a shor_preskill decode needs the code pair c1, c2")
         _, out["u_hat"], out["bob_key"] = _bob_keys(
-            c1, c2, out["bob_block"], transcript.x_minus_u
+            css_build(c1, c2), out["bob_block"], transcript.x_minus_u
         )
     return out

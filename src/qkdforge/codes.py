@@ -98,7 +98,10 @@ class LinearCode:
         the next 2^j. Row k-1 of G is the message's least significant
         bit, so the order matches encode(BitVector(m, k))."""
         if self.k > ENUMERATION_LIMIT:
-            raise ValueError(f"k={self.k} too large to enumerate codewords")
+            raise ValueError(
+                f"cannot enumerate the 2^{self.k} codewords of {self!r}: "
+                f"k is over ENUMERATION_LIMIT={ENUMERATION_LIMIT}"
+            )
         rows = pack_rows(self.G.to_numpy())
         words = np.zeros((1 << self.k, rows.shape[1]), dtype=np.uint64)
         for j, row in enumerate(rows[::-1]):
@@ -284,11 +287,9 @@ class CosetQuotient:
         return BitMatrix(self.c2.G.rows + self.extension_rows).tracked_rref
 
 
-@_kept_on_first_argument
 def check_nested(c1: LinearCode, c2: LinearCode) -> None:
     """Raise ValueError unless C2 is a proper subcode of C1, which every
-    CSS construction and every coset key needs. A pair that passed is
-    not checked again."""
+    CSS construction and every coset key needs."""
     if c2.n != c1.n:
         raise ValueError("C1 and C2 must have the same length")
     if c2.k >= c1.k:

@@ -94,7 +94,8 @@ def css_build(c1: LinearCode, c2: LinearCode, t: Optional[int] = None) -> CssCod
     """Validate the nesting and capacities, then assemble the code, once per (C1, C2, t).
 
     Requires C2 to be a proper subcode of C1 and both C1 and the dual of
-    C2 to correct t errors. t defaults to the largest such value.
+    C2 to correct t errors. t defaults to the largest such value, the one t
+    that css_correct, distillation and BB84's Shor-Preskill Bob decode to.
     """
     check_nested(c1, c2)
     c2_dual = c2.dual()

@@ -20,6 +20,7 @@ from qkdforge.bb84 import (
     shor_preskill_keys,
     _transport,
 )
+from qkdforge import codes
 from qkdforge.codes import code_from_generator, named_code
 from qkdforge.gf2 import BitMatrix, BitVector
 
@@ -164,12 +165,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="same length"):
             SessionConfig(n=7, mode="shor_preskill", codes=(c1, named_code("rep3")))
 
-    def test_shor_preskill_table_budget_checked_up_front(self):
-        """Bob's table for a [40, 2] code with two disjoint weight-20 rows
-        (t = 9) would hold about 3.7e8 entries; the config refuses it."""
+    def test_shor_preskill_table_budget_checked_up_front(self, monkeypatch):
+        """The config builds the pair's CSS code, so Bob's table is budgeted
+        at css_build's t before any session: with the limit at 7 entries,
+        hamming74's t = 1 table (8 entries) is refused (on a fresh copy of
+        the code, since css_build keeps a build that passed). A [40, 2]
+        code with two disjoint weight-20 rows over the [40, 1] all-ones
+        code is refused as css_build refuses it: the dual of C2 has 2^39
+        codewords, too many to find its capacity."""
+        c1 = code_from_generator(named_code("hamming74").G)
+        with monkeypatch.context() as patch:
+            patch.setattr(codes, "SYNDROME_TABLE_LIMIT", 7)
+            with pytest.raises(ValueError, match="syndrome table for t_max=1 on 7 bits"):
+                SessionConfig(n=7, mode="shor_preskill", codes=(c1, c1.dual()))
+        SessionConfig(n=7, mode="shor_preskill", codes=(c1, c1.dual()))
         c1 = code_from_generator(BitMatrix.from_strings(["1" * 20 + "0" * 20, "0" * 20 + "1" * 20]))
         c2 = code_from_generator(BitMatrix.from_strings(["1" * 40]))
-        with pytest.raises(ValueError, match="syndrome table for t_max=9 on 40 bits"):
+        with pytest.raises(ValueError, match=r"2\^39 codewords .* ENUMERATION_LIMIT=24"):
             SessionConfig(n=40, mode="shor_preskill", codes=(c1, c2))
 
 

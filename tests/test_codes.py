@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qkdforge.codes import (
     ENUMERATION_LIMIT,
-    LinearCode,
     build_syndrome_table,
     check_nested,
     check_table_budget,
@@ -401,18 +400,6 @@ class TestBuiltOnce:
                 check_nested(parity, code_from_generator(BitMatrix.from_strings(["1110"])))
             with pytest.raises(ValueError, match="proper subcode"):
                 check_nested(parity, parity)
-
-    def test_passed_nesting_check_is_kept(self, hamming, monkeypatch):
-        check_nested(hamming, hamming.dual())
-
-        def no_more_checks(code, word):
-            raise AssertionError("nesting checked again")
-
-        monkeypatch.setattr(LinearCode, "contains", no_more_checks)
-        check_nested(hamming, hamming.dual())
-        twin = code_from_parts(hamming.G, hamming.H)
-        with pytest.raises(AssertionError, match="checked again"):
-            check_nested(twin, twin.dual())
 
 
 class TestDecode:

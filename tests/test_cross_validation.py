@@ -738,28 +738,80 @@ def outcome_weights(state, label):
     return totals
 
 
+def subspaces(n):
+    """Every subspace of GF(2)^n, as a frozenset of ints."""
+    found, frontier = set(), [frozenset([0])]
+    while frontier:
+        space = frontier.pop()
+        if space not in found:
+            found.add(space)
+            frontier += [space | {w ^ v for w in space} for v in range(2**n) if v not in space]
+    return found
+
+
+def generator_rows(words, n):
+    """Rows spanning the words: each word, in order, that the rows kept
+    before it do not span."""
+    rows, span = [], {0}
+    for word in words:
+        if word not in span:
+            rows.append(format(word, f"0{n}b"))
+            span |= {w ^ word for w in span}
+    return tuple(rows)
+
+
+def nested_pair_classes(n):
+    """One (C1 rows, C2 rows) per class, under coordinate permutations, of
+    the nested pairs C2 < C1 of length n with 1 <= k2 < k1 <= n - 1: the
+    member whose sorted codeword tuples come first. Also returns how many
+    pairs there are."""
+    spaces = [s for s in subspaces(n) if 1 < len(s) < 2**n]
+    pairs = [(s1, s2) for s1 in spaces for s2 in spaces if s2 < s1]
+
+    def permuted(space, perm):
+        return tuple(sorted(
+            sum((w >> (n - 1 - p) & 1) << (n - 1 - i) for i, p in enumerate(perm))
+            for w in space))
+
+    perms = list(itertools.permutations(range(n)))
+    classes = {min((permuted(s1, p), permuted(s2, p)) for p in perms) for s1, s2 in pairs}
+    return [(generator_rows(w1, n), generator_rows(w2, n)) for w1, w2 in sorted(classes)], len(pairs)
+
+
+# No length-4 pair corrects an error (the one length-4 code with d >= 3 is
+# the repetition code, which has no proper nonzero subcode), so t = 0.
+N4_CLASSES, N4_PAIRS = nested_pair_classes(4)
+# Generator rows of C1 and C2. The two t-below-c1 pairs are the length-5
+# classes, under coordinate permutations, where C2's dual corrects less
+# than C1: C1 = <00111, 11001> corrects one error, but the dual of
+# C2 = <00111> holds 10000 and that of C2 = <11110> holds 00001, so
+# css_build's t is 0 and a weight-1 e1 stops css_correct's bit round.
+REDUCTION_PAIRS = {
+    "t-below-c1": (("00111", "11001"), ("00111",)),
+    "t-below-c1-11110": (("00111", "11001"), ("11110",)),
+    **{f"n4-{'.'.join(c1)}-{'.'.join(c2)}": (c1, c2) for c1, c2 in N4_CLASSES},
+}
 # A fixed handful of phase errors per code; on parity4 (t = 0) each nonzero
 # one stops css_correct's phase round whenever the bit round passes.
 REDUCTION_E2 = {
     "parity4": (0b0000, 0b0001, 0b0110),
     "hamming74": (0, 0b0000001, 0b0110000),
     "t-below-c1": (0,),
+    "t-below-c1-11110": (0,),
 }
-# C1 = <00111, 11001> corrects one error, but C2 = <00111> has the weight-1
-# word 10000 in its dual, so css_build's t is 0 and css_correct's bit round
-# stops on a weight-1 e1, while BB84's Bob decodes to C1's own capacity.
-T_BELOW_C1 = (("00111", "11001"), ("00111",))
+N4_E2 = (0b0000, 0b0001, 0b0110)
 REDUCTION_STATUSES = {
     "parity4": {"ok", "detected_uncorrectable", "bit stop"},
     "hamming74": {"ok"},
     "t-below-c1": {"ok", "bit stop"},
+    "t-below-c1-11110": {"ok", "bit stop"},
 }
 
 
 def reduction_code(name):
-    """css_build on a named code and its dual, or on T_BELOW_C1."""
-    if name == "t-below-c1":
-        c1, c2 = (code_from_generator(BitMatrix.from_strings(rows)) for rows in T_BELOW_C1)
+    """css_build on a named code and its dual, or on a pair of REDUCTION_PAIRS."""
+    if name in REDUCTION_PAIRS:
+        c1, c2 = (code_from_generator(BitMatrix.from_strings(rows)) for rows in REDUCTION_PAIRS[name])
         return css_build(c1, c2)
     c1 = named_code(name)
     return css_build(c1, c1.dual())
@@ -774,18 +826,16 @@ class TestShorPreskillReduction:
     outcomes do not see phase errors, so where css_correct stops on a
     phase syndrome its bit round alone is compared."""
 
-    @pytest.mark.parametrize("name", (
-        "parity4",
-        "hamming74",
-        pytest.param("t-below-c1", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="BB84's Bob decodes to C1's capacity, css_correct to css_build's smaller t")),
-    ))
+    def test_length_4_classes_cover_every_nested_pair(self):
+        assert (len(N4_CLASSES), N4_PAIRS) == (39, 315)
+
+    @pytest.mark.parametrize("name", ("parity4", "hamming74", *REDUCTION_PAIRS))
     def test_bb84_tail_matches_distillation(self, name):
         code = reduction_code(name)
         n, mask = code.n, (1 << code.n) - 1
+        e2s = REDUCTION_E2.get(name, N4_E2)
         statuses = set()
-        for e1, e2 in itertools.product(range(2**n), REDUCTION_E2[name]):
+        for e1, e2 in itertools.product(range(2**n), e2s):
             case = (name, e1, e2)
             session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
             x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
@@ -811,7 +861,12 @@ class TestShorPreskillReduction:
             got = outcome_weights(bob.state, distilled)
             for key in want.keys() | got.keys():
                 assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-9, (case, key)
-        assert statuses == REDUCTION_STATUSES[name]
+        if name in REDUCTION_STATUSES:
+            assert statuses == REDUCTION_STATUSES[name]
+        else:  # t = 0: e1 = 0 passes, an e1 outside C1 stops, an e2 outside C2's dual stops
+            phase_stop = any(not code.c2.dual().contains(BitVector(e2, n)) for e2 in e2s)
+            assert code.t == 0
+            assert statuses == {"ok", "bit stop"} | ({"detected_uncorrectable"} if phase_stop else set())
 
 
 # --- Exact oracles for the simulator kernels ---------------------------------
