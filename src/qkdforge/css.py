@@ -31,7 +31,7 @@ from .qsim import (
     PauliString,
     StateVector,
     apply_pauli_string,
-    measure_pauli_observable,
+    measure_paulis,
     overlap,
     pauli_row,
 )
@@ -159,9 +159,9 @@ def _measure_rows(
     """Measure pauli_row(row, kind) on qubits offset + 1.. for each row of
     the check matrix in order, one draw per row, and map eigenvalues
     +1 -> 0, -1 -> 1. Returns the syndrome and the collapsed state."""
+    eigenvalues, state = measure_paulis(state, _row_observables(matrix, kind, state.n, offset), rng)
     syndrome = 0
-    for observable in _row_observables(matrix, kind, state.n, offset):
-        eigenvalue, state = measure_pauli_observable(state, observable, rng)
+    for eigenvalue in eigenvalues:
         syndrome = (syndrome << 1) | (eigenvalue == -1)
     return BitVector(syndrome, matrix.num_rows), state
 

@@ -59,10 +59,7 @@ class StateVector:
         else:  # the support holds every nonzero amplitude: the same norm
             amps = self._values
             self._index.setflags(write=False)
-        # np.vdot is what _vdot calls up to _BLOCK entries, without its wrappers.
-        norm = math.sqrt((np.vdot if amps.size <= _BLOCK else _vdot)(amps, amps).real)
-        if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
-            raise ValueError(f"state is not normalized: |amps| = {norm}")
+        _check_norm(amps)
         amps.setflags(write=False)
 
     def __getattr__(self, name: str):
@@ -94,8 +91,12 @@ class StateVector:
         index, zeros elsewhere, kept as that support; n is checked first."""
         _check_qubit_count(n)
         index = np.asarray(index, dtype=np.int64).reshape(-1)
-        order = np.argsort(index)  # css_codeword's words ^ (v + x) are unordered
-        values = np.broadcast_to(np.asarray(values, dtype=complex), index.shape)
+        order = index.argsort()  # css_codeword's words ^ (v + x) are unordered
+        values = np.asarray(values, dtype=complex).reshape(-1)
+        if values.size == 1:
+            values = values.repeat(index.size)
+        elif values.size != index.size:
+            raise ValueError(f"{values.size} values for {index.size} basis indices")
         return cls._adopt(n, values[order], index[order])
 
     def ket_label(self, index: int) -> str:
@@ -110,9 +111,8 @@ _BLOCK = 1 << 13
 def _blocked(dot, a: np.ndarray, b: np.ndarray):
     """dot(a, b) as the sum of dot over fixed 2^13-element blocks, added in
     index order from block 0, so the same bits under any BLAS thread count
-    (README, Conventions). Up to 2^13 elements it is the one call dot(a, b)."""
-    if a.size <= _BLOCK:
-        return dot(a, b)
+    (README, Conventions). Up to 2^13 elements that is the one call
+    dot(a, b), which its callers make themselves."""
     total = dot(a[:_BLOCK], b[:_BLOCK])
     for start in range(_BLOCK, a.size, _BLOCK):
         total += dot(a[start : start + _BLOCK], b[start : start + _BLOCK])
@@ -121,14 +121,23 @@ def _blocked(dot, a: np.ndarray, b: np.ndarray):
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """np.vdot(a, b), summed block by block."""
-    return _blocked(np.vdot, a, b)
+    return np.vdot(a, b) if a.size <= _BLOCK else _blocked(np.vdot, a, b)
 
 
 def _norm(amps: np.ndarray) -> float:
     """np.linalg.norm(amps) by its own formula, the real-view dot plus the
     imaginary-view dot, then sqrt; each dot summed block by block."""
     re, im = amps.real, amps.imag
+    if amps.size <= _BLOCK:
+        return math.sqrt(np.dot(re, re) + np.dot(im, im))
     return math.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    """Reject amplitudes whose norm, one blocked vdot, is not within ATOL of 1."""
+    norm = math.sqrt(_vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= ATOL:  # also rejects a NaN norm
+        raise ValueError(f"state is not normalized: |amps| = {norm}")
 
 
 def _divide(amps: np.ndarray, divisor: float) -> np.ndarray:
@@ -189,7 +198,8 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
-_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)  # (-i)^{|x&z| mod 4}: a string's phase
+# (-i)^{|x&z| mod 4}, a string's phase, and its negative: a sign table per phase.
+_SIGNS = tuple(np.array((phase, -phase)) for phase in (1 + 0j, -1j, -1 + 0j, 1j))
 
 
 @dataclass(frozen=True)
@@ -235,8 +245,8 @@ def pauli_row(
     return pauli
 
 
-def _pauli_image(state: StateVector, pauli: PauliString) -> tuple:
-    """pauli applied to state as (index, values), in the state's form:
+def _pauli_image(n: int, index: Optional[np.ndarray], values: np.ndarray, pauli: PauliString) -> tuple:
+    """pauli applied to the n-qubit state (index, values) in that form:
     out[j] = i^{|x&z|} (-1)^{|(j^x)&z|} amps[j^x]
            = (-i)^{|x&z|} (-1)^{|j&z|} amps[j^x].
     A dense state (index None: every j, in order) gathers amps[j^x]; a
@@ -244,9 +254,9 @@ def _pauli_image(state: StateVector, pauli: PauliString) -> tuple:
     merges. The values are then multiplied once by the phase and the sign
     of each new index. Each factor is +/-1 or +/-i, so every nonzero
     component is exact. The identity gives the state's own (index, values)."""
-    if len(pauli) != state.n:
-        raise ValueError(f"Pauli string length {len(pauli)} != n={state.n}")
-    index, values, x, z = state._index, state._values, pauli.x, pauli.z
+    if len(pauli) != n:
+        raise ValueError(f"Pauli string length {len(pauli)} != n={n}")
+    x, z = pauli.x, pauli.z
     if not x | z:
         return index, values
     if index is None:
@@ -260,15 +270,15 @@ def _pauli_image(state: StateVector, pauli: PauliString) -> tuple:
     else:
         image = index
     if z:
-        phase = _PHASES[(x & z).bit_count() & 3]
-        values = values * np.where(np.bitwise_count(image & z) & 1, -phase, phase)
+        signs = _SIGNS[(x & z).bit_count() & 3]
+        values = values * signs.take(np.bitwise_count(image & z) & 1)
     return (None if index is None else image), values
 
 
 def apply_pauli_string(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply a Pauli string with its phases (including the i's from Y)
     tracked exactly. An all-identity string returns the state itself."""
-    index, values = _pauli_image(state, pauli)
+    index, values = _pauli_image(state.n, state._index, state._values, pauli)
     return state if values is state._values else StateVector._adopt(state.n, values, index)
 
 
@@ -287,7 +297,7 @@ def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> i
     first outcome whose running total, summed in order, exceeds r."""
     r = rng.random()
     probabilities = np.asarray(probabilities, dtype=float)
-    outcome = int(np.searchsorted(np.add.accumulate(probabilities), r, side="right"))
+    outcome = int(np.add.accumulate(probabilities).searchsorted(r, side="right"))
     if outcome < probabilities.size:
         return outcome
     # Float round-off left the total slightly below 1: fall back to the
@@ -298,48 +308,65 @@ def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> i
     return int(nonzero[-1])
 
 
+def measure_paulis(
+    state: StateVector, paulis: Sequence[PauliString], rng: np.random.Generator
+) -> tuple[list[int], StateVector]:
+    """Measure +/-1 Pauli observables in order, each via the projectors
+    (I +/- P)/2 with one draw.
+
+    Returns the sampled eigenvalues and the collapsed state. Between rows
+    the state is its (index, values) arrays, whose norm is checked after
+    every row as a StateVector's is, and one StateVector is built at the
+    end. A state on a support stays on it, or on the support merged with
+    its image under each Pauli, and the exact zeros of each collapse leave
+    its support.
+    """
+    index, amps, eigenvalues = state._index, state._values, []
+    for pauli in paulis:
+        if eigenvalues:  # the previous row's collapse; the last one's is the new state's
+            _check_norm(amps)
+        image, applied = _pauli_image(state.n, index, amps, pauli)
+        if image is not index and image.tobytes() != index.tobytes():
+            # Every state on a support is a stabilizer state, whose support is
+            # affine: the image misses it, each term of the dense <amps|applied>
+            # has a zero factor, and p_plus is exactly 1/2 (README, Conventions).
+            both = np.concatenate((index, image))
+            order = both.argsort(kind="stable")  # two sorted runs: one merge
+            index = both[order]
+            if np.count_nonzero(index[1:] == index[:-1]):
+                raise AssertionError("a support must be affine: its Pauli image meets it in part")
+            eigenvalue = +1 if rng.random() < 0.5 else -1
+            collapsed = np.concatenate((amps, applied if eigenvalue == 1 else -applied))[order]
+            amps = _divide(collapsed, _norm(collapsed))
+        else:
+            expectation = _vdot(amps, applied).real
+            p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
+            eigenvalue = +1 if rng.random() < p_plus else -1
+            out = None if applied is amps else applied  # a fresh product: collapse in it
+            collapsed = (np.add if eigenvalue == 1 else np.subtract)(amps, applied, out=out)
+            norm = _norm(collapsed)
+            if norm == 0.0:
+                # Round-off left the drawn branch a sliver of probability and
+                # no amplitude: applied was -/+amps exactly, so the other
+                # branch, the one with all the mass, is amps + amps.
+                eigenvalue = -eigenvalue
+                collapsed = np.add(amps, amps, out=collapsed)
+                norm = _norm(collapsed)
+            amps = _divide(collapsed, norm)
+            if index is not None:
+                kept = amps.nonzero()[0]
+                if kept.size < amps.size:  # with no exact zero, no gather
+                    amps, index = amps[kept], index[kept]
+        eigenvalues.append(eigenvalue)
+    return eigenvalues, StateVector._adopt(state.n, amps, index)
+
+
 def measure_pauli_observable(
     state: StateVector, pauli: PauliString, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
-    """Measure a +/-1 Pauli observable via the projectors (I +/- P)/2.
-
-    Returns the sampled eigenvalue and the collapsed state. A state on a
-    support stays on it, or on the support merged with its image under
-    the Pauli, and the exact zeros of the collapse leave its support.
-    """
-    index, applied = _pauli_image(state, pauli)
-    amps = state._values
-    if index is not state._index and not np.array_equal(index, state._index):
-        # Every state on a support is a stabilizer state, whose support is
-        # affine: the image misses it, each term of the dense <amps|applied>
-        # has a zero factor, and p_plus is exactly 1/2 (README, Conventions).
-        both = np.concatenate((state._index, index))
-        order = both.argsort(kind="stable")  # two sorted runs: one merge
-        index = both[order]
-        if np.count_nonzero(index[1:] == index[:-1]):
-            raise AssertionError("a support must be affine: its Pauli image meets it in part")
-        eigenvalue = +1 if rng.random() < 0.5 else -1
-        collapsed = np.concatenate((amps, applied if eigenvalue == 1 else -applied))[order]
-        collapsed = _divide(collapsed, _norm(collapsed))
-        return eigenvalue, StateVector._adopt(state.n, collapsed, index)
-    expectation = _vdot(amps, applied).real
-    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-    eigenvalue = +1 if rng.random() < p_plus else -1
-    out = None if applied is amps else applied  # a fresh product: collapse in it
-    collapsed = (np.add if eigenvalue == 1 else np.subtract)(amps, applied, out=out)
-    norm = _norm(collapsed)
-    if norm == 0.0:
-        # Round-off left the drawn branch a sliver of probability and no
-        # amplitude: applied was -/+amps exactly, so the other branch,
-        # the one with all the mass, is amps + amps.
-        eigenvalue = -eigenvalue
-        collapsed = np.add(amps, amps, out=collapsed)
-        norm = _norm(collapsed)
-    collapsed = _divide(collapsed, norm)
-    if index is None:
-        return eigenvalue, StateVector._adopt(state.n, collapsed)
-    kept = collapsed != 0
-    return eigenvalue, StateVector._adopt(state.n, collapsed[kept], index[kept])
+    """Measure one +/-1 Pauli observable: measure_paulis of the one row."""
+    (eigenvalue,), state = measure_paulis(state, (pauli,), rng)
+    return eigenvalue, state
 
 
 def measure_all_z(
@@ -352,7 +379,7 @@ def measure_all_z(
     """
     weights = np.abs(state._values) ** 2
     # Zero weights skipped: adding +0.0 changes no sum (README, Conventions).
-    support = np.flatnonzero(weights != 0.0)
+    support = (weights != 0.0).nonzero()[0]
     ket = support[_draw_outcome(rng, weights[support])]
     bits = BitVector(int(ket if state._index is None else state._index[ket]), state.n)
     return bits, basis_state(bits)

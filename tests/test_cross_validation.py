@@ -22,6 +22,7 @@ agree bit for bit under any BLAS thread count. Slow and memory-hungry
 by design; sizes stay small.
 """
 
+import copy
 import io
 import itertools
 import os
@@ -72,6 +73,7 @@ from qkdforge.qsim import (
     hadamard_all,
     measure_all_z,
     measure_pauli_observable,
+    measure_paulis,
 )
 from qkdforge.qsim import _draw_outcome, _norm, _vdot
 
@@ -704,6 +706,8 @@ class TestSupportKernelOracle:
     # collapsed onto both eigenvalues (draws 0 and the largest below 1) on
     # that support and by the per-call formula on its dense amplitudes:
     # every (e1, e2) on parity4, and every e1 with every third e2 on hamming74.
+    # Each check matrix's rows are then measured in one call, which must
+    # give what the rows measured one call each give from the same draws.
     @pytest.mark.parametrize("name, e2_step", [("parity4", 1), ("hamming74", 3)])
     def test_forced_branches_match_dense_kernel(self, name, e2_step, monkeypatch):
         c1 = named_code(name)
@@ -711,11 +715,20 @@ class TestSupportKernelOracle:
         n, work = code.n, dense_work(2 * code.n)
         taken = set()
 
-        def measure_both_branches(state, pauli, rng):
-            taken.update(forced_branches_match_dense(state, pauli, work))
-            return measure_pauli_observable(state, pauli, rng)
+        def measure_both_branches(state, paulis, rng):
+            twin, want_values, want = copy.deepcopy(rng), [], state
+            for pauli in paulis:
+                taken.update(forced_branches_match_dense(want, pauli, work))
+                value, want = measure_pauli_observable(want, pauli, twin)
+                want_values.append(value)
+            values, got = measure_paulis(state, paulis, rng)
+            assert values == want_values
+            assert np.array_equal(got._index, want._index)
+            assert got._values.tobytes() == want._values.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            return values, got
 
-        monkeypatch.setattr(css, "measure_pauli_observable", measure_both_branches)
+        monkeypatch.setattr(css, "measure_paulis", measure_both_branches)
         for e1, e2 in itertools.product(range(2**n), range(0, 2**n, e2_step)):
             session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
             try:
@@ -1028,6 +1041,24 @@ def random_stabilizer_state(rng, n, measurements):
     return state
 
 
+def row_tuples(n, pairs):
+    """Rows for one call, at most 6 each: the X-only and the Z-only strings
+    among the mask pairs, and a sample of all of them; on 7 and 14 qubits
+    also hamming74's CSS check rows, Z rows of H1 and X rows of H2, on the
+    last 7 qubits, as distillation measures them on Bob's half."""
+    tuples = [
+        tuple(pauli_from_masks(n, x, z) for x, z in pairs if not z)[:6],
+        tuple(pauli_from_masks(n, x, z) for x, z in pairs if not x)[:6],
+        tuple(pauli_from_masks(n, x, z) for x, z in pairs[:: max(1, len(pairs) // 6)])[:6],
+    ]
+    if n in (7, 14):
+        c1 = named_code("hamming74")
+        code = css_build(c1, c1.dual())
+        tuples += [tuple(pauli_row(row, kind, n, n - 7) for row in matrix.rows)
+                   for matrix, kind in ((code.h1, "Z"), (code.h2, "X"))]
+    return [rows for rows in tuples if rows]
+
+
 def pauli_from_masks(n, x, z):
     factors = "".join("IXZY"[(x >> i & 1) + 2 * (z >> i & 1)] for i in range(n - 1, -1, -1))
     pauli = PauliString(factors)
@@ -1235,6 +1266,24 @@ class TestKernelOracles:
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
         assert outcomes == {1, -1}
+        # Rows measured in one call on the dense states: after each row, the
+        # eigenvalues and the state are those of the per-call kernel applied
+        # row by row.
+        outcomes = set()
+        for rows in row_tuples(n, pairs):
+            for psi in kernel_states(rng, n):
+                for draws in ([1e-6] * len(rows), [1.0 - 1e-6] * len(rows), rng.random(len(rows))):
+                    want_values, want = [], psi
+                    for count, pauli in enumerate(rows, 1):
+                        x, z, rng_row = pauli.x, pauli.z, ScriptedRng(draws[count - 1 : count])
+                        value, amps = per_call_measure_pauli_observable(want, x, z, rng_row, work)
+                        want_values.append(value)
+                        want = StateVector(n, amps)
+                        values, collapsed = measure_paulis(psi, rows[:count], ScriptedRng(draws))
+                        assert values == want_values, ([str(p) for p in rows[:count]], draws)
+                        assert_same_nonzero_bits(collapsed.amps, want.amps)
+                    outcomes.update(want_values)
+        assert outcomes == {1, -1}
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_support_image_is_sorted_and_matches_per_call_kernel(self, n):
@@ -1437,6 +1486,40 @@ class TestKernelOracles:
         for draw in (0.0, LAST_DRAW):
             with pytest.raises(AssertionError, match="affine"):
                 measure_pauli_observable(skew, PauliString("IX"), ScriptedRng([draw]))
+
+    def test_row_call_draws_once_per_row(self):
+        # One uniform per row, dense or on a support: rows whose image equals
+        # the support and whose outcome is certain (a codeword's check rows),
+        # rows whose image misses it (X rows on a basis ket, p_plus 1/2), and
+        # rows that leave the drawn branch no amplitude (X on |->, whose
+        # p_plus round-off leaves at 1.1e-16, so draw 0 takes the zero-norm
+        # fallback). Each row's eigenvalue and the state are those of one
+        # call per row.
+        c1 = named_code("hamming74")
+        code = css_build(c1, c1.dual())
+        z_rows = tuple(pauli_row(row, "Z", 7) for row in code.h1.rows)
+        x_rows = tuple(pauli_row(row, "X", 7) for row in code.h2.rows)
+        minus = StateVector(1, np.array([1.0, -1.0]) / np.linalg.norm([1.0, -1.0]))
+        cases = (  # (state, rows, {draw: eigenvalues})
+            (css_codeword(code, BV("1111111")), z_rows + x_rows,
+             {0.0: [1] * 6, LAST_DRAW: [1] * 6}),
+            (basis_state(BV("0000000")), x_rows + z_rows,
+             {0.0: [1] * 6, LAST_DRAW: [-1] * 3 + [1] * 3}),
+            (minus, tuple(map(PauliString, "XXZX")), {0.0: [-1, -1, 1, 1]}),
+        )
+        for state, rows, expected in cases:
+            for form in (StateVector(state.n, state.amps), support_copy(state)):
+                for draw in (0.0, LAST_DRAW, 0.5):
+                    rng = ScriptedRng([draw] * len(rows))
+                    values, got = measure_paulis(form, rows, rng)
+                    assert rng.used == len(rows), ([str(p) for p in rows], draw)
+                    want_rng, want, want_values = ScriptedRng([draw] * len(rows)), form, []
+                    for pauli in rows:
+                        value, want = measure_pauli_observable(want, pauli, want_rng)
+                        want_values.append(value)
+                    assert values == want_values == expected.get(draw, values), draw
+                    assert np.array_equal(got._index, want._index)
+                    assert got._values.tobytes() == want._values.tobytes()
 
     def test_short_strings_raise_on_every_call(self):
         # "ZZ" and "XX" have the masks of "IZZ" and "IXX": on a 3-qubit

@@ -116,6 +116,16 @@ class TestOwnership:
             with pytest.raises(ValueError):
                 StateVector._scatter(2, [0, 3], values)
 
+    def test_scatter_takes_one_value_or_one_per_index(self):
+        third = 1 / np.sqrt(3)
+        for values in (third, [third], np.full(3, third)):
+            state = StateVector._scatter(2, [2, 0, 1], values)
+            assert state._index.tolist() == [0, 1, 2]
+            assert np.array_equal(state._values, np.full(3, third, dtype=complex))
+        for count in (0, 2, 4):
+            with pytest.raises(ValueError):
+                StateVector._scatter(2, [0, 1, 2], np.full(count, third))
+
 
 class TestSingleQubitGates:
     def test_x_flips(self):
