@@ -128,7 +128,7 @@ class SessionTranscript:
     b: BitVector
     bob_bases: BitVector
     bob_bits: BitVector
-    eve_learned: tuple[bool, ...]
+    eve_learned: BitVector  # bit i is 1 when Eve measured qubit i in Alice's basis
     sifted: tuple[int, ...]
     selected: Optional[tuple[int, ...]] = None
     check_idx: Optional[tuple[int, ...]] = None
@@ -254,10 +254,11 @@ def bennett_bound(s: int) -> float:
 
 def eve_info_estimate(transcript: SessionTranscript) -> float:
     """Fraction of sifted positions where the eavesdropper measured in
-    the preparation basis (and so learned the bit)."""
+    the preparation basis (and so learned the bit): the sifted positions
+    whose bit of the transcript's eve_learned is 1."""
     if not transcript.sifted:
         return 0.0
-    learned = sum(1 for i in transcript.sifted if transcript.eve_learned[i])
+    learned = sum(transcript.eve_learned[i] for i in transcript.sifted)
     return learned / len(transcript.sifted)
 
 
@@ -300,7 +301,7 @@ def shor_preskill_keys(
 
 def _sift(b: np.ndarray, bob_bases: np.ndarray) -> np.ndarray:
     """The positions where Bob measured in Alice's basis."""
-    return np.flatnonzero(b == bob_bases)
+    return (b == bob_bases).nonzero()[0]
 
 
 def _select_blocks(
@@ -309,10 +310,9 @@ def _select_blocks(
     """Pick 2n of the sifted positions, then n of those as check bits;
     the remaining n form the key block. Returns (selected, check_idx,
     key_idx), each in sifted order."""
-    # sifted is increasing, so a mask over it yields the picks sorted.
-    is_selected = np.zeros(len(sifted), dtype=bool)
-    is_selected[rng.choice(len(sifted), size=2 * n, replace=False)] = True
-    selected = sifted[is_selected]
+    picks = rng.choice(len(sifted), size=2 * n, replace=False)
+    picks.sort()  # sifted is increasing, so sorted picks select in sifted order
+    selected = sifted[picks]
     is_check = np.zeros(2 * n, dtype=bool)
     is_check[rng.choice(2 * n, size=n, replace=False)] = True
     return selected, selected[is_check], selected[~is_check]
@@ -321,6 +321,14 @@ def _select_blocks(
 def _mismatches(d: np.ndarray, bob_bits: np.ndarray, check_idx: np.ndarray) -> int:
     """Check positions where Alice's announced bit differs from Bob's."""
     return int(np.count_nonzero(d[check_idx] != bob_bits[check_idx]))
+
+
+def _pack_rows(rows: np.ndarray) -> list[BitVector]:
+    """Each row of a 2-D uint8 array of 0s and 1s as a BitVector, from
+    one packbits pass over the whole array."""
+    length, shift = rows.shape[1], -rows.shape[1] % 8
+    packed = np.packbits(rows, axis=1)
+    return [BitVector(int.from_bytes(row.tobytes(), "big") >> shift, length) for row in packed]
 
 
 def _abort(transcript: SessionTranscript, reason: str) -> SessionTranscript:
@@ -340,20 +348,15 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     """
     rng = np.random.default_rng(config.seed)
     n = config.n
-    d = rng.integers(0, 2, size=config.raw_length)
-    b = rng.integers(0, 2, size=config.raw_length)
+    # PCG64 keeps the unused 32-bit half of a draw across calls, so one
+    # call draws exactly the bits of a call for d and then one for b.
+    d, b = rng.integers(0, 2, size=(2, config.raw_length))
     bob_bases, bob_bits, eve_learned = _transport(d, b, config.channel, config.eve, rng)
     sifted = _sift(b, bob_bases)
+    # The five raw rows, in SessionTranscript's field order.
+    raw = np.array((d, b, bob_bases, bob_bits, eve_learned), dtype=np.uint8)
     transcript = SessionTranscript(
-        mode=config.mode,
-        seed=config.seed,
-        n=n,
-        d=BitVector.from_ints(d),
-        b=BitVector.from_ints(b),
-        bob_bases=BitVector.from_ints(bob_bases),
-        bob_bits=BitVector.from_ints(bob_bits),
-        eve_learned=tuple(eve_learned.tolist()),
-        sifted=tuple(sifted.tolist()),
+        config.mode, config.seed, n, *_pack_rows(raw), sifted=tuple(sifted.tolist())
     )
     if config.mode == "shor_preskill":
         # Alice's codeword draw happens before any announcement.
@@ -369,8 +372,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     transcript.mismatches = _mismatches(d, bob_bits, check_idx)
     if transcript.mismatches > config.t_abort:
         return _abort(transcript, "check_bit_errors")
-    transcript.alice_block = alice_block = BitVector.from_ints(d[key_idx])
-    transcript.bob_block = bob_block = BitVector.from_ints(bob_bits[key_idx])
+    alice_block, bob_block = _pack_rows(np.array((d[key_idx], bob_bits[key_idx]), dtype=np.uint8))
+    transcript.alice_block, transcript.bob_block = alice_block, bob_block
 
     if config.mode == "standard":
         learned = int(np.count_nonzero(eve_learned[key_idx]))

@@ -302,7 +302,7 @@ def _draw_outcome(rng: np.random.Generator, probabilities: Sequence[float]) -> i
         return outcome
     # Float round-off left the total slightly below 1: fall back to the
     # last outcome that has any probability mass.
-    nonzero = np.flatnonzero(probabilities > 0.0)
+    nonzero = (probabilities > 0.0).nonzero()[0]
     if nonzero.size == 0:
         raise ValueError("all outcome probabilities are zero")
     return int(nonzero[-1])
@@ -401,6 +401,6 @@ def support(state: StateVector) -> dict[str, complex]:
     """{ket label: amplitude} for every amplitude with magnitude above
     1e-12, in index order."""
     amps = state._values
-    kept = np.flatnonzero(np.abs(amps) > 1e-12)
+    kept = (np.abs(amps) > 1e-12).nonzero()[0]
     kets = kept if state._index is None else state._index[kept]
     return {state.ket_label(ket): complex(amps[i]) for ket, i in zip(kets, kept)}

@@ -18,6 +18,7 @@ from qkdforge.bb84 import (
     replay_bob,
     run_session,
     shor_preskill_keys,
+    _pack_rows,
     _transport,
 )
 from qkdforge import codes
@@ -390,6 +391,47 @@ class TestTranscript:
             ).mode
             == "shor_preskill"
         )
+
+
+class TestRawRows:
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp, bool])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 64, 850])
+    def test_packed_rows_equal_from_ints(self, length, dtype):
+        # The five raw rows are int64 (d, b), intp (Bob's bases and bits)
+        # and bool (Eve's flags); a length off a multiple of 8 exposes a
+        # wrong shift or width in the last byte.
+        rng = np.random.default_rng(length)
+        rows = [rng.integers(0, 2, size=length).astype(dtype) for _ in range(3)]
+        rows.append(np.ones(length, dtype=dtype))
+        packed = _pack_rows(np.array(rows, dtype=np.uint8))
+        assert packed == [BitVector.from_ints(row) for row in rows]
+        assert all(len(v) == length for v in packed)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 64, 849, 850])
+    def test_one_raw_draw_equals_two(self, length):
+        """run_session draws d and b with one integers(0, 2, size=(2, L))
+        call. PCG64 keeps the unused 32-bit half of a 64-bit output across
+        calls (has_uint32, uinteger in its state), so that call reads the
+        same 32-bit halves as one call for d and then one for b, and leaves
+        the same state, whether or not L is odd."""
+        for seed in range(20):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            d, b = one.integers(0, 2, size=(2, length))
+            assert np.array_equal(d, two.integers(0, 2, size=length))
+            assert np.array_equal(b, two.integers(0, 2, size=length))
+            state, want = one.bit_generator.state, two.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == (
+                want["has_uint32"], want["uinteger"]
+            )
+            assert state == want
+
+    def test_eve_flags_are_a_bit_vector(self):
+        transcript = run_session(SessionConfig(n=20, seed=21, eve=INTERCEPT))
+        raw_length = SessionConfig(n=20).raw_length
+        assert isinstance(transcript.eve_learned, BitVector)
+        assert len(transcript.eve_learned) == raw_length
+        quiet = run_session(SessionConfig(n=20, seed=21))
+        assert quiet.eve_learned == BitVector.zeros(raw_length)
 
 
 class TestEveEstimate:

@@ -503,8 +503,8 @@ def tuple_mismatches(d, bob_bits, check_idx):
 
 def tuple_session(config):
     """run_session's front half and standard report on tuples of Python
-    ints, as before the index arrays; returns the fields they set and the
-    generator's end state."""
+    ints, as before the index arrays; returns the fields they set, Eve's
+    flags as a tuple of bools among them, and the generator's end state."""
     rng = np.random.default_rng(config.seed)
     d = rng.integers(0, 2, size=config.raw_length)
     b = rng.integers(0, 2, size=config.raw_length)
@@ -512,8 +512,9 @@ def tuple_session(config):
     d, bob_bits = BitVector.from_ints(d), BitVector.from_ints(bob_bits)
     eve_learned = tuple(eve_learned.tolist())
     sifted = tuple(np.flatnonzero(b == bob_bases).tolist())
-    out = dict(sifted=sifted, selected=None, check_idx=None, key_idx=None, mismatches=None,
-               alice_block=None, bob_block=None, pa_report=None, abort_reason=None)
+    out = dict(eve_learned=eve_learned, sifted=sifted, selected=None, check_idx=None,
+               key_idx=None, mismatches=None, alice_block=None, bob_block=None,
+               pa_report=None, abort_reason=None)
     if config.mode == "shor_preskill":
         c1 = config.codes[0]
         c1.encode(BitVector.from_ints(rng.integers(0, 2, size=c1.k)))  # the codeword draw
@@ -567,6 +568,7 @@ class TestSessionIndexOracle:
         for config in session_configs():
             want, want_state = tuple_session(config)
             transcript = run_session(config)
+            assert tuple(map(bool, transcript.eve_learned)) == want.pop("eve_learned"), config
             for name, value in want.items():
                 assert getattr(transcript, name) == value, (name, config)
             assert generators.pop().bit_generator.state == want_state, config
