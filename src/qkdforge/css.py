@@ -30,6 +30,7 @@ from .qsim import (
     ATOL,
     PauliString,
     StateVector,
+    _check_size,
     apply_pauli_string,
     measure_paulis,
     overlap,
@@ -81,7 +82,8 @@ class CssCode:
     @cached_property
     def _c2_indices(self) -> np.ndarray:
         """C2's codewords as basis indices, in message order, read-only."""
-        indices = np.fromiter((w.value for w in self.c2.codewords()), dtype=np.int64)
+        first = self.c2._packed_codewords()[:, 0].view(">u8")  # all n <= 62 bits
+        indices = (first >> (64 - self.n)).astype(np.int64)
         indices.setflags(write=False)
         return indices
 
@@ -133,6 +135,7 @@ def css_codeword(
         params = CssParams.zero(code.n)
     if not code.c1.contains(v):
         raise ValueError(f"{v} is not a codeword of C1")
+    _check_size(code.n, 2**code.c2.k)  # before C2 is enumerated
     # One write of +/-1 / sqrt(|C2|) per distinct codeword (README, Conventions).
     scale = 1.0 / np.sqrt(2**code.c2.k)
     words = code._c2_indices

@@ -20,9 +20,7 @@ import numpy as np
 from .codes import key_from_coset
 from .css import CssCode, CssParams, css_bit_syndrome, css_correct, css_phase_syndrome
 from .gf2 import BitVector, solve_particular
-from .qsim import StateVector, apply_pauli_string, measure_all_z, pauli_row
-
-MAX_JOINT_QUBITS = 16
+from .qsim import StateVector, _check_size, apply_pauli_string, measure_all_z, pauli_row
 
 
 @dataclass(eq=False)
@@ -43,8 +41,7 @@ def _epr_state(n: int) -> StateVector:
 
 def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
     """Prepare n perfect pairs: (1/sqrt(2^n)) sum_j |j>_A |j>_B."""
-    if 2 * n > MAX_JOINT_QUBITS:
-        raise ValueError(f"2n = {2 * n} exceeds the joint-state limit {MAX_JOINT_QUBITS}")
+    _check_size(2 * n, 2**n)
     if code is not None and code.n != n:
         raise ValueError(f"code length {code.n} does not match n={n}")
     return EprSession(n=n, joint=_epr_state(n), code=code)

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-_UNPACK_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class BitVector:
@@ -212,14 +210,11 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 def unpack_vectors(words: np.ndarray, n: int) -> Iterator[BitVector]:
     """The BitVector of each row that pack_rows packed into `words`: a
     row's bytes, read as one big-endian int, are its value followed by
-    the zero padding. Rows are copied _UNPACK_CHUNK at a time, so a large
-    array is never copied whole."""
+    the zero padding."""
     width = 8 * words.shape[1]
-    padding = 8 * width - n
-    for start in range(0, len(words), _UNPACK_CHUNK):
-        data = words[start : start + _UNPACK_CHUNK].tobytes()
-        for i in range(0, len(data), width):
-            yield BitVector(int.from_bytes(data[i : i + width], "big") >> padding, n)
+    padding, data = 8 * width - n, words.tobytes()
+    for i in range(0, len(data), width):
+        yield BitVector(int.from_bytes(data[i : i + width], "big") >> padding, n)
 
 
 @dataclass(frozen=True)

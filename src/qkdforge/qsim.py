@@ -21,7 +21,9 @@ import numpy as np
 
 from .gf2 import BitVector
 
-MAX_QUBITS = 20
+# Amplitudes in any one array a state builds: 2^n dense, or the kets of a
+# support, whose int64 indices hold n <= 62 qubits (README, Conventions).
+MAX_AMPLITUDES = 1 << 20
 ATOL = 1e-9
 
 _SQRT2 = np.sqrt(2.0)
@@ -34,9 +36,13 @@ GATES: dict[str, np.ndarray] = {
 }
 
 
-def _check_qubit_count(n: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n}")
+def _check_size(n: int, kets: Optional[int] = None) -> None:
+    """Refuse an n-qubit support of kets amplitudes, or a dense 2^n (kets None), before building."""
+    limit = 62 if kets is not None else MAX_AMPLITUDES.bit_length() - 1  # checked before any 2^n
+    if not 1 <= n <= limit:
+        raise ValueError(f"qubit count must be in 1..{limit}, got {n}")
+    if kets is not None and kets > MAX_AMPLITUDES:
+        raise ValueError(f"{kets} kets on {n} qubits are over the {MAX_AMPLITUDES}-amplitude budget")
 
 
 @dataclass(eq=False)
@@ -51,7 +57,7 @@ class StateVector:
     _index = None  # no support: amps is the state
 
     def __post_init__(self, adopt: bool = False) -> None:
-        _check_qubit_count(self.n)
+        _check_size(self.n, None if self._index is None else self._index.size)
         if self._index is None:
             self.amps = self._values = amps = self.amps if adopt else np.array(self.amps, dtype=complex)
             if amps.shape != (2**self.n,):
@@ -66,6 +72,7 @@ class StateVector:
         # Reached only for an attribute the instance lacks: a support's amps.
         if name != "amps" or self._index is None:
             raise AttributeError(name)
+        _check_size(self.n)
         amps = np.zeros(2**self.n, dtype=complex)
         amps[self._index] = self._values
         amps.setflags(write=False)
@@ -88,8 +95,8 @@ class StateVector:
     @classmethod
     def _scatter(cls, n: int, index, values) -> "StateVector":
         """The state with amplitudes values at the distinct basis indices
-        index, zeros elsewhere, kept as that support; n is checked first."""
-        _check_qubit_count(n)
+        index, zeros elsewhere, kept as that support; its size is checked first."""
+        _check_size(n, np.size(index))
         index = np.asarray(index, dtype=np.int64).reshape(-1)
         order = index.argsort()  # css_codeword's words ^ (v + x) are unordered
         values = np.asarray(values, dtype=complex).reshape(-1)
@@ -98,9 +105,6 @@ class StateVector:
         elif values.size != index.size:
             raise ValueError(f"{values.size} values for {index.size} basis indices")
         return cls._adopt(n, values[order], index[order])
-
-    def ket_label(self, index: int) -> str:
-        return format(index, f"0{self.n}b")
 
 
 # 2^13 amplitudes: below OpenBLAS's 10,000-element threading cut, so one
@@ -330,6 +334,7 @@ def measure_paulis(
             # Every state on a support is a stabilizer state, whose support is
             # affine: the image misses it, each term of the dense <amps|applied>
             # has a zero factor, and p_plus is exactly 1/2 (README, Conventions).
+            _check_size(state.n, index.size + image.size)
             both = np.concatenate((index, image))
             order = both.argsort(kind="stable")  # two sorted runs: one merge
             index = both[order]
@@ -403,4 +408,4 @@ def support(state: StateVector) -> dict[str, complex]:
     amps = state._values
     kept = (np.abs(amps) > 1e-12).nonzero()[0]
     kets = kept if state._index is None else state._index[kept]
-    return {state.ket_label(ket): complex(amps[i]) for ket, i in zip(kets, kept)}
+    return {format(ket, f"0{state.n}b"): complex(amps[i]) for ket, i in zip(kets, kept)}

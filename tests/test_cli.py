@@ -705,18 +705,21 @@ class TestSizeBudgets:
 
     @pytest.mark.parametrize("action", ["encode", "inject", "correct"])
     def test_oversized_css_state_is_an_error(self, tmp_path, action):
-        # C1 = the 20 unit rows on 40 bits, C2 = its first 18: a codeword
-        # of 40 qubits would need 16 TiB of amplitudes.
-        rows = ["0" * i + "1" + "0" * (39 - i) + "\n" for i in range(20)]
-        c1, c2 = tmp_path / "unit20.txt", tmp_path / "unit18.txt"
+        # C1 = the 23 unit rows on 40 bits, C2 = its first 22: a codeword
+        # would be a support of 2^22 kets, four times the budget, refused
+        # before C2 is enumerated.
+        rows = ["0" * i + "1" + "0" * (39 - i) + "\n" for i in range(23)]
+        c1, c2 = tmp_path / "unit23.txt", tmp_path / "unit22.txt"
         c1.write_text("".join(rows))
-        c2.write_text("".join(rows[:18]))
+        c2.write_text("".join(rows[:22]))
         done = subprocess.run(
             [sys.executable, "-c", TIMED_MAIN, "css", action, "--c1", str(c1), "--c2", str(c2)],
             env=source_env(), capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 1, done.stderr
-        assert done.stderr.startswith("error: qubit count must be in 1..20, got 40")
+        assert done.stderr == (
+            "error: 4194304 kets on 40 qubits are over the 1048576-amplitude budget\n"
+        )
         assert float(done.stdout) < 1.0
 
     def test_oversized_css_verify_is_an_error(self, tmp_path):

@@ -16,10 +16,12 @@ tuple stages they replaced, distillation's css_correct round
 against the inline Bob half it replaced and against the same round on
 dense states, the kernels on a state's support against that per-call
 formula on both branches of every measurement a round makes, and BB84's
-Shor-Preskill tail against distillation. The oracles reduce over whole
-states in 2^13-amplitude blocks, as the simulator does, so that they
-agree bit for bit under any BLAS thread count. Slow and memory-hungry
-by design; sizes stay small.
+Shor-Preskill tail against distillation, also on supports past the
+dense limit, where a test-local CSS stabilizer tableau follows every
+measurement and Pauli of distillation and css correct rounds. The
+oracles reduce over whole states in 2^13-amplitude blocks, as the
+simulator does, so that they agree bit for bit under any BLAS thread
+count. Slow and memory-hungry by design; sizes stay small.
 """
 
 import copy
@@ -28,6 +30,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +39,7 @@ import numpy as np
 import pytest
 
 import qkdforge
-from qkdforge import bb84, css
+from qkdforge import bb84, css, distill
 from qkdforge.bb84 import (
     BASIS_X,
     BASIS_Z,
@@ -58,7 +61,7 @@ from qkdforge.distill import (
     measure_alice_parameters,
     run_distillation,
 )
-from qkdforge.gf2 import BitMatrix, BitVector, mat_apply
+from qkdforge.gf2 import BitMatrix, BitVector, mat_apply, solve_particular
 from qkdforge.qec3 import random_error, rotation_error, shor_correct, shor_encode
 from qkdforge.qsim import (
     GATES,
@@ -832,6 +835,57 @@ def reduction_code(name):
     return css_build(c1, c1.dual())
 
 
+# A pair with t = 1 whose C2-dual is not C1, found by a random search over
+# [10, 6, 3] codes and their 4-dimensional subcodes: C1 and C2-dual both have
+# distance 3, and the key has 2 bits.
+N10_PAIR = (
+    ("0100101010", "0011101000", "1110100101", "0100011100", "1111011111", "0101001011"),
+    ("0011000101", "0010111111", "1100101100", "0111110100"),
+)
+# h15 and its dual: every e1 of weight <= 1 with e2 = 0 or 1 << 9 (30
+# qubits on 2^15 kets); the n = 10 pair: every e1 of weight <= 2, past its
+# capacity, with e2 = 0, one of weight 1 and 0b11, whose syndrome is outside
+# the phase table.
+SUPPORT_REDUCTION_ERRORS = {
+    "h15": ([0] + [1 << i for i in range(15)], (0, 1 << 9)),
+    "n10-t1": ([e for e in range(2**10) if e.bit_count() <= 2], (0, 1 << 3, 0b11)),
+}
+
+
+def support_reduction_code(name):
+    if name == "h15":
+        c1 = hamming15()
+        return css_build(c1, c1.dual())
+    return css_build(*(code_from_generator(BitMatrix.from_strings(rows)) for rows in N10_PAIR))
+
+
+def parities(index, rows):
+    """Each ket's GF(2) parities with the int masks rows, first row in the
+    top bit: the labels of a whole index array at once."""
+    label = np.zeros(index.shape, dtype=np.int64)
+    for row in rows:
+        label = label << 1 | (np.bitwise_count(index & row) & 1)
+    return label
+
+
+def key_rows(code):
+    """Masks K_j with key_from_coset(u) bit j = parity(u & K_j) for every u
+    in C1: the key is linear on C1, so K_j solves G1.K_j^T = bit j of the
+    keys of C1's generator rows."""
+    keys = [key_from_coset(code.quotient, g).value for g in code.c1.G.rows]
+    width = code.quotient.key_length
+    return [
+        solve_particular(code.c1.G, BitVector.from_ints([key >> (width - 1 - j) & 1 for key in keys])).value
+        for j in range(width)
+    ]
+
+
+def label_weights(labels, values):
+    """{label: total |amplitude|^2} over a support's kets."""
+    found, inverse = np.unique(labels, return_inverse=True)
+    return dict(zip(found.tolist(), np.bincount(inverse, weights=np.abs(values) ** 2).tolist()))
+
+
 class TestShorPreskillReduction:
     """Shor and Preskill's reduction (PRL 85, 441 (2000)): after Alice's
     round leaves x announced, reading Alice's block a and Bob's block b in
@@ -882,6 +936,250 @@ class TestShorPreskillReduction:
             phase_stop = any(not code.c2.dual().contains(BitVector(e2, n)) for e2 in e2s)
             assert code.t == 0
             assert statuses == {"ok", "bit stop"} | ({"detected_uncorrectable"} if phase_stop else set())
+
+    # Past the dense limit, the (Alice key, decode status, Bob key) label of
+    # every ket of a support is read off whole index arrays, Bob's decode a
+    # lookup of the syndrome H1.(b + x)^T in the code's bit table, and
+    # checked against shor_preskill_keys and key_from_coset on a sample of kets.
+    @pytest.mark.parametrize("name", SUPPORT_REDUCTION_ERRORS)
+    def test_bb84_tail_matches_distillation_on_supports(self, name):
+        code = support_reduction_code(name)
+        n, mask, width = code.n, (1 << code.n) - 1, code.quotient.key_length
+        keys, checks = key_rows(code), [row.value for row in code.h1.rows]
+        errors = np.full(2 ** len(checks), -1, dtype=np.int64)
+        for syndrome, error in code.bit_table.items():
+            errors[syndrome.value] = error.value
+
+        def pack(alice_key, status, bob_key):
+            return alice_key.value << width + 1 | (status == "ok") << width | (bob_key.value if bob_key else 0)
+
+        e1s, e2s = SUPPORT_REDUCTION_ERRORS[name]
+        statuses = set()
+        for e1, e2 in itertools.product(e1s, e2s):
+            case = (name, e1, e2)
+            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
+            index = session.joint._index
+            a, b, step = index >> n, index & mask, max(1, index.size // 32)
+            # The announcement x - u is a + (a + x) = x: Bob decodes b + x.
+            error = errors[parities(b ^ x.value, checks)]
+            ok = error >= 0
+            tail = parities(a ^ x.value, keys) << width + 1 | ok << width | np.where(
+                ok, parities(b ^ x.value ^ error, keys), 0)
+            for ket, label in zip(index[::step].tolist(), tail[::step].tolist()):
+                alice, bob = BitVector(ket >> n, n), BitVector(ket & mask, n)
+                sp = shor_preskill_keys(code.c1, code.c2, alice, alice + x, bob)
+                assert pack(sp.alice_key, sp.decode_status, sp.bob_key) == label, (case, ket)
+            want = label_weights(tail, session.joint._values)
+            bob = css_correct(code, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+            if bob.phase_syndrome is None:  # the bit round stopped
+                assert not ok.any(), case
+                statuses.add("bit stop")
+                continue
+            statuses.add(bob.status)
+            index = bob.state._index
+            a, b, step = index >> n, index & mask, max(1, index.size // 32)
+            distilled = parities(a ^ x.value, keys) << width + 1 | 1 << width | parities(b ^ x.value, keys)
+            for ket, label in zip(index[::step].tolist(), distilled[::step].tolist()):
+                alice, bob_bits = BitVector(ket >> n, n), BitVector(ket & mask, n)
+                assert pack(key_from_coset(code.quotient, alice + x), "ok",
+                            key_from_coset(code.quotient, bob_bits + x)) == label, (case, ket)
+            got = label_weights(distilled, bob.state._values)
+            for key in want.keys() | got.keys():
+                assert abs(want.get(key, 0.0) - got.get(key, 0.0)) <= 1e-9, (case, key)
+        assert statuses == ({"ok"} if name == "h15" else {"ok", "detected_uncorrectable", "bit stop"})
+
+
+# --- A CSS stabilizer tableau: structure where no dense oracle reaches --------
+
+
+def pauli_kind_mask(pauli, n):
+    """(kind, mask) of an X-only or Z-only string, read off its factors."""
+    factors = str(pauli)
+    assert len(factors) == n and (set(factors) <= {"I", "X"} or set(factors) <= {"I", "Z"}), factors
+    kind = "Z" if "Z" in factors else "X"
+    return kind, int(factors.replace("I", "0").replace(kind, "1"), 2)
+
+
+class CssTableau:
+    """The stabilizer group of a CSS state on nqubits qubits (Gottesman,
+    PhD thesis, Caltech, 1997; Aaronson and Gottesman, PRA 70, 052328
+    (2004)), kept as X-type and Z-type generators, each a (mask, sign) pair
+    for (-1)^sign X_mask or (-1)^sign Z_mask, of which the state is the +1
+    eigenstate. Distillation and css correct only apply and measure X-only
+    and Z-only strings, so the split survives every step and no Y phase
+    needs tracking. Exact: no floats."""
+
+    def __init__(self, nqubits, x_gens, z_gens):
+        self.nqubits, self.gens = nqubits, {"X": list(x_gens), "Z": list(z_gens)}
+        self.rows = {"deterministic": 0, "random": 0}
+
+    @classmethod
+    def epr(cls, n):
+        pairs = [1 << (2 * n - 1 - i) | 1 << (n - 1 - i) for i in range(n)]
+        return cls(2 * n, [(m, 0) for m in pairs], [(m, 0) for m in pairs])
+
+    @classmethod
+    def codeword(cls, code, v, params):
+        """sum_{w in C2} (-1)^(w.z) |v + w + x>: X_g for g in C2 with sign
+        g.z, and Z_h for h in C2-dual with sign h.(v + x)."""
+        shift = (v + params.x).value
+        return cls(
+            code.n,
+            [(g.value, (g.value & params.z.value).bit_count() & 1) for g in code.c2.G.rows],
+            [(h.value, (h.value & shift).bit_count() & 1) for h in code.c2.H.rows],
+        )
+
+    def apply(self, kind, mask):
+        """A Pauli flips the sign of every generator of the other type it
+        anticommutes with."""
+        other = "Z" if kind == "X" else "X"
+        self.gens[other] = [(m, s ^ ((m & mask).bit_count() & 1)) for m, s in self.gens[other]]
+
+    def sign(self, kind, mask):
+        """The sign with which the group holds the kind-string mask, found by
+        elimination over the same-type generators, or None if it does not."""
+        reduced = []  # (mask, sign), each with a distinct top bit
+        for m, s in self.gens[kind]:
+            for r, t in reduced:
+                if m ^ r < m:
+                    m, s = m ^ r, s ^ t
+            if m:
+                reduced.append((m, s))
+                reduced.sort(reverse=True)
+        sign = 0
+        for r, t in reduced:
+            if mask ^ r < mask:
+                mask, sign = mask ^ r, sign ^ t
+        return None if mask else sign
+
+    def measure(self, kind, mask, eigenvalue):
+        """Follow the measurement of the kind-string mask with the given
+        outcome: certain when it commutes with the whole group, and then it
+        must be the group's sign; otherwise it replaces one anticommuting
+        generator, whose product with each other one stays in the group."""
+        gens = self.gens["Z" if kind == "X" else "X"]
+        anti = [i for i, (m, _) in enumerate(gens) if (m & mask).bit_count() & 1]
+        if not anti:
+            self.rows["deterministic"] += 1
+            assert eigenvalue == (-1) ** self.sign(kind, mask), (kind, mask)
+            return
+        self.rows["random"] += 1
+        pm, ps = gens[anti[0]]
+        for i in anti[1:]:
+            gens[i] = (gens[i][0] ^ pm, gens[i][1] ^ ps)
+        del gens[anti[0]]
+        self.gens[kind].append((mask, int(eigenvalue == -1)))
+
+    def check(self, state):
+        """The state the group fixes, on its support: every ket has each
+        Z-type generator's parity, the support holds 2^(nqubits - #Z-type)
+        kets of equal weight, and each X-type generator maps a sample of the
+        kets onto the support with its sign."""
+        index, values = state._index, state._values
+        assert state.n == self.nqubits and index is not None
+        assert len(self.gens["X"]) + len(self.gens["Z"]) == self.nqubits
+        for m, s in self.gens["Z"]:
+            assert np.all(np.bitwise_count(index & m) & 1 == s), (m, s)
+        assert index.size == 2 ** (self.nqubits - len(self.gens["Z"]))
+        assert np.allclose(np.abs(values) ** 2, 1.0 / index.size, rtol=0.0, atol=1e-12)
+        sample = np.arange(0, index.size, max(1, index.size // 16))
+        for m, s in self.gens["X"]:
+            image = np.searchsorted(index, index[sample] ^ m).clip(max=index.size - 1)
+            assert np.array_equal(index[image], index[sample] ^ m), (m, s)
+            assert np.allclose(values[image], (-1) ** s * values[sample], rtol=0.0, atol=1e-12), (m, s)
+
+    def assert_corrected(self, code, params, offset):
+        """After css_correct: each H1 Z-string on the block is certain with
+        sign H1.x^T and each H2 X-string with sign H2.z^T."""
+        shift = self.nqubits - offset - code.n
+        for kind, check, word in (("Z", code.h1, params.x), ("X", code.h2, params.z)):
+            for row in check.rows:
+                assert self.sign(kind, row.value << shift) == (row.value & word.value).bit_count() & 1, (kind, row)
+
+
+def follow_with_tableau(monkeypatch):
+    """Route the measure_paulis and apply_pauli_string calls of css and
+    distill through the real kernels, each followed on the tableau that
+    the returned holder's .tableau names and then checked against the
+    state it returns."""
+    held = SimpleNamespace(tableau=None)
+
+    def measure(state, paulis, rng):
+        values, out = measure_paulis(state, paulis, rng)
+        for pauli, value in zip(paulis, values):
+            held.tableau.measure(*pauli_kind_mask(pauli, state.n), value)
+        held.tableau.check(out)
+        return values, out
+
+    def apply(state, pauli):
+        out = apply_pauli_string(state, pauli)
+        held.tableau.apply(*pauli_kind_mask(pauli, state.n))
+        held.tableau.check(out)
+        return out
+
+    monkeypatch.setattr(css, "measure_paulis", measure)
+    monkeypatch.setattr(css, "apply_pauli_string", apply)
+    monkeypatch.setattr(distill, "apply_pauli_string", apply)
+    return held
+
+
+def tableau_code(name):
+    c1 = hamming15() if name == "h15" else named_code(name)
+    return css_build(c1, c1.dual())
+
+
+# parity4 runs every (e1, e2); hamming74 every (e1, e2) of weight <= 1 and
+# every e1 once more, with e2 = 37 e1 mod 128, so every e2 appears too; h15
+# every e1 of weight <= 1 with e2 = 0 and e2 = 1 << 9, on 30 qubits for
+# distillation.
+def tableau_errors(name, n):
+    light = [0] + [1 << i for i in range(n)]
+    if name == "parity4":
+        return list(itertools.product(range(2**n), range(2**n)))
+    if name == "h15":
+        return list(itertools.product(light, (0, 1 << 9)))
+    return list(itertools.product(light, light)) + [(e1, 37 * e1 % 2**n) for e1 in range(2**n)]
+
+
+class TestCssTableauOracle:
+    @pytest.mark.parametrize("name", ("parity4", "hamming74", "h15"))
+    def test_distillation_rounds_follow_the_tableau(self, name, monkeypatch):
+        code = tableau_code(name)
+        n, held, rows, rounds = code.n, follow_with_tableau(monkeypatch), Counter(), 0
+        for e1, e2 in tableau_errors(name, n):
+            held.tableau = CssTableau.epr(n)
+            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            try:
+                *_, report = run_distillation(session, np.random.default_rng(e1 << n | e2))
+            except ValueError as exc:  # parity4 corrects nothing: some rounds stop
+                assert "uncorrectable" in str(exc)
+            else:
+                held.tableau.assert_corrected(code, CssParams(report.x, report.z), n)
+                rounds += 1
+            rows.update(held.tableau.rows)
+        assert rows["deterministic"] and rows["random"] and rounds
+
+    @pytest.mark.parametrize("name", ("parity4", "hamming74", "h15"))
+    def test_css_correct_rounds_follow_the_tableau(self, name, monkeypatch):
+        code = tableau_code(name)
+        n, held, rows, rounds = code.n, follow_with_tableau(monkeypatch), Counter(), 0
+        draws = np.random.default_rng(7)
+        for e1, e2 in tableau_errors(name, n):
+            v = code.quotient.representative(BitVector(int(draws.integers(2**code.k)), code.k))
+            params = CssParams(*(BitVector(int(w), n) for w in draws.integers(2**n, size=2)))
+            held.tableau = CssTableau.codeword(code, v, params)
+            state = css_codeword(code, v, params)
+            held.tableau.check(state)
+            state = css.apply_pauli_string(state, pauli_row(BitVector(e2, n), "Z"))
+            state = css.apply_pauli_string(state, pauli_row(BitVector(e1, n), "X"))
+            result = css_correct(code, state, params, np.random.default_rng(e1 << n | e2))
+            if result.status == "ok":
+                held.tableau.assert_corrected(code, params, 0)
+                rounds += 1
+            rows.update(held.tableau.rows)
+        # A codeword with Pauli errors is an eigenstate of every check row.
+        assert rows["deterministic"] and not rows["random"] and rounds
 
 
 # --- Exact oracles for the simulator kernels ---------------------------------

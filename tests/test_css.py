@@ -185,6 +185,26 @@ class TestCodewords:
         with pytest.raises(ValueError):
             css_codeword(parity_pair, BV("0001"))
 
+    def test_c2_indices_are_the_codeword_values(self, hamming_pair):
+        # 20 bits, three bytes of the first packed word, with C2's rows
+        # reaching its first and last bits.
+        rows = ["1" + "0" * i + "1" + "0" * (18 - i) for i in (18, 9, 0, 4)]
+        c1, c2 = (code_from_generator(BitMatrix.from_strings(r)) for r in (rows, rows[:3]))
+        for code in (css_build(c1, c2, 0), hamming_pair):
+            want = [w.value for w in code.c2.codewords()]
+            assert code._c2_indices.tolist() == want
+            assert code._c2_indices.dtype == np.int64 and not code._c2_indices.flags.writeable
+
+    def test_support_over_the_budget_refused_before_c2_is_enumerated(self):
+        # C1 = the 22 unit rows on 23 bits, C2 = its first 21: a codeword
+        # would hold 2^21 kets, twice the budget.
+        rows = ["0" * i + "1" + "0" * (22 - i) for i in range(22)]
+        c1, c2 = (code_from_generator(BitMatrix.from_strings(r)) for r in (rows, rows[:21]))
+        code = css_build(c1, c2)
+        with pytest.raises(ValueError, match="2097152 kets on 23 qubits are over"):
+            css_codeword(code, BitVector.zeros(23))
+        assert "_c2_indices" not in vars(code)
+
     def test_parameterized_matches_reference(self, parity_pair):
         rng = np.random.default_rng(0)
         for _ in range(10):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,17 @@ class TestCreateEpr:
             assert create_epr(n).joint.amps.tobytes() == amps.tobytes()
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            create_epr(9)
+        # 21 pairs are 2^21 kets, twice the budget: refused with nothing of
+        # that size allocated. 9 pairs, 18 qubits on 512 kets, are built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                create_epr(21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert create_epr(9).joint.n == 18
 
     def test_code_length_mismatch(self, hamming_pair):
         with pytest.raises(ValueError):

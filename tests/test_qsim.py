@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qkdforge.gf2 import BitVector
 from qkdforge.qsim import (
     ATOL,
     GATES,
+    MAX_AMPLITUDES,
     PauliString,
     StateVector,
     apply_cnot,
@@ -17,6 +20,7 @@ from qkdforge.qsim import (
     hadamard_all,
     measure_all_z,
     measure_pauli_observable,
+    measure_paulis,
     overlap,
     pauli_row,
     support,
@@ -57,9 +61,20 @@ class TestBasisState:
             StateVector(n=1, amps=np.array([1.0, 1.0]))
 
     def test_qubit_count_checked_before_allocation(self):
-        # 2^40 amplitudes would need 16 TiB.
-        with pytest.raises(ValueError, match="qubit count must be in 1..20, got 40"):
-            basis_state(BitVector.zeros(40))
+        # A 40-qubit ket is a one-ket support, but its dense read would need
+        # 2^40 amplitudes (16 TiB); 2^20 + 1 kets are one over the budget.
+        # Each raises with nothing of its size allocated.
+        ket, index = basis_state(BitVector.zeros(40)), np.arange(MAX_AMPLITUDES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="qubit count must be in 1..20, got 40"):
+                ket.amps
+            with pytest.raises(ValueError, match="1048577 kets on 21 qubits are over"):
+                StateVector._scatter(21, index, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestOwnership:
@@ -417,6 +432,26 @@ class TestMeasurePauliObservable:
             assert forward.get(key, 0.0) == pytest.approx(
                 backward.get(swapped, 0.0), abs=1e-9
             )
+
+    def test_merge_over_the_budget_raises_before_concatenating(self, monkeypatch):
+        # X on qubit 1 maps the kets 0 .. 2^m - 1 of 21 qubits off themselves,
+        # so the collapse merges the support with its image: 2^20 kets are
+        # exactly the budget, 2^21 are over it and raise before the merge
+        # is built or the draw is made.
+        flip = PauliString("X" + "I" * 20)
+        half = StateVector._scatter(21, np.arange(MAX_AMPLITUDES // 2), 2**-9.5)
+        (_,), merged = measure_paulis(half, (flip,), FixedDraw(0.0))
+        assert merged._index.size == MAX_AMPLITUDES
+        full = StateVector._scatter(21, np.arange(MAX_AMPLITUDES), 2**-10)
+
+        def concatenate(*args, **kwargs):
+            raise AssertionError("the merge was built")
+
+        monkeypatch.setattr(np, "concatenate", concatenate)
+        rng = FixedDraw(0.0)
+        with pytest.raises(ValueError, match="2097152 kets on 21 qubits are over"):
+            measure_paulis(full, (flip,), rng)
+        assert rng.draws == 0
 
 
 def observable_projector(factors, eigenvalue):
