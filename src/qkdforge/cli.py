@@ -269,6 +269,7 @@ def _cmd_css(args: argparse.Namespace) -> int:
     # inject or correct
     rng = np.random.default_rng(args.seed)
     clean = css_codeword(code, v, params)
+    clean.amps  # the report's dense read, refused past its size before any round
     e1, e2 = _bits(args.e1, n, "error vectors"), _bits(args.e2, n, "error vectors")
     state = apply_pauli_string(clean, pauli_row(e2, "Z"))
     state = apply_pauli_string(state, pauli_row(e1, "X"))
@@ -300,9 +301,9 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     c1 = _resolve_code(args.code)
     code = css_build(c1, c1.dual())
     e1, e2 = _bits(args.e1, code.n, "error vectors"), _bits(args.e2, code.n, "error vectors")
-    session = inject_bob_errors(create_epr(code.n, code), e1, e2)
+    joint = inject_bob_errors(create_epr(code.n), e1, e2)
     rng = np.random.default_rng(args.seed)
-    alice_key, bob_key, report = run_distillation(session, rng)
+    alice_key, bob_key, report = run_distillation(code, joint, rng)
     output = {
         "aliceKey": str(alice_key),
         "bobKey": str(bob_key),

@@ -216,8 +216,9 @@ def css_correct(
     Each measured syndrome is shifted back by the announced-parameter
     contribution (H1.x^T or H2.z^T) before the table lookup; X and then Z
     corrections are applied to the flagged qubits. A syndrome outside the
-    table stops the procedure with detected_uncorrectable. This is the one
-    place that decides a syndrome is uncorrectable.
+    table stops the procedure with detected_uncorrectable. This decides
+    uncorrectability for CSS correction and distillation; BB84's
+    Shor-Preskill Bob decides it in codes.decode with the same bit_table.
     """
     if params is None:
         params = CssParams.zero(code.n)

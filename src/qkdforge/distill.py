@@ -1,19 +1,19 @@
 """Entanglement distillation over maximally-entangled pairs via one-sided
 CSS syndrome measurement.
 
-A session holds the joint state of n pairs (Alice owns qubits 1..n, Bob
-owns n+1..2n). Alice measures the CSS check observables on her half,
-which fixes the shift/phase parameters she announces; Bob measures the
-same observables on his half, removes the announced shifts from his
-syndromes, corrects his qubits, and both read out keys that agree
-whenever the injected errors stay within the code's capacity.
+Each step maps the joint state of n pairs (Alice owns qubits 1..n, Bob
+owns n+1..2n) to a new one: create_epr prepares it, inject_bob_errors
+corrupts Bob's half, Alice measures the CSS check observables on her
+half, which fixes the shift/phase parameters she announces, and Bob
+measures the same observables on his half, removes the announced shifts
+from his syndromes and corrects his qubits. Both read out keys that
+agree whenever the injected errors stay within the code's capacity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
 
 import numpy as np
 
@@ -23,38 +23,26 @@ from .gf2 import BitVector, solve_particular
 from .qsim import StateVector, _check_size, apply_pauli_string, measure_all_z, pauli_row
 
 
-@dataclass(eq=False)
-class EprSession:
-    """n entangled pairs plus the CSS code used to distill them."""
-
-    n: int
-    joint: StateVector
-    code: Optional[CssCode] = None
-
-
 @cache
 def _epr_state(n: int) -> StateVector:
-    """The n-pair state, built once per n: read-only, so sessions share it."""
+    """The n-pair state, built once per n: read-only, so rounds share it."""
     size = 2**n
     return StateVector._scatter(2 * n, np.arange(size) * (size + 1), 1.0 / np.sqrt(size))
 
 
-def create_epr(n: int, code: Optional[CssCode] = None) -> EprSession:
+def create_epr(n: int) -> StateVector:
     """Prepare n perfect pairs: (1/sqrt(2^n)) sum_j |j>_A |j>_B."""
     _check_size(2 * n, 2**n)
-    if code is not None and code.n != n:
-        raise ValueError(f"code length {code.n} does not match n={n}")
-    return EprSession(n=n, joint=_epr_state(n), code=code)
+    return _epr_state(n)
 
 
-def inject_bob_errors(session: EprSession, e1: BitVector, e2: BitVector) -> EprSession:
+def inject_bob_errors(joint: StateVector, e1: BitVector, e2: BitVector) -> StateVector:
     """Apply X to Bob's qubit i wherever e1_i = 1 and Z wherever e2_i = 1."""
-    n = session.n
+    n = joint.n // 2
     if len(e1) != n or len(e2) != n:
         raise ValueError(f"error vectors must have length n={n}")
-    joint = apply_pauli_string(session.joint, pauli_row(e1, "X", 2 * n, n))
-    joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
-    return EprSession(n=n, joint=joint, code=session.code)
+    joint = apply_pauli_string(joint, pauli_row(e1, "X", 2 * n, n))
+    return apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
 
 
 @dataclass(eq=False)
@@ -72,31 +60,29 @@ class DistillationReport:
 
 
 def measure_alice_parameters(
-    session: EprSession, rng: np.random.Generator
-) -> tuple[BitVector, BitVector, BitVector, BitVector]:
+    code: CssCode, joint: StateVector, rng: np.random.Generator
+) -> tuple[BitVector, BitVector, BitVector, BitVector, StateVector]:
     """Alice's half of the round: measure the Z-strings of H1 and the
     X-strings of H2 on qubits 1..n, collapse the joint state, and solve
     for the announced parameters.
 
-    Returns (x, z, bit_syndrome, phase_syndrome); the session's joint
-    state is updated in place.
+    Returns (x, z, bit_syndrome, phase_syndrome, collapsed joint state).
+    A code whose length is not half the joint state's is refused before
+    any draw.
     """
-    code = session.code
-    if code is None:
-        raise ValueError("session has no CSS code attached")
-    joint = session.joint
+    if joint.n != 2 * code.n:
+        raise ValueError(f"code length {code.n} does not match n={joint.n // 2}")
     alice_sx, joint = css_bit_syndrome(code, joint, rng)
     alice_sz, joint = css_phase_syndrome(code, joint, rng)
     x = solve_particular(code.h1, alice_sx)
     z = solve_particular(code.h2, alice_sz)
     if x is None or z is None:
         raise AssertionError("announced-parameter systems must be solvable")
-    session.joint = joint
-    return x, z, alice_sx, alice_sz
+    return x, z, alice_sx, alice_sz, joint
 
 
 def run_distillation(
-    session: EprSession, rng: np.random.Generator
+    code: CssCode, joint: StateVector, rng: np.random.Generator
 ) -> tuple[BitVector, BitVector, DistillationReport]:
     """One full distillation round.
 
@@ -107,15 +93,14 @@ def run_distillation(
     computational measurement of all qubits yields both parties' strings;
     each key is the coset label of (measured string - x).
     """
-    x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
-    code, n = session.code, session.n
+    x, z, alice_sx, alice_sz, joint = measure_alice_parameters(code, joint, rng)
+    n = code.n
 
-    bob = css_correct(code, session.joint, CssParams(x, z), rng, offset=n)
+    bob = css_correct(code, joint, CssParams(x, z), rng, offset=n)
     if bob.status != "ok":
         raise ValueError("uncorrectable syndrome: errors exceed the code capacity")
 
-    bits, joint = measure_all_z(bob.state, rng)
-    session.joint = joint
+    bits, _ = measure_all_z(bob.state, rng)
     alice_bits = bits[:n]
     bob_bits = bits[n:]
 

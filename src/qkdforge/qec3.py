@@ -21,7 +21,7 @@ from .qsim import (
     apply_gate,
     apply_matrix,
     hadamard_all,
-    measure_pauli_observable,
+    measure_paulis,
     pauli_row,
 )
 
@@ -103,9 +103,9 @@ def _repetition_round(
     block width qubits wide, and apply the other Pauli to the first qubit
     of the flagged block. Returns the block (0 = none) and the state."""
     row = BitVector((1 << 2 * width) - 1, 2 * width)
-    g1, state = measure_pauli_observable(state, pauli_row(row, kind, n, offset), rng)
-    g2, state = measure_pauli_observable(state, pauli_row(row, kind, n, offset + width), rng)
-    block = _PAIR_OUTCOME[(g1, g2)]
+    rows = (pauli_row(row, kind, n, offset), pauli_row(row, kind, n, offset + width))
+    eigenvalues, state = measure_paulis(state, rows, rng)
+    block = _PAIR_OUTCOME[tuple(eigenvalues)]
     if block:
         state = apply_gate(state, "X" if kind == "Z" else "Z", offset + (block - 1) * width + 1)
     return block, state

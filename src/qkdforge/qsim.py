@@ -96,8 +96,8 @@ class StateVector:
     def _scatter(cls, n: int, index, values) -> "StateVector":
         """The state with amplitudes values at the distinct basis indices
         index, zeros elsewhere, kept as that support; its size is checked first."""
-        _check_size(n, np.size(index))
         index = np.asarray(index, dtype=np.int64).reshape(-1)
+        _check_size(n, index.size)
         order = index.argsort()  # css_codeword's words ^ (v + x) are unordered
         values = np.asarray(values, dtype=complex).reshape(-1)
         if values.size == 1:
@@ -364,14 +364,6 @@ def measure_paulis(
                     amps, index = amps[kept], index[kept]
         eigenvalues.append(eigenvalue)
     return eigenvalues, StateVector._adopt(state.n, amps, index)
-
-
-def measure_pauli_observable(
-    state: StateVector, pauli: PauliString, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Measure one +/-1 Pauli observable: measure_paulis of the one row."""
-    (eigenvalue,), state = measure_paulis(state, (pauli,), rng)
-    return eigenvalue, state
 
 
 def measure_all_z(

@@ -249,8 +249,7 @@ def _check_distillation(codes: dict) -> tuple[bool, str]:
     for e1_pos in (None, 0, 3, 6):
         for e2_pos in (None, 1, 4, 6):
             e1, e2 = (BitVector(0 if p is None else 1 << (6 - p), 7) for p in (e1_pos, e2_pos))
-            session = inject_bob_errors(create_epr(7, code), e1, e2)
-            ak, bk, _ = run_distillation(session, rng)
+            ak, bk, _ = run_distillation(code, inject_bob_errors(create_epr(7), e1, e2), rng)
             if ak != bk:
                 return False, f"key mismatch at e1={e1_pos}, e2={e2_pos}"
             cases += 1

@@ -309,24 +309,21 @@ def test_criterion_9_distillation():
     positions = [None] + list(range(7))
     for e1_pos in positions:
         for e2_pos in positions:
-            session = inject_bob_errors(
-                create_epr(7, pair), pattern(e1_pos), pattern(e2_pos)
-            )
-            alice_key, bob_key, _ = run_distillation(session, rng)
+            joint = inject_bob_errors(create_epr(7), pattern(e1_pos), pattern(e2_pos))
+            alice_key, bob_key, _ = run_distillation(pair, joint, rng)
             assert alice_key == bob_key
 
     # Post-measurement joint state identity for the 4-bit pair.
     parity = named_code("parity4")
     small = css_build(parity, parity.dual(), 0)
-    session = create_epr(4, small)
-    x, z, _, _ = measure_alice_parameters(session, rng)
+    x, z, _, _, joint = measure_alice_parameters(small, create_epr(4), rng)
     total = np.zeros(2**8, dtype=complex)
     for m in range(4):
         v = small.quotient.representative(BV(format(m, "02b")))
         half = css_codeword(small, v, CssParams(x=x, z=z)).amps
         total += np.kron(half, half)
     expected = StateVector(n=8, amps=total / np.linalg.norm(total))
-    assert fidelity(session.joint, expected) >= 1 - 1e-9
+    assert fidelity(joint, expected) >= 1 - 1e-9
     assert time.perf_counter() - started < 120.0
 
 
@@ -438,8 +435,8 @@ def test_criterion_13_shor_preskill_reduction():
 
     disagreeing = 0
     for e1 in range(2**n):
-        session = inject_bob_errors(create_epr(n, pair), BitVector(e1, n), BitVector.zeros(n))
-        x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(1300 + e1))
+        joint = inject_bob_errors(create_epr(n), BitVector(e1, n), BitVector.zeros(n))
+        x, z, _, _, joint = measure_alice_parameters(pair, joint, np.random.default_rng(1300 + e1))
 
         def bb84_tail(a, b):
             keys = shor_preskill_keys(hamming, pair.c2, a, a + x, b)
@@ -448,8 +445,8 @@ def test_criterion_13_shor_preskill_reduction():
         def distilled(a, b):
             return coset_key(a + x), "ok", coset_key(b + x)
 
-        want = key_weights(session.joint, bb84_tail)
-        bob = css_correct(pair, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+        want = key_weights(joint, bb84_tail)
+        bob = css_correct(pair, joint, CssParams(x, z), np.random.default_rng(e1), n)
         assert bob.status == "ok"
         got = key_weights(bob.state, distilled)
         assert abs(sum(want.values()) - 1.0) <= 1e-9

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdforge import cli
+from qkdforge import cli, css
 from qkdforge.cli import main
 from qkdforge.codes import code_from_parts, named_code
 from qkdforge.gf2 import BitMatrix
@@ -590,7 +590,7 @@ class TestInProcessReuse:
 FAULT_SCRIPT = """
 import io, json, resource, sys
 from contextlib import redirect_stdout
-from qkdforge import cli
+from qkdforge import cli, css
 
 def call(argv):
     with redirect_stdout(io.StringIO()):
@@ -641,7 +641,7 @@ def source_env():
 # goes to stdout, which the failing calls below leave empty otherwise.
 TIMED_MAIN = """
 import sys, time
-from qkdforge import cli
+from qkdforge import cli, css
 start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 print(time.perf_counter() - start)
@@ -672,6 +672,15 @@ def forty_bit_codes(tmp_path):
     c1, c2 = tmp_path / "c40_2.txt", tmp_path / "c40_1.txt"
     c1.write_text("1" * 20 + "0" * 20 + "\n" + "0" * 20 + "1" * 20 + "\n")
     c2.write_text("1" * 40 + "\n")
+    return str(c1), str(c2)
+
+
+def unit_row_pair(tmp_path, k1, k2):
+    """Code files for C1, the first k1 unit rows on 40 bits, and C2, its first k2."""
+    rows = ["0" * i + "1" + "0" * (39 - i) + "\n" for i in range(k1)]
+    c1, c2 = tmp_path / f"unit{k1}.txt", tmp_path / f"unit{k2}.txt"
+    c1.write_text("".join(rows))
+    c2.write_text("".join(rows[:k2]))
     return str(c1), str(c2)
 
 
@@ -708,12 +717,9 @@ class TestSizeBudgets:
         # C1 = the 23 unit rows on 40 bits, C2 = its first 22: a codeword
         # would be a support of 2^22 kets, four times the budget, refused
         # before C2 is enumerated.
-        rows = ["0" * i + "1" + "0" * (39 - i) + "\n" for i in range(23)]
-        c1, c2 = tmp_path / "unit23.txt", tmp_path / "unit22.txt"
-        c1.write_text("".join(rows))
-        c2.write_text("".join(rows[:22]))
+        c1, c2 = unit_row_pair(tmp_path, 23, 22)
         done = subprocess.run(
-            [sys.executable, "-c", TIMED_MAIN, "css", action, "--c1", str(c1), "--c2", str(c2)],
+            [sys.executable, "-c", TIMED_MAIN, "css", action, "--c1", c1, "--c2", c2],
             env=source_env(), capture_output=True, text=True, timeout=10,
         )
         assert done.returncode == 1, done.stderr
@@ -721,6 +727,21 @@ class TestSizeBudgets:
             "error: 4194304 kets on 40 qubits are over the 1048576-amplitude budget\n"
         )
         assert float(done.stdout) < 1.0
+
+    @pytest.mark.parametrize("action", ["inject", "correct"])
+    def test_css_state_past_the_dense_read_is_refused_before_any_round(
+        self, capsys, tmp_path, monkeypatch, action
+    ):
+        # C1 = 20 unit rows on 40 bits, C2 = its first 18: a codeword is a
+        # legal support of 2^18 kets, but the report's fidelity reads all
+        # 2^40 amplitudes, so the action stops before its 20 + 18 rows.
+        def no_rounds(*args):
+            raise AssertionError("a syndrome round ran before the dense read was refused")
+
+        monkeypatch.setattr(css, "measure_paulis", no_rounds)
+        c1, c2 = unit_row_pair(tmp_path, 20, 18)
+        assert run_cli(capsys, ["css", action, "--c1", c1, "--c2", c2]) == (
+            1, "", "error: qubit count must be in 1..20, got 40\n")
 
     def test_oversized_css_verify_is_an_error(self, tmp_path):
         # [14, 13] parity with its dual: three 2^14 x 2^14 complex

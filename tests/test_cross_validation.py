@@ -8,7 +8,7 @@ checked exactly against the slower forms they replaced (the axis-moving
 gate kernel, the axis-flipping CNOT, the gate-loop Pauli string, the
 running-sum outcome draw, the copying collapse that divided by the
 norm, the dense cumulative draw of measure_all_z, the loop-built CSS
-codeword, the EPR state built per session), the one Pauli kernel on
+codeword, the EPR state built per round), the one Pauli kernel on
 dense and support states against a per-call mask formula, the
 closed-form batched BB84 transport against the per-qubit state-vector
 transport, draw for draw, the session's index arrays against the
@@ -75,7 +75,6 @@ from qkdforge.qsim import (
     fidelity,
     hadamard_all,
     measure_all_z,
-    measure_pauli_observable,
     measure_paulis,
 )
 from qkdforge.qsim import _draw_outcome, _norm, _vdot
@@ -177,7 +176,7 @@ class TestMeasurementOracle:
             trials = 4000
             plus = 0
             for _ in range(trials):
-                value, _ = measure_pauli_observable(psi, PauliString(factors), rng)
+                (value,), _ = measure_paulis(psi, [PauliString(factors)], rng)
                 plus += value == 1
             sigma = np.sqrt(trials * max(p_plus * (1 - p_plus), 1e-4))
             assert abs(plus - trials * p_plus) <= 3 * sigma
@@ -186,7 +185,7 @@ class TestMeasurementOracle:
         rng = np.random.default_rng(5)
         psi = random_state(rng, 3)
         operator = kron_chain([PAULI[f] for f in "ZXZ"])
-        value, collapsed = measure_pauli_observable(psi, PauliString("ZXZ"), rng)
+        (value,), collapsed = measure_paulis(psi, [PauliString("ZXZ")], rng)
         projector = (np.eye(8) + value * operator) / 2
         expected = projector @ psi.amps
         expected /= np.linalg.norm(expected)
@@ -592,19 +591,19 @@ class TestSessionIndexOracle:
 def measure_rows(matrix, kind, state, rng, offset):
     syndrome = 0
     for row in matrix.rows:
-        eigenvalue, state = measure_pauli_observable(
-            state, pauli_row(row, kind, state.n, offset), rng
+        (eigenvalue,), state = measure_paulis(
+            state, [pauli_row(row, kind, state.n, offset)], rng
         )
         syndrome = (syndrome << 1) | (eigenvalue == -1)
     return BitVector(syndrome, matrix.num_rows), state
 
 
-def inline_run_distillation(session, rng):
+def inline_run_distillation(code, joint, rng):
     """run_distillation with Bob's half written out as it was before it
     became one css_correct call: both of Bob's syndromes, then the shifts
     and table lookups, then the X and the Z correction."""
-    x, z, alice_sx, alice_sz = measure_alice_parameters(session, rng)
-    code, n, joint = session.code, session.n, session.joint
+    x, z, alice_sx, alice_sz, joint = measure_alice_parameters(code, joint, rng)
+    n = code.n
     bob_sx, joint = measure_rows(code.h1, "Z", joint, rng, n)
     bob_sz, joint = measure_rows(code.h2, "X", joint, rng, n)
     bit_key = bob_sx + mat_apply(code.h1, x, side="right")
@@ -614,7 +613,7 @@ def inline_run_distillation(session, rng):
     e1, e2 = code.bit_table[bit_key], code.phase_table[phase_key]
     joint = apply_pauli_string(joint, pauli_row(e1, "X", 2 * n, n))
     joint = apply_pauli_string(joint, pauli_row(e2, "Z", 2 * n, n))
-    bits, session.joint = measure_all_z(joint, rng)
+    bits, _ = measure_all_z(joint, rng)
     alice_bits, bob_bits = bits[:n], bits[n:]
     report = DistillationReport(
         x, z, alice_sx, alice_sz, bob_sx, bob_sz, e1, e2, alice_bits, bob_bits
@@ -626,11 +625,10 @@ def inline_run_distillation(session, rng):
     )
 
 
-def dense_run_distillation(session, rng):
+def dense_run_distillation(code, joint, rng):
     """run_distillation from a dense copy of the joint state, so that every
     kernel of the round takes the dense path."""
-    session.joint = StateVector(session.joint.n, session.joint.amps)
-    return run_distillation(session, rng)
+    return run_distillation(code, StateVector(joint.n, joint.amps), rng)
 
 
 def distillation_patterns(n):
@@ -640,11 +638,9 @@ def distillation_patterns(n):
 
 def distill_or_error(run, code, e1, e2, seed):
     rng = np.random.default_rng(seed)
-    session = inject_bob_errors(
-        create_epr(code.n, code), BitVector(e1, code.n), BitVector(e2, code.n)
-    )
+    joint = inject_bob_errors(create_epr(code.n), BitVector(e1, code.n), BitVector(e2, code.n))
     try:
-        alice_key, bob_key, report = run(session, rng)
+        alice_key, bob_key, report = run(code, joint, rng)
     except ValueError as exc:
         return str(exc), None
     return (alice_key, bob_key, vars(report)), rng.bit_generator.state
@@ -694,7 +690,7 @@ def forced_branches_match_dense(state, pauli, work):
     outcomes = []
     for draw in (0.0, LAST_DRAW):
         want_value, want = per_call_collapse(amps, applied, draw, work)
-        got_value, got = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
+        (got_value,), got = measure_paulis(state, [pauli], ScriptedRng([draw]))
         assert got_value == want_value, (str(pauli), draw)
         assert got._index is not None, str(pauli)
         # Equal finite floats have equal bits unless both are zero; off
@@ -724,7 +720,7 @@ class TestSupportKernelOracle:
             twin, want_values, want = copy.deepcopy(rng), [], state
             for pauli in paulis:
                 taken.update(forced_branches_match_dense(want, pauli, work))
-                value, want = measure_pauli_observable(want, pauli, twin)
+                (value,), want = measure_paulis(want, [pauli], twin)
                 want_values.append(value)
             values, got = measure_paulis(state, paulis, rng)
             assert values == want_values
@@ -735,9 +731,9 @@ class TestSupportKernelOracle:
 
         monkeypatch.setattr(css, "measure_paulis", measure_both_branches)
         for e1, e2 in itertools.product(range(2**n), range(0, 2**n, e2_step)):
-            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            joint = inject_bob_errors(create_epr(n), BitVector(e1, n), BitVector(e2, n))
             try:
-                run_distillation(session, np.random.default_rng(e1 << n | e2))
+                run_distillation(code, joint, np.random.default_rng(e1 << n | e2))
             except ValueError as exc:  # parity4 corrects nothing: some rounds stop
                 assert "uncorrectable" in str(exc)
         assert taken == {1, -1}
@@ -906,8 +902,8 @@ class TestShorPreskillReduction:
         statuses = set()
         for e1, e2 in itertools.product(range(2**n), e2s):
             case = (name, e1, e2)
-            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
-            x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
+            joint = inject_bob_errors(create_epr(n), BitVector(e1, n), BitVector(e2, n))
+            x, z, _, _, joint = measure_alice_parameters(code, joint, np.random.default_rng(e1 << n | e2))
 
             def bb84_tail(ket):
                 a, b = BitVector(ket >> n, n), BitVector(ket & mask, n)
@@ -919,9 +915,9 @@ class TestShorPreskillReduction:
                 return (key_from_coset(code.quotient, a + x), "ok",
                         key_from_coset(code.quotient, b + x))
 
-            want = outcome_weights(session.joint, bb84_tail)
+            want = outcome_weights(joint, bb84_tail)
             # Bob's syndromes are fixed by Alice's, so any draws serve.
-            bob = css_correct(code, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+            bob = css_correct(code, joint, CssParams(x, z), np.random.default_rng(e1), n)
             if bob.phase_syndrome is None:  # the bit round stopped
                 assert all(status != "ok" for _, status, _ in want), case
                 statuses.add("bit stop")
@@ -957,9 +953,9 @@ class TestShorPreskillReduction:
         statuses = set()
         for e1, e2 in itertools.product(e1s, e2s):
             case = (name, e1, e2)
-            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
-            x, z, _, _ = measure_alice_parameters(session, np.random.default_rng(e1 << n | e2))
-            index = session.joint._index
+            joint = inject_bob_errors(create_epr(n), BitVector(e1, n), BitVector(e2, n))
+            x, z, _, _, joint = measure_alice_parameters(code, joint, np.random.default_rng(e1 << n | e2))
+            index = joint._index
             a, b, step = index >> n, index & mask, max(1, index.size // 32)
             # The announcement x - u is a + (a + x) = x: Bob decodes b + x.
             error = errors[parities(b ^ x.value, checks)]
@@ -970,8 +966,8 @@ class TestShorPreskillReduction:
                 alice, bob = BitVector(ket >> n, n), BitVector(ket & mask, n)
                 sp = shor_preskill_keys(code.c1, code.c2, alice, alice + x, bob)
                 assert pack(sp.alice_key, sp.decode_status, sp.bob_key) == label, (case, ket)
-            want = label_weights(tail, session.joint._values)
-            bob = css_correct(code, session.joint, CssParams(x, z), np.random.default_rng(e1), n)
+            want = label_weights(tail, joint._values)
+            bob = css_correct(code, joint, CssParams(x, z), np.random.default_rng(e1), n)
             if bob.phase_syndrome is None:  # the bit round stopped
                 assert not ok.any(), case
                 statuses.add("bit stop")
@@ -1149,9 +1145,9 @@ class TestCssTableauOracle:
         n, held, rows, rounds = code.n, follow_with_tableau(monkeypatch), Counter(), 0
         for e1, e2 in tableau_errors(name, n):
             held.tableau = CssTableau.epr(n)
-            session = inject_bob_errors(create_epr(n, code), BitVector(e1, n), BitVector(e2, n))
+            joint = inject_bob_errors(create_epr(n), BitVector(e1, n), BitVector(e2, n))
             try:
-                *_, report = run_distillation(session, np.random.default_rng(e1 << n | e2))
+                *_, report = run_distillation(code, joint, np.random.default_rng(e1 << n | e2))
             except ValueError as exc:  # parity4 corrects nothing: some rounds stop
                 assert "uncorrectable" in str(exc)
             else:
@@ -1249,7 +1245,7 @@ def block_norm(amps):
     return np.sqrt(block_sum(np.dot, re, re) + block_sum(np.dot, im, im))
 
 
-def dividing_measure_pauli_observable(state, pauli, rng):
+def dividing_measure_row(state, pauli, rng):
     """The copying observable measurement that the in-place collapse
     replaced: a new sum or difference array, divided by its real norm
     (numpy's complex division), copied again into the new state."""
@@ -1310,7 +1306,7 @@ def per_call_collapse(amps, applied, r, work):
     return eigenvalue, collapsed
 
 
-def per_call_measure_pauli_observable(state, x, z, rng, work):
+def per_call_measure_row(state, x, z, rng, work):
     """Observable measurement on the per-call kernel's product."""
     applied = per_call_pauli_amps(state.amps, x, z, work)
     return per_call_collapse(state.amps, applied, rng.random(), work)
@@ -1337,7 +1333,7 @@ def random_stabilizer_state(rng, n, measurements):
     state = basis_state(BitVector(int(rng.integers(0, 2**n)), n))
     for _ in range(measurements):
         factors = "".join(rng.choice(list("IXYZ"), size=n))
-        state = measure_pauli_observable(state, PauliString(factors), rng)[1]
+        state = measure_paulis(state, [PauliString(factors)], rng)[1]
     return state
 
 
@@ -1510,7 +1506,7 @@ class TestKernelOracles:
             sign = 1 if r < p_plus else -1
             want = psi.amps + sign * applied
             want = want / block_norm(want)
-            value, collapsed = measure_pauli_observable(psi, PauliString(factors), ScriptedRng([r]))
+            (value,), collapsed = measure_paulis(psi, [PauliString(factors)], ScriptedRng([r]))
             assert value == sign
             assert np.array_equal(collapsed.amps, want)
 
@@ -1527,8 +1523,8 @@ class TestKernelOracles:
             for factors in strings:
                 for r in (1e-6, 1.0 - 1e-6):
                     pauli = PauliString(factors)
-                    want_value, want = dividing_measure_pauli_observable(psi, pauli, ScriptedRng([r]))
-                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    want_value, want = dividing_measure_row(psi, pauli, ScriptedRng([r]))
+                    (value,), collapsed = measure_paulis(psi, [pauli], ScriptedRng([r]))
                     assert value == want_value, (factors, r)
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
@@ -1559,9 +1555,9 @@ class TestKernelOracles:
         for psi in kernel_states(rng, n):
             for x, z in pairs[:: max(1, len(pairs) // 12)]:
                 for r in (1e-6, 1.0 - 1e-6, float(rng.random())):
-                    want_value, want = per_call_measure_pauli_observable(psi, x, z, ScriptedRng([r]), work)
+                    want_value, want = per_call_measure_row(psi, x, z, ScriptedRng([r]), work)
                     pauli = pauli_from_masks(n, x, z)
-                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    (value,), collapsed = measure_paulis(psi, [pauli], ScriptedRng([r]))
                     assert value == want_value, (x, z, r)
                     assert_same_nonzero_bits(collapsed.amps, want)
                     outcomes.add(value)
@@ -1576,7 +1572,7 @@ class TestKernelOracles:
                     want_values, want = [], psi
                     for count, pauli in enumerate(rows, 1):
                         x, z, rng_row = pauli.x, pauli.z, ScriptedRng(draws[count - 1 : count])
-                        value, amps = per_call_measure_pauli_observable(want, x, z, rng_row, work)
+                        value, amps = per_call_measure_row(want, x, z, rng_row, work)
                         want_values.append(value)
                         want = StateVector(n, amps)
                         values, collapsed = measure_paulis(psi, rows[:count], ScriptedRng(draws))
@@ -1640,7 +1636,7 @@ class TestKernelOracles:
                 applied = apply_pauli_string(state, pauli)
                 assert (applied is state) == (not x | z)
                 for draw in (0.0, LAST_DRAW):
-                    value, collapsed = measure_pauli_observable(state, pauli, ScriptedRng([draw]))
+                    (value,), collapsed = measure_paulis(state, [pauli], ScriptedRng([draw]))
                     if not x | z:
                         assert value == 1
                         assert np.array_equal(collapsed._index, state._index)
@@ -1686,8 +1682,7 @@ class TestKernelOracles:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_shared_epr_state_is_read_only_and_unchanged_by_distill(self):
-        joint = create_epr(7).joint
-        assert create_epr(7, css_build(named_code("hamming74"), named_code("hamming74").dual())).joint is joint
+        joint = create_epr(7)
         before = joint.amps.tobytes()
         support_before = joint._index.tobytes(), joint._values.tobytes()
         assert not joint.amps.flags.writeable
@@ -1700,7 +1695,7 @@ class TestKernelOracles:
         with redirect_stdout(io.StringIO()):
             assert main(["distill", "--code", "hamming74", "--e1", "0010000", "--seed", "3"]) == 0
             assert main(["distill", "--code", "hamming74", "--seed", "4"]) == 0
-        assert create_epr(7).joint is joint
+        assert create_epr(7) is joint
         assert joint.amps.tobytes() == before
         assert (joint._index.tobytes(), joint._values.tobytes()) == support_before
 
@@ -1752,7 +1747,7 @@ class TestKernelOracles:
                 # kernel's p_plus to within 1e-9.
                 draws = (p_plus - 1e-9, p_plus + 1e-9, float(rng.random()))
                 for r in (d for d in draws if 0.0 <= d < 1.0):
-                    value, collapsed = measure_pauli_observable(psi, pauli, ScriptedRng([r]))
+                    (value,), collapsed = measure_paulis(psi, [pauli], ScriptedRng([r]))
                     assert value == (1 if r < p_plus else -1), (mask, r)
                     want = projected(work, odd, value)
                     np.testing.assert_allclose(frame(collapsed).amps, want, rtol=0, atol=1e-12)
@@ -1785,7 +1780,7 @@ class TestKernelOracles:
         skew = StateVector._scatter(2, [0, 1, 2], np.full(3, 1 / np.sqrt(3)))
         for draw in (0.0, LAST_DRAW):
             with pytest.raises(AssertionError, match="affine"):
-                measure_pauli_observable(skew, PauliString("IX"), ScriptedRng([draw]))
+                measure_paulis(skew, [PauliString("IX")], ScriptedRng([draw]))
 
     def test_row_call_draws_once_per_row(self):
         # One uniform per row, dense or on a support: rows whose image equals
@@ -1815,7 +1810,7 @@ class TestKernelOracles:
                     assert rng.used == len(rows), ([str(p) for p in rows], draw)
                     want_rng, want, want_values = ScriptedRng([draw] * len(rows)), form, []
                     for pauli in rows:
-                        value, want = measure_pauli_observable(want, pauli, want_rng)
+                        (value,), want = measure_paulis(want, [pauli], want_rng)
                         want_values.append(value)
                     assert values == want_values == expected.get(draw, values), draw
                     assert np.array_equal(got._index, want._index)
@@ -1830,11 +1825,11 @@ class TestKernelOracles:
                             (PauliString("XX"), PauliString("IXX"))):
             assert (short.x, short.z) == (full.x, full.z)
             for state in (psi, support_copy(psi), basis_state(BV("101"))):
-                measure_pauli_observable(state, full, ScriptedRng([0.5]))
+                measure_paulis(state, [full], ScriptedRng([0.5]))
                 apply_pauli_string(state, full)
                 for _ in range(2):
                     with pytest.raises(ValueError, match="length 2 != n=3"):
-                        measure_pauli_observable(state, short, ScriptedRng([0.5]))
+                        measure_paulis(state, [short], ScriptedRng([0.5]))
                     with pytest.raises(ValueError, match="length 2 != n=3"):
                         apply_pauli_string(state, short)
 
@@ -1870,7 +1865,7 @@ for n in (13, 14, 15, 16):
     start = psi = qsim.StateVector(n, amps)
     for _ in range(4):
         factors = "".join(rng.choice(list("IXYZ"), size=n))
-        value, psi = qsim.measure_pauli_observable(psi, qsim.PauliString(factors), rng)
+        (value,), psi = qsim.measure_paulis(psi, [qsim.PauliString(factors)], rng)
         digest.update(bytes([value + 1]) + psi.amps.tobytes())
     digest.update(np.float64(qsim.fidelity(start, psi)).tobytes())
     if n == 14:

@@ -40,28 +40,21 @@ def unit_error(n, position):
 
 class TestCreateEpr:
     def test_single_pair_amplitudes(self):
-        session = create_epr(1)
         expected = np.zeros(4, dtype=complex)
         expected[0b00] = expected[0b11] = 1 / np.sqrt(2)
-        assert np.allclose(session.joint.amps, expected)
+        assert np.allclose(create_epr(1).amps, expected)
 
     def test_halves_always_agree(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            bits, _ = measure_all_z(create_epr(1).joint, rng)
+            bits, _ = measure_all_z(create_epr(1), rng)
             assert bits[0] == bits[1]
 
     def test_two_pairs_block_layout(self):
-        session = create_epr(2)
-        sup = {
-            format(i, "04b")
-            for i, a in enumerate(session.joint.amps)
-            if abs(a) > 1e-12
-        }
+        joint = create_epr(2)
+        sup = {format(i, "04b") for i, a in enumerate(joint.amps) if abs(a) > 1e-12}
         assert sup == {"0000", "0101", "1010", "1111"}
-        assert np.allclose(
-            [a for a in session.joint.amps if abs(a) > 1e-12], 0.5
-        )
+        assert np.allclose([a for a in joint.amps if abs(a) > 1e-12], 0.5)
 
     def test_amplitudes_match_the_diagonal_loop_byte_for_byte(self):
         for n in range(1, 9):
@@ -70,7 +63,7 @@ class TestCreateEpr:
             for j in range(size):
                 amps[j * size + j] = 1.0
             amps /= np.sqrt(size)
-            assert create_epr(n).joint.amps.tobytes() == amps.tobytes()
+            assert create_epr(n).amps.tobytes() == amps.tobytes()
 
     def test_size_guard(self):
         # 21 pairs are 2^21 kets, twice the budget: refused with nothing of
@@ -83,31 +76,36 @@ class TestCreateEpr:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-        assert create_epr(9).joint.n == 18
+        assert create_epr(9).n == 18
 
     def test_code_length_mismatch(self, hamming_pair):
-        with pytest.raises(ValueError):
-            create_epr(4, hamming_pair)
+        # Four pairs do not fit a length-7 code: refused before any draw.
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        for step in (measure_alice_parameters, run_distillation):
+            with pytest.raises(ValueError, match="code length 7 does not match n=4"):
+                step(hamming_pair, create_epr(4), rng)
+        assert rng.bit_generator.state == before
 
 
 class TestInjectErrors:
     def test_bit_flip_gives_psi_plus(self):
-        session = inject_bob_errors(create_epr(1), BV("1"), BV("0"))
+        joint = inject_bob_errors(create_epr(1), BV("1"), BV("0"))
         expected = np.zeros(4, dtype=complex)
         expected[0b01] = expected[0b10] = 1 / np.sqrt(2)
-        assert np.allclose(session.joint.amps, expected)
+        assert np.allclose(joint.amps, expected)
 
     def test_zero_errors_unchanged(self):
         clean = create_epr(2)
         after = inject_bob_errors(clean, BV("00"), BV("00"))
-        assert np.allclose(after.joint.amps, clean.joint.amps)
+        assert np.allclose(after.amps, clean.amps)
 
     def test_both_errors_give_singlet(self):
-        session = inject_bob_errors(create_epr(1), BV("1"), BV("1"))
+        joint = inject_bob_errors(create_epr(1), BV("1"), BV("1"))
         singlet = np.zeros(4, dtype=complex)
         singlet[0b01] = 1 / np.sqrt(2)
         singlet[0b10] = -1 / np.sqrt(2)
-        assert fidelity(session.joint, StateVector(n=2, amps=singlet)) == pytest.approx(
+        assert fidelity(joint, StateVector(n=2, amps=singlet)) == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -119,8 +117,7 @@ class TestInjectErrors:
 class TestRunDistillation:
     def test_no_errors_keys_agree_empty_corrections(self, hamming_pair):
         rng = np.random.default_rng(1)
-        session = create_epr(7, hamming_pair)
-        alice_key, bob_key, report = run_distillation(session, rng)
+        alice_key, bob_key, report = run_distillation(hamming_pair, create_epr(7), rng)
         assert alice_key == bob_key
         assert report.bit_correction.is_zero()
         assert report.phase_correction.is_zero()
@@ -130,21 +127,16 @@ class TestRunDistillation:
         rng = np.random.default_rng(2)
         for e1_pos in (None, 0, 4, 6):
             for e2_pos in (None, 2, 3, 6):
-                session = inject_bob_errors(
-                    create_epr(7, hamming_pair),
-                    unit_error(7, e1_pos),
-                    unit_error(7, e2_pos),
-                )
-                alice_key, bob_key, report = run_distillation(session, rng)
+                joint = inject_bob_errors(create_epr(7), unit_error(7, e1_pos), unit_error(7, e2_pos))
+                alice_key, bob_key, report = run_distillation(hamming_pair, joint, rng)
                 assert alice_key == bob_key
                 assert report.bit_correction == unit_error(7, e1_pos)
                 assert report.phase_correction == unit_error(7, e2_pos)
 
     def test_parity_pair_strings_same_coset(self, parity_pair):
         for seed in range(8):
-            session = create_epr(4, parity_pair)
             alice_key, bob_key, report = run_distillation(
-                session, np.random.default_rng(seed)
+                parity_pair, create_epr(4), np.random.default_rng(seed)
             )
             assert alice_key == bob_key
             assert len(alice_key) == 2
@@ -155,10 +147,8 @@ class TestRunDistillation:
         # Every syndrome of a perfect code maps to some single-bit error,
         # so a weight-2 flip silently miscorrects and the keys disagree.
         rng = np.random.default_rng(3)
-        session = inject_bob_errors(
-            create_epr(7, hamming_pair), BV("1100000"), BV("0000000")
-        )
-        alice_key, bob_key, report = run_distillation(session, rng)
+        joint = inject_bob_errors(create_epr(7), BV("1100000"), BV("0000000"))
+        alice_key, bob_key, report = run_distillation(hamming_pair, joint, rng)
         assert alice_key != bob_key
         assert report.bit_correction == BV("0000001")
 
@@ -168,13 +158,22 @@ class TestRunDistillation:
         # phase flip in the phase syndrome.
         for e1, e2 in [("1000", "0000"), ("0000", "1000")]:
             rng = np.random.default_rng(4)
-            session = inject_bob_errors(create_epr(4, parity_pair), BV(e1), BV(e2))
+            joint = inject_bob_errors(create_epr(4), BV(e1), BV(e2))
             with pytest.raises(ValueError, match="uncorrectable syndrome"):
-                run_distillation(session, rng)
+                run_distillation(parity_pair, joint, rng)
 
-    def test_code_required(self):
-        with pytest.raises(ValueError):
-            run_distillation(create_epr(2), np.random.default_rng(4))
+    def test_steps_leave_their_input_state_unchanged(self, hamming_pair):
+        errors = (unit_error(7, 2), unit_error(7, 5))
+        steps = (
+            lambda joint: inject_bob_errors(joint, *errors),
+            lambda joint: measure_alice_parameters(hamming_pair, joint, np.random.default_rng(5)),
+            lambda joint: run_distillation(hamming_pair, joint, np.random.default_rng(5)),
+        )
+        for joint in (create_epr(7), inject_bob_errors(create_epr(7), *errors)):
+            before = joint._index.tobytes(), joint._values.tobytes()
+            for step in steps:
+                step(joint)
+                assert (joint._index.tobytes(), joint._values.tobytes()) == before
 
 
 class TestAliceMeasurementIdentity:
@@ -184,8 +183,7 @@ class TestAliceMeasurementIdentity:
         # measured parameters.
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            session = create_epr(4, parity_pair)
-            x, z, _, _ = measure_alice_parameters(session, rng)
+            x, z, _, _, joint = measure_alice_parameters(parity_pair, create_epr(4), rng)
             reps = [
                 parity_pair.quotient.representative(BV(format(m, "02b")))
                 for m in range(4)
@@ -196,15 +194,14 @@ class TestAliceMeasurementIdentity:
                 total += np.kron(half, half)
             total /= np.linalg.norm(total)
             expected = StateVector(n=8, amps=total)
-            assert fidelity(session.joint, expected) >= 1 - 1e-9
+            assert fidelity(joint, expected) >= 1 - 1e-9
 
     def test_syndrome_uniform_over_sessions(self, parity_pair):
         counts = {0: 0, 1: 0}
         runs = 1000
         for seed in range(runs):
             rng = np.random.default_rng(seed)
-            session = create_epr(4, parity_pair)
-            _, _, bit_syndrome, _ = measure_alice_parameters(session, rng)
+            _, _, bit_syndrome, _, _ = measure_alice_parameters(parity_pair, create_epr(4), rng)
             counts[bit_syndrome[0]] += 1
         sigma = np.sqrt(runs * 0.25)
         assert abs(counts[0] - runs / 2) <= 3 * sigma
@@ -216,10 +213,8 @@ class TestAliceMeasurementIdentity:
         from qkdforge.codes import key_from_coset
 
         rng = np.random.default_rng(11)
-        session = inject_bob_errors(
-            create_epr(7, hamming_pair), unit_error(7, 3), unit_error(7, 5)
-        )
-        alice_key, bob_key, report = run_distillation(session, rng)
+        joint = inject_bob_errors(create_epr(7), unit_error(7, 3), unit_error(7, 5))
+        alice_key, bob_key, report = run_distillation(hamming_pair, joint, rng)
         assert alice_key == bob_key
         for c in list(hamming_pair.c1.codewords())[1:]:
             alt_x = report.x + c
@@ -234,7 +229,7 @@ class TestAliceMeasurementIdentity:
 def test_rounds_on_a_built_code_run_no_elimination(hamming_pair, monkeypatch):
     """Alice's parameters are read off a reduction of each check matrix
     kept on the matrix, so only the first round eliminates."""
-    run_distillation(create_epr(7, hamming_pair), np.random.default_rng(0))
+    run_distillation(hamming_pair, create_epr(7), np.random.default_rng(0))
     calls, real_rref = [], gf2.rref
 
     def counting_rref(matrix):
@@ -244,8 +239,7 @@ def test_rounds_on_a_built_code_run_no_elimination(hamming_pair, monkeypatch):
     for module in (gf2, codes):
         monkeypatch.setattr(module, "rref", counting_rref)
     for position in (None, 0, 4):
-        session = inject_bob_errors(
-            create_epr(7, hamming_pair), unit_error(7, position), unit_error(7, None))
-        alice_key, bob_key, _ = run_distillation(session, np.random.default_rng(position))
+        joint = inject_bob_errors(create_epr(7), unit_error(7, position), unit_error(7, None))
+        alice_key, bob_key, _ = run_distillation(hamming_pair, joint, np.random.default_rng(position))
         assert alice_key == bob_key
     assert calls == []

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from qkdforge import qec3
 from qkdforge.gf2 import BitVector
 from qkdforge.qec3 import (
     ArbitraryError,
@@ -21,7 +24,9 @@ from qkdforge.qsim import (
     basis_state,
     fidelity,
     hadamard_all,
+    measure_paulis,
     overlap,
+    pauli_row,
 )
 
 BV = BitVector.from_string
@@ -210,6 +215,48 @@ class TestShorCode:
 def test_wrong_size_state_rejected(correct):
     with pytest.raises(ValueError, match="Pauli string length"):
         correct(basis_state(BV("0000")), np.random.default_rng(0))
+
+
+# The (kind, n, width, offset) of each _repetition_round a correction makes.
+ROUNDS = {
+    "bitflip": (bitflip_encode, [("Z", 3, 1, 0)]),
+    "phaseflip": (phaseflip_encode, [("X", 3, 1, 0)]),
+    "shor": (shor_encode, [("Z", 9, 1, 0), ("Z", 9, 1, 3), ("Z", 9, 1, 6), ("X", 9, 3, 0)]),
+}
+
+
+@pytest.mark.parametrize("code", sorted(ROUNDS))
+def test_repetition_round_measures_as_two_single_row_calls(code, monkeypatch):
+    """Each round measures its two rows in one measure_paulis call: the same
+    eigenvalues, dense amplitude bytes and generator state as one call per
+    row, on the clean codeword and after every single-qubit X, Z and
+    Haar-random error."""
+    encode, rounds = ROUNDS[code]
+    measured = []
+
+    def recording(state, paulis, rng):
+        eigenvalues, out = measure_paulis(state, paulis, rng)
+        measured.append((eigenvalues, out.amps.tobytes(), rng.bit_generator.state))
+        return eigenvalues, out
+
+    monkeypatch.setattr(qec3, "measure_paulis", recording)
+    clean = encode(0.6, 0.8j)
+    errors = np.random.default_rng(40)
+    states = [clean] + [
+        apply_gate(clean, gate, qubit) if gate else apply_error(clean, random_error(errors, qubit))
+        for gate in ("X", "Z", None) for qubit in range(1, clean.n + 1)
+    ]
+    for seed, state in enumerate(states):
+        rng = np.random.default_rng(seed)
+        for kind, n, width, offset in rounds:
+            assert state._index is None
+            row = BitVector((1 << 2 * width) - 1, 2 * width)
+            twin, want, values = copy.deepcopy(rng), state, []
+            for start in (offset, offset + width):
+                (value,), want = measure_paulis(want, [pauli_row(row, kind, n, start)], twin)
+                values.append(value)
+            _, state = qec3._repetition_round(state, rng, kind, n, width, offset)
+            assert measured.pop() == (values, want.amps.tobytes(), twin.bit_generator.state), (seed, offset)
 
 
 class TestArbitraryError:

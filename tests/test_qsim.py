@@ -19,7 +19,6 @@ from qkdforge.qsim import (
     fidelity,
     hadamard_all,
     measure_all_z,
-    measure_pauli_observable,
     measure_paulis,
     overlap,
     pauli_row,
@@ -98,13 +97,13 @@ class TestOwnership:
             apply_cnot(psi, 1, 3),
             apply_pauli_string(psi, PauliString("XYZ")),
             hadamard_all(psi),
-            measure_pauli_observable(psi, PauliString("ZZI"), rng)[1],
-            measure_pauli_observable(psi, PauliString("III"), rng)[1],
+            measure_paulis(psi, [PauliString("ZZI")], rng)[1],
+            measure_paulis(psi, [PauliString("III")], rng)[1],
             measure_all_z(psi, rng)[1],
-            create_epr(2).joint,
-            apply_pauli_string(create_epr(2).joint, PauliString("XYZI")),
-            measure_pauli_observable(create_epr(2).joint, PauliString("ZIZI"), rng)[1],
-            measure_pauli_observable(create_epr(2).joint, PauliString("XIII"), rng)[1],
+            create_epr(2),
+            apply_pauli_string(create_epr(2), PauliString("XYZI")),
+            measure_paulis(create_epr(2), [PauliString("ZIZI")], rng)[1],
+            measure_paulis(create_epr(2), [PauliString("XIII")], rng)[1],
         ]
         on_support = [out for out in outputs if out._index is not None]
         assert len(on_support) == 6  # basis states, the EPR state and its Pauli outputs
@@ -371,7 +370,7 @@ class TestMeasurePauliObservable:
     def test_draw_on_a_massless_branch_takes_the_other(self, factors, kets, r, eigenvalue):
         psi = state_from(kets)
         rng = FixedDraw(r)
-        value, out = measure_pauli_observable(psi, PauliString(factors), rng)
+        (value,), out = measure_paulis(psi, [PauliString(factors)], rng)
         assert rng.draws == 1
         assert value == eigenvalue
         assert np.all(np.isfinite(out.amps))
@@ -380,15 +379,14 @@ class TestMeasurePauliObservable:
     def test_flipped_second_qubit_pattern(self):
         rng = np.random.default_rng(12)
         psi = state_from({"010": 0.6, "101": 0.8})
-        g1, psi = measure_pauli_observable(psi, PauliString("ZZI"), rng)
-        g2, psi = measure_pauli_observable(psi, PauliString("IZZ"), rng)
+        (g1, g2), psi = measure_paulis(psi, [PauliString("ZZI"), PauliString("IZZ")], rng)
         assert (g1, g2) == (-1, -1)
 
     def test_eigenstate_deterministic_and_unchanged(self):
         rng = np.random.default_rng(13)
         psi = state_from({"0000": 1.0, "1111": -1.0})
         for _ in range(5):
-            value, out = measure_pauli_observable(psi, PauliString("XXXX"), rng)
+            (value,), out = measure_paulis(psi, [PauliString("XXXX")], rng)
             assert value == -1
             assert fidelity(out, psi) == pytest.approx(1.0)
 
@@ -398,7 +396,7 @@ class TestMeasurePauliObservable:
         counts = {1: 0, -1: 0}
         trials = 10_000
         for _ in range(trials):
-            value, _ = measure_pauli_observable(plus, PauliString("Z"), rng)
+            (value,), _ = measure_paulis(plus, [PauliString("Z")], rng)
             counts[value] += 1
         sigma = np.sqrt(trials * 0.25)
         assert abs(counts[1] - trials / 2) <= 3 * sigma
@@ -469,8 +467,7 @@ class TestSyndromeObservables:
     def test_definite_outcome_state_undisturbed(self):
         rng = np.random.default_rng(6)
         psi = state_from({"100": 0.6, "011": 0.8})
-        g1, out = measure_pauli_observable(psi, PauliString("ZZI"), rng)
-        g2, out = measure_pauli_observable(out, PauliString("IZZ"), rng)
+        (g1, g2), out = measure_paulis(psi, [PauliString("ZZI"), PauliString("IZZ")], rng)
         assert (g1, g2) == (-1, 1)  # the first qubit flipped
         assert fidelity(out, psi) == pytest.approx(1.0)
 
@@ -504,8 +501,7 @@ class TestSyndromeObservables:
         trials = 10_000
         rng = np.random.default_rng(7)
         for _ in range(trials):
-            g1, out = measure_pauli_observable(psi, PauliString("ZZI"), rng)
-            g2, out = measure_pauli_observable(out, PauliString("IZZ"), rng)
+            (g1, g2), out = measure_paulis(psi, [PauliString("ZZI"), PauliString("IZZ")], rng)
             counts[g1, g2] += 1
             if (g1, g2) == (1, -1):
                 assert fidelity(out, flipped) == pytest.approx(1.0)
@@ -517,7 +513,7 @@ class TestSyndromeObservables:
         rng = np.random.default_rng(8)
         epr = state_from({"00": 1.0, "11": 1.0})
         for factors in ("ZZ", "XX", "ZZ"):
-            value, out = measure_pauli_observable(epr, PauliString(factors), rng)
+            (value,), out = measure_paulis(epr, [PauliString(factors)], rng)
             assert value == 1
             assert fidelity(out, epr) == pytest.approx(1.0)
 
@@ -525,8 +521,7 @@ class TestSyndromeObservables:
         rng = np.random.default_rng(9)
         # a|+-+> + b|-+->: phase flip on the second qubit.
         psi = apply_gate(hadamard_all(state_from({"000": 0.6, "111": 0.8})), "Z", 2)
-        g1, out = measure_pauli_observable(psi, PauliString("XXI"), rng)
-        g2, out = measure_pauli_observable(out, PauliString("IXX"), rng)
+        (g1, g2), out = measure_paulis(psi, [PauliString("XXI"), PauliString("IXX")], rng)
         assert (g1, g2) == (-1, -1)
         assert fidelity(out, psi) == pytest.approx(1.0)
 

@@ -98,3 +98,38 @@ def test_no_module_in_src_imports_ctypes():
         path.name for path in SRC.glob("*.py") if "ctypes" in imported_modules(ast.parse(path.read_text()))
     )
     assert not importers, f"modules that import ctypes: {importers}"
+
+
+def written_roots(function):
+    """Root names of the attributes and items a function's body assigns to."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if isinstance(part, (ast.Attribute, ast.Subscript)):
+                    root = part.value
+                    while isinstance(root, (ast.Attribute, ast.Subscript)):
+                        root = root.value
+                    if isinstance(root, ast.Name):
+                        yield root.id
+
+
+def test_no_public_function_in_src_writes_into_its_arguments():
+    """Values are immutable: a public function returns what it makes. A
+    private helper may fill an array its caller owns (bb84._abort,
+    css._identity_deviation)."""
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                arguments = node.args
+                params = {a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs}
+                params |= {a.arg for a in (arguments.vararg, arguments.kwarg) if a is not None}
+                if params & set(written_roots(node)):
+                    writers.append(f"{path.stem}.{node.name}")
+    assert not writers, f"public functions that write into an argument: {writers}"
